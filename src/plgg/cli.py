@@ -98,6 +98,7 @@ def _check_vocabulary(plog, domain) -> None:
 
 def cmd_instantiate(args) -> int:
     if args.dot and not args.out:
+        print("plgg instantiate: error: --dot needs --out", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     plog = read_plog(args.plog)
     domain = _load_domain(args.domain)

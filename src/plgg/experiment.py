@@ -101,7 +101,8 @@ class _Corpus:
         self.domain = parse_domain(Path(config.domain_path).read_text())
         self.paths = sorted(config.problem_paths)
         self._tasks: dict[str, GroundTask] = {}
-        self._lggs: dict[str, tuple[LGG, float]] = {}
+        self._native: dict[str, tuple[LGG, float]] = {}
+        self._references: dict[str, tuple[LGG, float]] = {}
         self._oracles: dict[str, set] = {}
 
     def task(self, path: str) -> GroundTask:
@@ -110,18 +111,24 @@ class _Corpus:
             self._tasks[path] = ground_task(self.domain, problem)
         return self._tasks[path]
 
+    def native_lgg(self, path: str) -> tuple[LGG, float]:
+        """The built-in extractor's graph and the seconds it took."""
+        if path not in self._native:
+            start = time.perf_counter()
+            lgg = extract_lgg(self.task(path))
+            self._native[path] = (lgg, time.perf_counter() - start)
+        return self._native[path]
+
     def reference_lgg(self, path: str) -> tuple[LGG, float]:
-        if path not in self._lggs:
-            if self.config.reference_dir is not None:
-                ref = Path(self.config.reference_dir) / f"{Path(path).stem}.lgg.json"
-                if not ref.exists():
-                    raise FileNotFoundError(f"no reference graph for {path}: {ref}")
-                self._lggs[path] = (read_lgg(ref), 0.0)
-            else:
-                start = time.perf_counter()
-                lgg = extract_lgg(self.task(path))
-                self._lggs[path] = (lgg, time.perf_counter() - start)
-        return self._lggs[path]
+        """The native graph, or the reference directory's file if one is set."""
+        if self.config.reference_dir is None:
+            return self.native_lgg(path)
+        if path not in self._references:
+            ref = Path(self.config.reference_dir) / f"{Path(path).stem}.lgg.json"
+            if not ref.exists():
+                raise FileNotFoundError(f"no reference graph for {path}: {ref}")
+            self._references[path] = (read_lgg(ref), 0.0)
+        return self._references[path]
 
     def oracle(self, path: str) -> set:
         if path not in self._oracles:
@@ -167,7 +174,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                   report=compare(reference, content))
             if config.oracle_baseline:
                 oracle = corpus.oracle(path)
-                native = set(extract_lgg(task).vertices)
+                native = set(corpus.native_lgg(path)[0].vertices)
                 evaluation.plgg_oracle_recall = (
                     len(content.landmarks_grounded & oracle) / len(oracle))
                 evaluation.native_oracle_recall = len(native & oracle) / len(oracle)

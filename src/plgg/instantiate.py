@@ -14,13 +14,13 @@ variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from . import artifact
 from .pddl import Atom, GroundTask, is_variable
 from .plog import PLog, LiftedEdge, lift_atom
 
@@ -278,10 +278,6 @@ def search_best_equiv(plgg: PLgg, lm: Atom, store: VarConstraintStore,
     return bindings
 
 
-def get_lifted_landmarks(plgg: PLgg) -> list[Atom]:
-    return sorted(node for node in plgg.nodes if node.variables())
-
-
 def get_instantiated_lms(plgg: PLgg, task: GroundTask) -> set[Atom]:
     """Fully ground nodes that are facts of the task; anything outside the
     task's fact set is an ungroundable artifact and is not harvested."""
@@ -457,54 +453,30 @@ def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
 
 def plgg_to_json(plgg: PLgg) -> str:
     edges = _directed_edges(plgg)
-    table = sorted(set(plgg.nodes) | {a for e in edges for a in e})
-    index = {a: i for i, a in enumerate(table)}
-    payload = {
+    table, index = artifact.atom_table(set(plgg.nodes) | {a for e in edges for a in e})
+    return artifact.dumps({
         "domain": plgg.domain,
         "side": plgg.side,
-        "vertices": [{"pred": a.pred, "args": list(a.args), "grounded": a.is_ground}
-                     for a in table],
+        "vertices": [{**artifact.atom_payload(a), "grounded": a.is_ground} for a in table],
         "edges": [{"src": index[s], "dst": index[d], "mu": mu}
                   for (s, d), mu in sorted(edges.items())],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def plgg_from_json(text: str) -> PLgg:
-    from .lgg import LggFormatError
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LggFormatError(f"not valid JSON: {exc}", "/") from None
-    for key in ("domain", "side", "vertices", "edges"):
-        if not isinstance(payload, dict) or key not in payload:
-            raise LggFormatError(f"missing required key {key!r}", "/")
-    side = payload["side"]
-    if side not in (SIDE_GOAL, SIDE_INIT, SIDE_COMBINED):
-        raise LggFormatError(f"unknown side {side!r}", "/side")
-    table: list[Atom] = []
-    for i, entry in enumerate(payload["vertices"]):
-        ptr = f"/vertices/{i}"
-        if (not isinstance(entry, dict) or not isinstance(entry.get("pred"), str)
-                or not isinstance(entry.get("args"), list)):
-            raise LggFormatError("vertex must be {pred, args, grounded}", ptr)
-        table.append(Atom(entry["pred"], tuple(entry["args"])))
-    nodes: dict[Atom, dict[Atom, float]] = {a: {} for a in table}
-    for i, entry in enumerate(payload["edges"]):
-        ptr = f"/edges/{i}"
-        if (not isinstance(entry, dict)
-                or not isinstance(entry.get("mu"), (int, float))):
-            raise LggFormatError("edge must be {src, dst, mu}", ptr)
-        try:
-            src, dst = table[entry["src"]], table[entry["dst"]]
-        except (TypeError, IndexError, KeyError):
-            raise LggFormatError("edge endpoints must be vertex indices", ptr) from None
-        if side == SIDE_INIT:
-            nodes[src][dst] = float(entry["mu"])
-        else:
-            nodes[dst][src] = float(entry["mu"])
-    return PLgg(nodes=nodes, side=side, store=VarConstraintStore(),
-                domain=payload["domain"])
+    """Read a p-LGG; each vertex's `grounded` flag is ignored, since the
+    atom's arguments already say whether it is ground."""
+    data = artifact.read_artifact(
+        text, domain=artifact.string,
+        side=artifact.one_of(SIDE_GOAL, SIDE_INIT, SIDE_COMBINED),
+        edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
+                                "mu": artifact.probability}))
+    nodes: dict[Atom, dict[Atom, float]] = {a: {} for a in data["vertices"]}
+    for src, dst, mu in data["edges"]:
+        node, neighbour = (src, dst) if data["side"] == SIDE_INIT else (dst, src)
+        nodes[node][neighbour] = mu
+    return PLgg(nodes=nodes, side=data["side"], store=VarConstraintStore(),
+                domain=data["domain"])
 
 
 def write_plgg(plgg: PLgg, path: str | Path) -> None:
@@ -518,8 +490,7 @@ def read_plgg(path: str | Path) -> PLgg:
 def plgg_to_dot(plgg: PLgg) -> str:
     """Graphviz rendering; lifted nodes are dashed, edges carry probabilities."""
     edges = _directed_edges(plgg)
-    table = sorted(set(plgg.nodes) | {a for e in edges for a in e})
-    index = {a: i for i, a in enumerate(table)}
+    table, index = artifact.atom_table(set(plgg.nodes) | {a for e in edges for a in e})
     lines = ["digraph plgg {", "  rankdir=BT;"]
     for a in table:
         style = " style=dashed" if not a.is_ground else ""

@@ -9,13 +9,15 @@ through first achievers.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable
 
+from . import artifact
+from .artifact import LggFormatError  # noqa: F401  re-exported for callers
 from .pddl import Atom, GroundAction, GroundTask, PddlError
 
 logger = logging.getLogger(__name__)
@@ -25,14 +27,6 @@ ORDER_TYPE = "greedy_necessary"
 
 class UnsolvableTaskError(PddlError):
     """Raised when a goal atom is unreachable even in the delete relaxation."""
-
-
-class LggFormatError(PddlError):
-    """A persisted landmark graph violates its schema; carries a JSON pointer."""
-
-    def __init__(self, message: str, pointer: str):
-        super().__init__(f"{message} (at {pointer})")
-        self.pointer = pointer
 
 
 @dataclass(frozen=True)
@@ -165,85 +159,36 @@ def extract_lgg(task: GroundTask) -> LGG:
 
 
 def _has_cycle(lgg: LGG) -> bool:
-    succs: dict[Atom, list[Atom]] = {}
+    preds: dict[Atom, set[Atom]] = {}
     for src, dst in lgg.edges:
-        succs.setdefault(src, []).append(dst)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in lgg.vertices}
-
-    def visit(v: Atom) -> bool:
-        color[v] = GREY
-        for nxt in succs.get(v, ()):
-            if color[nxt] == GREY:
-                return True
-            if color[nxt] == WHITE and visit(nxt):
-                return True
-        color[v] = BLACK
-        return False
-
-    return any(color[v] == WHITE and visit(v) for v in sorted(lgg.vertices))
+        preds.setdefault(dst, set()).add(src)
+    try:
+        TopologicalSorter(preds).prepare()  # its cycle search is iterative
+    except CycleError:
+        return True
+    return False
 
 
 # --- serialization ----------------------------------------------------------
 
 
 def lgg_to_json(lgg: LGG) -> str:
-    vertices = sorted(lgg.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    payload = {
+    table, index = artifact.atom_table(lgg.vertices)
+    return artifact.dumps({
         "task": lgg.task,
-        "vertices": [{"pred": v.pred, "args": list(v.args)} for v in vertices],
+        "vertices": [artifact.atom_payload(v) for v in table],
         "edges": sorted([index[s], index[d]] for s, d in lgg.edges),
         "order_type": ORDER_TYPE,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def lgg_from_json(text: str) -> LGG:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LggFormatError(f"not valid JSON: {exc}", "/") from None
-    if not isinstance(payload, dict):
-        raise LggFormatError("top level must be an object", "/")
-    for key in ("task", "vertices", "edges", "order_type"):
-        if key not in payload:
-            raise LggFormatError(f"missing required key {key!r}", "/")
-    if payload["order_type"] != ORDER_TYPE:
-        raise LggFormatError(f"unsupported order_type {payload['order_type']!r}",
-                             "/order_type")
-    if not isinstance(payload["task"], str):
-        raise LggFormatError("task must be a string", "/task")
-
-    vertices: list[Atom] = []
-    if not isinstance(payload["vertices"], list):
-        raise LggFormatError("vertices must be an array", "/vertices")
-    for i, entry in enumerate(payload["vertices"]):
-        ptr = f"/vertices/{i}"
-        if (not isinstance(entry, dict) or not isinstance(entry.get("pred"), str)
-                or not isinstance(entry.get("args"), list)
-                or not all(isinstance(a, str) for a in entry["args"])):
-            raise LggFormatError("vertex must be {pred: str, args: [str]}", ptr)
-        atom = Atom(entry["pred"], tuple(entry["args"]))
-        if atom in vertices:
-            raise LggFormatError(f"duplicate vertex {atom}", ptr)
-        vertices.append(atom)
-
-    edges: set[tuple[Atom, Atom]] = set()
-    if not isinstance(payload["edges"], list):
-        raise LggFormatError("edges must be an array", "/edges")
-    for i, pair in enumerate(payload["edges"]):
-        ptr = f"/edges/{i}"
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
-            raise LggFormatError("edge must be a [src, dst] index pair", ptr)
-        for j, idx in enumerate(pair):
-            if not 0 <= idx < len(vertices):
-                raise LggFormatError(f"edge endpoint {idx} is not a vertex index",
-                                     f"{ptr}/{j}")
-        edges.add((vertices[pair[0]], vertices[pair[1]]))
-
-    return LGG(task=payload["task"], vertices=frozenset(vertices), edges=frozenset(edges))
+    """Read a landmark graph; an edge is a [src, dst] pair of vertex indices."""
+    data = artifact.read_artifact(
+        text, order_type=artifact.one_of(ORDER_TYPE), task=artifact.string,
+        edges=artifact.records({0: artifact.vertex, 1: artifact.vertex}))
+    return LGG(task=data["task"], vertices=frozenset(data["vertices"]),
+               edges=frozenset(data["edges"]))
 
 
 def write_lgg(lgg: LGG, path: str | Path) -> None:

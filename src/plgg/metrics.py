@@ -10,7 +10,6 @@ alpha-recall.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -197,10 +196,6 @@ def report_to_dict(report: MetricReport) -> dict:
             "extras": f.extras,
         }
     return {"landmarks": facet(report.landmarks), "orderings": facet(report.orderings)}
-
-
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def mean_reports(reports: Iterable[MetricReport]) -> dict:

@@ -8,12 +8,12 @@ the edge's destination, become ordering probabilities.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from . import artifact
 from .pddl import Atom
 from .lgg import LGG
 
@@ -157,73 +157,34 @@ def learn_plog(lggs: Iterable[LGG], domain: str = "") -> PLog:
 # --- serialization ----------------------------------------------------------
 
 
-def _atom_payload(atom: Atom) -> dict:
-    return {"pred": atom.pred, "args": list(atom.args)}
-
-
 def plog_to_json(plog: PLog) -> str:
-    table = sorted(set(plog.vertices)
-                   | {a for e in plog.edge_counts for a in (e.src, e.dst)}
-                   | set(plog.log_counts))
-    index = {a: i for i, a in enumerate(table)}
-    edges = [{"src": index[e.src], "dst": index[e.dst], "n": n,
-              "mu": plog.probs[e]}
-             for e, n in sorted(plog.edge_counts.items())]
-    log_counts = [{"vertex": index[v], "n_graph": n}
-                  for v, n in sorted(plog.log_counts.items())]
-    payload = {"domain": plog.domain,
-               "vertices": [_atom_payload(a) for a in table],
-               "edges": edges,
-               "log_counts": log_counts}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _atom_from_payload(entry, ptr: str) -> Atom:
-    from .lgg import LggFormatError
-    if (not isinstance(entry, dict) or not isinstance(entry.get("pred"), str)
-            or not isinstance(entry.get("args"), list)
-            or not all(isinstance(a, str) for a in entry["args"])):
-        raise LggFormatError("atom must be {pred: str, args: [str]}", ptr)
-    return Atom(entry["pred"], tuple(entry["args"]))
+    table, index = artifact.atom_table(
+        set(plog.vertices) | {a for e in plog.edge_counts for a in (e.src, e.dst)}
+        | set(plog.log_counts))
+    return artifact.dumps({
+        "domain": plog.domain,
+        "vertices": [artifact.atom_payload(a) for a in table],
+        "edges": [{"src": index[e.src], "dst": index[e.dst], "n": n, "mu": plog.probs[e]}
+                  for e, n in sorted(plog.edge_counts.items())],
+        "log_counts": [{"vertex": index[v], "n_graph": n}
+                       for v, n in sorted(plog.log_counts.items())],
+    })
 
 
 def plog_from_json(text: str) -> PLog:
-    from .lgg import LggFormatError
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LggFormatError(f"not valid JSON: {exc}", "/") from None
-    for key in ("domain", "vertices", "edges", "log_counts"):
-        if not isinstance(payload, dict) or key not in payload:
-            raise LggFormatError(f"missing required key {key!r}", "/")
-    table = [_atom_from_payload(entry, f"/vertices/{i}")
-             for i, entry in enumerate(payload["vertices"])]
-
-    def atom_at(idx, ptr) -> Atom:
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(table):
-            raise LggFormatError(f"{idx!r} is not a vertex index", ptr)
-        return table[idx]
-
-    log_counts: Counter = Counter()
-    for i, entry in enumerate(payload["log_counts"]):
-        ptr = f"/log_counts/{i}"
-        if not isinstance(entry, dict) or not isinstance(entry.get("n_graph"), int):
-            raise LggFormatError("log_count must be {vertex: int, n_graph: int}", ptr)
-        log_counts[atom_at(entry.get("vertex"), ptr)] = entry["n_graph"]
-
-    edge_counts: Counter = Counter()
-    for i, entry in enumerate(payload["edges"]):
-        ptr = f"/edges/{i}"
-        if not isinstance(entry, dict) or not isinstance(entry.get("n"), int):
-            raise LggFormatError("edge must be {src, dst, n, mu}", ptr)
-        edge = LiftedEdge(src=atom_at(entry.get("src"), ptr),
-                          dst=atom_at(entry.get("dst"), ptr))
-        edge_counts[edge] = entry["n"]
-
-    w = WLog(vertices={table[e["vertex"]] for e in payload["log_counts"]},
-             edge_counts=edge_counts, log_counts=log_counts,
-             domain=payload["domain"])
-    return finalize_plog(w)
+    """Read a p-LOG; counts are positive and each edge or root appears once.
+    Probabilities are recomputed from the counts, not taken from the file."""
+    data = artifact.read_artifact(
+        text, domain=artifact.string,
+        edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
+                                "n": artifact.positive_int, "mu": artifact.probability},
+                               unique=("src", "dst")),
+        log_counts=artifact.records({"vertex": artifact.vertex,
+                                     "n_graph": artifact.positive_int}, unique=("vertex",)))
+    log_counts = Counter(dict(data["log_counts"]))
+    edge_counts = Counter({LiftedEdge(src, dst): n for src, dst, n, _ in data["edges"]})
+    return finalize_plog(WLog(vertices=set(log_counts), edge_counts=edge_counts,
+                              log_counts=log_counts, domain=data["domain"]))
 
 
 def write_plog(plog: PLog, path: str | Path) -> None:
@@ -236,9 +197,8 @@ def read_plog(path: str | Path) -> PLog:
 
 def plog_to_dot(plog: PLog) -> str:
     """Graphviz rendering with probability-labelled edges."""
-    table = sorted(set(plog.vertices)
-                   | {a for e in plog.probs for a in (e.src, e.dst)})
-    index = {a: i for i, a in enumerate(table)}
+    table, index = artifact.atom_table(
+        set(plog.vertices) | {a for e in plog.probs for a in (e.src, e.dst)})
     lines = ["digraph plog {", "  rankdir=BT;"]
     for a in table:
         lines.append(f'  n{index[a]} [label="{a}" style=dashed];')

@@ -134,11 +134,29 @@ def test_instantiate_vocabulary_mismatch_exits_2(learned, tmp_path, capsys):
     assert "domain" in capsys.readouterr().err
 
 
-def test_instantiate_dot_requires_out(learned, bench_dir, paths):
+def test_instantiate_dot_requires_out(learned, bench_dir, paths, capsys):
     with pytest.raises(SystemExit) as err:
         main(["instantiate", str(learned), str(bench_dir / "domain.pddl"),
               paths("p06"), "--dot"])
     assert err.value.code == EXIT_USAGE
+    assert "plgg instantiate: error: --dot needs --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["learn", "instantiate"])
+def test_malformed_artifact_exits_2_with_message(command, learned, bench_dir, paths,
+                                                 tmp_path, capsys):
+    source = tmp_path / "lggs" / "p01.lgg.json" if command == "learn" else learned
+    payload = json.loads(source.read_text())
+    payload["vertices"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = (["learn", str(bad), "--out", str(tmp_path / "out.json")] if command == "learn"
+            else ["instantiate", str(bad), str(bench_dir / "domain.pddl"), paths("p06")])
+    capsys.readouterr()
+    assert main(argv) == EXIT_TASK
+    err = capsys.readouterr().err
+    assert err.startswith(f"plgg {command}: error: ") and "(at /vertices)" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_small_protocol(bench_dir, paths, capsys):

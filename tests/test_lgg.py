@@ -6,7 +6,7 @@ import json
 import pytest
 
 from plgg.pddl import Atom
-from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, extract_lgg,
+from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
                       is_landmark_oracle, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
 
@@ -109,6 +109,13 @@ def test_relaxed_levels_start_at_init(make_task):
     for fact in task.init:
         assert fact_level[fact] == 0
     assert all(level >= 0 for level in action_level.values())
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_cycle_check_on_a_3000_vertex_chain(closed):
+    chain = [Atom("on", (f"b{i}", f"b{i + 1}")) for i in range(3000)]
+    edges = set(zip(chain, chain[1:])) | ({(chain[-1], chain[0])} if closed else set())
+    assert _has_cycle(LGG("chain", frozenset(chain), frozenset(edges))) is closed
 
 
 # --- serialization --------------------------------------------------------------
