@@ -4,8 +4,8 @@ Four subcommands cover the pipeline: `extract` turns PDDL tasks into
 landmark graph files, `learn` merges those into a probabilistic lifted
 ordering graph, `instantiate` applies a learned graph to a new task, and
 `evaluate` runs the full split/score protocol.  Exit codes: 0 on success,
-1 for usage or configuration errors, 2 for task-level failures (bad PDDL,
-unsolvable task, vocabulary mismatch).
+1 for usage or configuration errors, 2 for task-level failures (unreadable
+input, bad PDDL, unsolvable task, vocabulary mismatch).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .experiment import (ExperimentConfig, render_oracle_report, render_score_report,
                          render_timing_report, result_to_json, run_experiment)
-from .instantiate import extract_result, instantiate_task, plgg_to_dot, write_plgg
+from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
+                          write_plgg)
 from .lgg import (LggFormatError, UnsolvableTaskError, extract_lgg, lgg_to_json,
                   read_lgg)
 from .pddl import ParseError, ground_task, parse_domain, parse_problem
@@ -120,7 +121,6 @@ def cmd_instantiate(args) -> int:
             dot_path.write_text(plgg_to_dot(plgg))
             print(f"wrote {dot_path}")
     else:
-        from .instantiate import plgg_to_json
         print(plgg_to_json(plgg), end="")
     return EXIT_OK
 
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UnsolvableTaskError, LggFormatError, VocabularyError,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"plgg {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_TASK
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lgg import LGG, extract_lgg, read_lgg
+from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
 from .metrics import MetricReport, compare, mean_reports, render_table, report_to_dict
 from .pddl import GroundTask, ground_task, parse_domain, parse_problem
@@ -132,7 +132,6 @@ class _Corpus:
 
     def oracle(self, path: str) -> set:
         if path not in self._oracles:
-            from .lgg import oracle_landmarks
             self._oracles[path] = oracle_landmarks(self.task(path))
         return self._oracles[path]
 

@@ -2,9 +2,11 @@
 
 A landmark generation graph (LGG) collects ground landmarks of a task and
 greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
-immediately before L2 is first achieved.  Verdicts come from a brute-force
-oracle over the delete relaxation; extraction back-chains from the goal
-through first achievers.
+immediately before L2 is first achieved.  Both halves rest on the one
+delete-relaxed exploration, `plgg.pddl.relaxed_exploration`: its levels
+pick the first achievers that extraction back-chains through from the goal,
+and the brute-force oracle runs it without a candidate's achievers to
+decide whether the candidate is a landmark.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable
 
 from . import artifact
 from .artifact import LggFormatError  # noqa: F401  re-exported for callers
-from .pddl import Atom, GroundAction, GroundTask, PddlError
+from .pddl import Atom, GroundAction, GroundTask, PddlError, relaxed_exploration
 
 logger = logging.getLogger(__name__)
 
@@ -45,43 +46,9 @@ class LGG:
     edges: frozenset[tuple[Atom, Atom]]
 
 
-def relaxed_closure(init: Iterable[Atom], actions: Iterable[GroundAction]) -> frozenset[Atom]:
-    """Fixpoint of fact reachability when deletes are ignored."""
-    facts = set(init)
-    pending = list(actions)
-    while True:
-        ready = [a for a in pending if a.pre <= facts]
-        if not ready:
-            return frozenset(facts)
-        pending = [a for a in pending if not a.pre <= facts]
-        for a in ready:
-            facts.update(a.add)
-
-
 def relaxed_levels(task: GroundTask) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
-    """First level at which each fact holds / each action applies, relaxed.
-
-    Init facts sit at level 0; an action applicable at level t contributes
-    its add effects at level t + 1.
-    """
-    fact_level = {f: 0 for f in task.init}
-    action_level: dict[GroundAction, int] = {}
-    remaining = list(task.actions)
-    level = 0
-    while remaining:
-        ready = [a for a in remaining if all(p in fact_level for p in a.pre)]
-        if not ready:
-            break
-        for a in ready:
-            action_level[a] = level
-        remaining = [a for a in remaining if a not in action_level]
-        fresh = {f for a in ready for f in a.add if f not in fact_level}
-        if not fresh:
-            break
-        for f in fresh:
-            fact_level[f] = level + 1
-        level += 1
-    return fact_level, action_level
+    """First level at which each fact holds / each action applies, relaxed."""
+    return relaxed_exploration(task.init, task.actions)
 
 
 def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
@@ -96,8 +63,8 @@ def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
     if atom in task.init or atom in task.goal:
         return LandmarkVerdict(atom, True, "in-init-or-goal")
     allowed = [a for a in task.actions if atom not in a.add]
-    reachable = relaxed_closure(task.init, allowed)
-    if task.goal <= reachable:
+    fact_level, _ = relaxed_exploration(task.init, allowed)
+    if task.goal <= fact_level.keys():
         return LandmarkVerdict(atom, False, "achievable-without")
     return LandmarkVerdict(atom, True, "goal-unreachable-without")
 

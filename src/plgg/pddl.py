@@ -3,7 +3,9 @@
 The fragment accepted here is deliberately small: ``:strips`` and ``:typing``
 are the only requirements honoured, preconditions are conjunctions of
 positive atoms, and effects are conjunctions of positive and negated atoms.
-Identifiers are case-insensitive and normalised to lower case.
+Identifiers are case-insensitive and normalised to lower case.  Grounding
+and landmark extraction share one delete-relaxed exploration,
+`relaxed_exploration`.
 """
 
 from __future__ import annotations
@@ -552,6 +554,39 @@ def problem_to_pddl(problem: Problem) -> str:
 # --- grounding --------------------------------------------------------------
 
 
+def relaxed_exploration(init: Iterable[Atom], actions: Iterable[GroundAction]
+                        ) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
+    """First level at which each fact holds / each action applies when
+    deletes are ignored.
+
+    Init facts sit at level 0.  Each layer splits the pending actions once:
+    those whose preconditions are all reached get the current level, and
+    their add effects not reached before get the next one.  The exploration
+    stops at the first layer without a ready action; facts and actions
+    missing from the result are unreachable.
+    """
+    reached = set(init)
+    fact_level = dict.fromkeys(reached, 0)
+    action_level: dict[GroundAction, int] = {}
+    pending = list(actions)
+    level = 0
+    while True:
+        ready: list[GroundAction] = []
+        blocked: list[GroundAction] = []
+        for a in pending:
+            (ready if a.pre <= reached else blocked).append(a)
+        if not ready:
+            return fact_level, action_level
+        for a in ready:
+            action_level[a] = level
+            fresh = a.add - reached
+            if fresh:
+                reached |= fresh
+                fact_level.update(dict.fromkeys(fresh, level + 1))
+        level += 1
+        pending = blocked
+
+
 def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     """Ground a problem over its delete-relaxed-reachable fact set.
 
@@ -579,25 +614,15 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                 pre=frozenset(a.substitute(binding) for a in schema.pre),
                 add=add, delete=delete))
 
-    facts: set[Atom] = set(problem.init)
-    applied: list[GroundAction] = []
-    pending = candidates
-    while True:
-        ready = [a for a in pending if a.pre <= facts]
-        if not ready:
-            break
-        pending = [a for a in pending if not a.pre <= facts]
-        applied.extend(ready)
-        for a in ready:
-            facts.update(a.add)
-
-    for a in applied:
+    fact_level, action_level = relaxed_exploration(problem.init, candidates)
+    facts = set(fact_level)
+    for a in action_level:
         facts.update(a.delete)
     facts.update(problem.goal)
 
     return GroundTask(name=problem.name,
                       facts=frozenset(facts),
-                      actions=tuple(sorted(applied)),
+                      actions=tuple(sorted(action_level)),
                       init=problem.init,
                       goal=problem.goal,
                       objects=objects,

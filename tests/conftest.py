@@ -8,6 +8,7 @@ from plgg.plog import learn_plog
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "blocksworld"
 TRAIN = ("p01", "p02", "p03", "p04")
+CORPUS = sorted(p.stem for p in BENCH.glob("p*.pddl"))
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +46,4 @@ def plog(train_lggs, domain):
 
 @pytest.fixture(scope="session")
 def corpus_names():
-    return sorted(p.stem for p in BENCH.glob("p*.pddl"))
+    return CORPUS

@@ -159,6 +159,26 @@ def test_malformed_artifact_exits_2_with_message(command, learned, bench_dir, pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["extract", "learn", "instantiate"])
+@pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+def test_unreadable_input_exits_2_with_message(command, unreadable, learned, bench_dir,
+                                               paths, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe(define \xc3")
+    domain = str(bench_dir / "domain.pddl")
+    argv = {"extract": ["extract", str(bad), paths("p01"), "--out", str(tmp_path / "out")],
+            "learn": ["learn", str(bad), "--out", str(tmp_path / "out.json")],
+            "instantiate": ["instantiate", str(bad), domain, paths("p06")]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_TASK
+    err = capsys.readouterr().err
+    assert err.startswith(f"plgg {command}: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_evaluate_small_protocol(bench_dir, paths, capsys):
     names = ["p01", "p02", "p03", "p04", "p05", "p06"]
     code = main(["evaluate", str(bench_dir / "domain.pddl")]

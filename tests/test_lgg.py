@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from plgg.pddl import Atom
+from plgg.pddl import Atom, ground_task, parse_problem, relaxed_exploration
 from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
                       is_landmark_oracle, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
+
+from conftest import CORPUS
 
 
 def atom(s):
@@ -92,12 +94,13 @@ def test_extractor_recall_below_oracle(make_task):
     assert len(extracted) == 9 and len(oracle) == 11
 
 
+IMPOSSIBLE = ("(define (problem impossible) (:domain blocksworld) "
+              "(:objects a - block) (:init (ontable a) (clear a) (handempty)) "
+              "(:goal (and (on a a))))")
+
+
 def test_unsolvable_task_raises(domain):
-    from plgg.pddl import ground_task, parse_problem
-    text = ("(define (problem impossible) (:domain blocksworld) "
-            "(:objects a - block) (:init (ontable a) (clear a) (handempty)) "
-            "(:goal (and (on a a))))")
-    task = ground_task(domain, parse_problem(text, domain))
+    task = ground_task(domain, parse_problem(IMPOSSIBLE, domain))
     with pytest.raises(UnsolvableTaskError) as err:
         extract_lgg(task)
     assert "impossible" in str(err.value)
@@ -109,6 +112,32 @@ def test_relaxed_levels_start_at_init(make_task):
     for fact in task.init:
         assert fact_level[fact] == 0
     assert all(level >= 0 for level in action_level.values())
+
+
+def assert_levels_match_definition(init, actions, fact_level, action_level):
+    for fact in init:
+        assert fact_level[fact] == 0
+    for action in actions:
+        if action in action_level:
+            assert action_level[action] == max((fact_level[p] for p in action.pre), default=0)
+            assert action.add <= fact_level.keys()
+        else:
+            assert not action.pre <= fact_level.keys()
+    for fact, level in fact_level.items():
+        if fact not in init:
+            assert level == 1 + min(action_level[a] for a in action_level if fact in a.add)
+
+
+@pytest.mark.parametrize("name", CORPUS + ["impossible"])
+def test_relaxed_levels_match_definition(name, domain, make_task):
+    task = (ground_task(domain, parse_problem(IMPOSSIBLE, domain)) if name == "impossible"
+            else make_task(name))
+    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
+    # without the achievers of a goal atom, as the oracle explores, some actions stay unreached
+    dropped = min(task.goal - task.init)
+    allowed = [a for a in task.actions if dropped not in a.add]
+    assert_levels_match_definition(task.init, allowed,
+                                   *relaxed_exploration(task.init, allowed))
 
 
 @pytest.mark.parametrize("closed", [False, True])

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from plgg.pddl import (Atom, ParseError, domain_to_pddl, ground_task, parse_domain,
                        parse_problem, problem_to_pddl)
 
+from conftest import CORPUS
+
 
 def test_domain_shape(domain):
     assert domain.name == "blocksworld"
@@ -64,12 +66,12 @@ def naive_ground_actions(domain, problem):
     return kept
 
 
-def test_grounding_matches_naive_oracle(domain, bench_dir, make_task):
-    for name in ("p01", "p04", "p07"):
-        problem = parse_problem((bench_dir / f"{name}.pddl").read_text(), domain)
-        expected = naive_ground_actions(domain, problem)
-        actual = {(a.name, a.args) for a in make_task(name).actions}
-        assert actual == expected
+@pytest.mark.parametrize("name", CORPUS)
+def test_grounding_matches_naive_oracle(name, domain, bench_dir, make_task):
+    problem = parse_problem((bench_dir / f"{name}.pddl").read_text(), domain)
+    expected = naive_ground_actions(domain, problem)
+    actual = {(a.name, a.args) for a in make_task(name).actions}
+    assert actual == expected
 
 
 def test_grounding_counts_three_blocks(make_task):
