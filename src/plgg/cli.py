@@ -20,9 +20,8 @@ from .experiment import (ExperimentConfig, render_oracle_report, render_score_re
                          render_timing_report, result_to_json, run_experiment)
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
                           write_plgg)
-from .lgg import (LggFormatError, UnsolvableTaskError, extract_lgg, lgg_to_json,
-                  read_lgg)
-from .pddl import ParseError, ground_task, parse_domain, parse_problem
+from .lgg import extract_lgg, lgg_to_json, read_lgg
+from .pddl import PddlError, ground_task, parse_domain, parse_problem, read_text
 from .plog import VocabularyError, learn_plog, plog_to_dot, read_plog, write_plog
 
 EXIT_OK = 0
@@ -41,11 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_domain(path: str):
-    return parse_domain(Path(path).read_text())
+    return parse_domain(read_text(path))
 
 
 def _load_task(domain, path: str):
-    problem = parse_problem(Path(path).read_text(), domain)
+    problem = parse_problem(read_text(path), domain)
     return ground_task(domain, problem)
 
 
@@ -202,8 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnsolvableTaskError, LggFormatError, VocabularyError,
-            OSError, UnicodeDecodeError) as exc:
+    except (PddlError, VocabularyError, OSError) as exc:
         print(f"plgg {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_TASK
 

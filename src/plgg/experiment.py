@@ -22,7 +22,7 @@ from pathlib import Path
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
 from .metrics import MetricReport, compare, mean_reports, render_table, report_to_dict
-from .pddl import GroundTask, ground_task, parse_domain, parse_problem
+from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_text
 from .plog import learn_plog
 
 
@@ -98,7 +98,7 @@ class _Corpus:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.domain = parse_domain(Path(config.domain_path).read_text())
+        self.domain = parse_domain(read_text(config.domain_path))
         self.paths = sorted(config.problem_paths)
         self._tasks: dict[str, GroundTask] = {}
         self._native: dict[str, tuple[LGG, float]] = {}
@@ -107,7 +107,7 @@ class _Corpus:
 
     def task(self, path: str) -> GroundTask:
         if path not in self._tasks:
-            problem = parse_problem(Path(path).read_text(), self.domain)
+            problem = parse_problem(read_text(path), self.domain)
             self._tasks[path] = ground_task(self.domain, problem)
         return self._tasks[path]
 

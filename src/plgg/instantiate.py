@@ -5,7 +5,8 @@ generated: one backward from the goal (nodes point at predecessors) and one
 forward from the initial state (nodes point at successors).  Landmarks
 grounded on one side then drive variable bindings on the other, round after
 round, until no new ground landmark appears; the union of both sides is the
-task's probabilistic landmark graph.
+task's probabilistic landmark graph.  Both sides share one constraint store,
+and each round instantiates the init side first, then the goal side.
 
 Whenever an expansion introduces a variable next to known parameters, the
 known parameters are recorded as forbidden values for that variable: a
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import artifact
-from .pddl import Atom, GroundTask, is_variable
+from .pddl import Atom, GroundTask, is_variable, read_text
 from .plog import PLog, LiftedEdge, lift_atom
 
 logger = logging.getLogger(__name__)
@@ -61,18 +62,12 @@ class VarConstraintStore:
     def variables(self) -> frozenset[str]:
         return frozenset(self._by_var)
 
-    def merge(self, other: "VarConstraintStore") -> None:
-        for var, entry in other._by_var.items():
-            mine = self.for_var(var)
-            mine.objects.update(entry.objects)
-            mine.variables.update(entry.variables)
-
 
 class VarSource:
     """Hands out globally fresh canonical variable names."""
 
-    def __init__(self, start: int = 0):
-        self._next = start
+    def __init__(self):
+        self._next = 0
 
     def fresh(self) -> str:
         name = f"?x{self._next}"
@@ -120,26 +115,22 @@ class PLgg:
     domain: str = ""
 
 
-def _edges_by_dst(plog: PLog) -> dict[Atom, list[tuple[LiftedEdge, float]]]:
+def _edges_from(plog: PLog, backward: bool) -> dict[Atom, list[tuple[LiftedEdge, float]]]:
+    """Learned edges keyed by the lifted atom an expansion starts from: the
+    destination when growing backward, the source when growing forward."""
     index: dict[Atom, list[tuple[LiftedEdge, float]]] = {}
     for edge in sorted(plog.probs):
-        index.setdefault(edge.dst, []).append((edge, plog.probs[edge]))
-    return index
-
-
-def _edges_by_src(plog: PLog) -> dict[Atom, list[tuple[LiftedEdge, float]]]:
-    index: dict[Atom, list[tuple[LiftedEdge, float]]] = {}
-    for edge in sorted(plog.probs):
-        index.setdefault(lift_atom(edge.src), []).append((edge, plog.probs[edge]))
+        start = edge.dst if backward else edge.src
+        index.setdefault(lift_atom(start), []).append((edge, plog.probs[edge]))
     return index
 
 
 def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
-              var_source: VarSource | None, store: VarConstraintStore | None):
+              var_source: VarSource | None, store: VarConstraintStore | None) -> PLgg:
     store = store if store is not None else VarConstraintStore()
     source = var_source if var_source is not None else VarSource()
     backward = side == SIDE_GOAL
-    index = _edges_by_dst(plog) if backward else _edges_by_src(plog)
+    index = _edges_from(plog, backward)
     blocked = task.init if backward else task.goal
 
     nodes: dict[Atom, dict[Atom, float]] = {}
@@ -168,12 +159,12 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
             nodes[lm][neighbour] = mu if current is None else max(mu, current)
             if neighbour.objects() and neighbour not in expanded:
                 queue.append(neighbour)
-    return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain), store
+    return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
 
 
 def generate_plgg_goal(plog: PLog, task: GroundTask, *,
                        var_source: VarSource | None = None,
-                       store: VarConstraintStore | None = None):
+                       store: VarConstraintStore | None = None) -> PLgg:
     """Grow the goal-side graph backward through learned in-edges.
 
     Each dequeued atom with at least one object that is not an init fact is
@@ -187,7 +178,7 @@ def generate_plgg_goal(plog: PLog, task: GroundTask, *,
 
 def generate_plgg_init(plog: PLog, task: GroundTask, *,
                        var_source: VarSource | None = None,
-                       store: VarConstraintStore | None = None):
+                       store: VarConstraintStore | None = None) -> PLgg:
     """Mirror of the goal side: forward from init along learned out-edges."""
     return _generate(plog, task, task.init, SIDE_INIT, var_source, store)
 
@@ -243,8 +234,9 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
-def equiv_candidates(plgg: PLgg, lm: Atom, store: VarConstraintStore) -> list[EquivCandidate]:
-    """Lifted nodes equivalent to the ground atom `lm`, closest first.
+def equiv_candidates(plgg: PLgg, lm: Atom) -> list[EquivCandidate]:
+    """Lifted nodes equivalent to the ground atom `lm` under the graph's
+    constraints, closest first.
 
     Ties on distance are broken by higher best incident probability, then
     lexicographically.
@@ -252,20 +244,19 @@ def equiv_candidates(plgg: PLgg, lm: Atom, store: VarConstraintStore) -> list[Eq
     best = _best_incident_prob(plgg)
     found = [EquivCandidate(node, param_distance(node, lm), best.get(node, 0.0))
              for node in plgg.nodes
-             if node.variables() and equivalent_atoms(node, lm, store)]
+             if node.variables() and equivalent_atoms(node, lm, plgg.store)]
     found.sort(key=lambda c: (c.distance, -c.prob, c.candidate))
     return found
 
 
-def search_best_equiv(plgg: PLgg, lm: Atom, store: VarConstraintStore,
-                      top_n: int = 1) -> dict[str, str]:
+def search_best_equiv(plgg: PLgg, lm: Atom, top_n: int = 1) -> dict[str, str]:
     """Variable bindings harvested from the closest equivalents of `lm`.
 
     Among equivalent lifted nodes only those at minimum distance compete;
     the `top_n` most probable of them contribute bindings position by
     position, and a variable bound once is never rebound.
     """
-    candidates = equiv_candidates(plgg, lm, store)
+    candidates = equiv_candidates(plgg, lm)
     if not candidates:
         return {}
     dmin = candidates[0].distance
@@ -310,52 +301,38 @@ def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
     return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
 
 
-def instantiation(plgg: PLgg, lms: Iterable[Atom], store: VarConstraintStore,
-                  top_n: int = 1) -> PLgg:
+def instantiation(plgg: PLgg, lms: Iterable[Atom], top_n: int = 1) -> PLgg:
     """One instantiation pass: harvest bindings from every known landmark,
     first binding per variable wins, then rewrite the graph once."""
     var_inst: dict[str, str] = {}
     for lm in sorted(lms):
-        for var, obj in search_best_equiv(plgg, lm, store, top_n).items():
+        for var, obj in search_best_equiv(plgg, lm, top_n).items():
             var_inst.setdefault(var, obj)
     return apply_instantiation(plgg, var_inst)
 
 
-def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask,
-            store: VarConstraintStore | None = None, top_n: int = 1, *,
-            iteration_log: list | None = None, init_first: bool = True) -> PLgg:
+def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, *,
+            iteration_log: list | None = None) -> PLgg:
     """Alternate instantiation between the two sides until a fixpoint.
 
-    Ground landmarks known on one side feed bindings into the other; the
-    loop stops when a full round adds no new ground landmark.  The returned
-    graph is the predecessor-oriented union of both sides.
+    Both sides must share one constraint store.  Each round instantiates
+    the init side from the goal side's ground landmarks, then the goal side
+    from the init side's; the loop stops when a full round adds no new
+    ground landmark.  The returned graph is the predecessor-oriented union
+    of both sides.
     """
-    if store is None:
-        if goal_side.store is init_side.store:
-            store = goal_side.store
-        else:
-            store = VarConstraintStore()
-            store.merge(goal_side.store)
-            store.merge(init_side.store)
-    g_goal = replace(goal_side, store=store)
-    g_init = replace(init_side, store=store)
-
+    if goal_side.store is not init_side.store:
+        raise ValueError("the goal and init sides must share one constraint store")
     lms_init = set(task.init)
     lms_goal = set(task.goal)
     known = lms_init | lms_goal
     if iteration_log is not None:
         iteration_log.append(frozenset(known))
     while True:
-        if init_first:
-            g_init = instantiation(g_init, lms_goal, store, top_n)
-            lms_init |= get_instantiated_lms(g_init, task)
-            g_goal = instantiation(g_goal, lms_init, store, top_n)
-            lms_goal |= get_instantiated_lms(g_goal, task)
-        else:
-            g_goal = instantiation(g_goal, lms_init, store, top_n)
-            lms_goal |= get_instantiated_lms(g_goal, task)
-            g_init = instantiation(g_init, lms_goal, store, top_n)
-            lms_init |= get_instantiated_lms(g_init, task)
+        init_side = instantiation(init_side, lms_goal, top_n)
+        lms_init |= get_instantiated_lms(init_side, task)
+        goal_side = instantiation(goal_side, lms_init, top_n)
+        lms_goal |= get_instantiated_lms(goal_side, task)
         grown = known | lms_init | lms_goal
         if iteration_log is not None:
             iteration_log.append(frozenset(grown))
@@ -368,17 +345,17 @@ def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask,
     def ensure(atom: Atom) -> dict[Atom, float]:
         return nodes.setdefault(atom, {})
 
-    for node, predecessors in g_goal.nodes.items():
+    for node, predecessors in goal_side.nodes.items():
         bucket = ensure(node)
         for pred, mu in predecessors.items():
             ensure(pred)
             bucket[pred] = max(mu, bucket.get(pred, 0.0))
-    for node, successors in g_init.nodes.items():
+    for node, successors in init_side.nodes.items():
         ensure(node)
         for succ, mu in successors.items():
             bucket = ensure(succ)
             bucket[node] = max(mu, bucket.get(node, 0.0))
-    return PLgg(nodes=nodes, side=SIDE_COMBINED, store=store,
+    return PLgg(nodes=nodes, side=SIDE_COMBINED, store=goal_side.store,
                 domain=goal_side.domain or init_side.domain)
 
 
@@ -388,10 +365,9 @@ def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1, *,
     supply and constraint store) and combine them."""
     source = VarSource()
     store = VarConstraintStore()
-    goal_side, _ = generate_plgg_goal(plog, task, var_source=source, store=store)
-    init_side, _ = generate_plgg_init(plog, task, var_source=source, store=store)
-    return combine(goal_side, init_side, task, store, top_n,
-                   iteration_log=iteration_log)
+    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
+    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
+    return combine(goal_side, init_side, task, top_n, iteration_log=iteration_log)
 
 
 # --- result extraction --------------------------------------------------------
@@ -413,10 +389,6 @@ class PlggContent:
         return {(s, d): mu for (s, d), mu in self.orderings.items()
                 if s.is_ground and d.is_ground}
 
-    def orderings_lifted(self) -> dict[tuple[Atom, Atom], float]:
-        return {(s, d): mu for (s, d), mu in self.orderings.items()
-                if not (s.is_ground and d.is_ground)}
-
 
 def _directed_edges(plgg: PLgg) -> dict[tuple[Atom, Atom], float]:
     edges: dict[tuple[Atom, Atom], float] = {}
@@ -433,15 +405,10 @@ def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
     An edge's probability is its own; a node's is the best over its incident
     edges.  Nodes with no incident edges (the seeds) always survive.
     """
-    edges = _directed_edges(plgg)
-    best: dict[Atom, float] = {}
-    atoms = set(plgg.nodes)
-    for (src, dst), mu in edges.items():
-        atoms.update((src, dst))
-        best[src] = max(mu, best.get(src, 0.0))
-        best[dst] = max(mu, best.get(dst, 0.0))
-    kept_atoms = {a for a in atoms if a not in best or best[a] >= threshold}
-    kept_edges = {e: mu for e, mu in edges.items() if mu >= threshold}
+    best = _best_incident_prob(plgg)
+    kept_atoms = {a for a in plgg.nodes.keys() | best.keys()
+                  if a not in best or best[a] >= threshold}
+    kept_edges = {e: mu for e, mu in _directed_edges(plgg).items() if mu >= threshold}
     return PlggContent(
         landmarks_grounded={a for a in kept_atoms if a.is_ground},
         landmarks_lifted={a for a in kept_atoms if not a.is_ground},
@@ -484,7 +451,7 @@ def write_plgg(plgg: PLgg, path: str | Path) -> None:
 
 
 def read_plgg(path: str | Path) -> PLgg:
-    return plgg_from_json(Path(path).read_text())
+    return plgg_from_json(read_text(path))
 
 
 def plgg_to_dot(plgg: PLgg) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError  # noqa: F401  re-exported for callers
-from .pddl import Atom, GroundAction, GroundTask, PddlError, relaxed_exploration
+from .pddl import Atom, GroundAction, GroundTask, PddlError, read_text, relaxed_exploration
 
 logger = logging.getLogger(__name__)
 
@@ -163,4 +163,4 @@ def write_lgg(lgg: LGG, path: str | Path) -> None:
 
 
 def read_lgg(path: str | Path) -> LGG:
-    return lgg_from_json(Path(path).read_text())
+    return lgg_from_json(read_text(path))

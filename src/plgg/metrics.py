@@ -19,6 +19,10 @@ from .pddl import Atom
 
 Edge = tuple[Atom, Atom]
 
+# Scoring is constraint-free: against an empty store a variable matches any
+# object.  Nothing ever adds to it.
+_NO_CONSTRAINTS = VarConstraintStore()
+
 
 @dataclass(frozen=True)
 class PRF:
@@ -54,21 +58,18 @@ def grounded_prf(reference: LGG, content: PlggContent) -> tuple[PRF, PRF]:
 # --- likelihoods ----------------------------------------------------------------
 
 
-def likelihood_atom(lifted: Atom, grounded: Atom,
-                    store: VarConstraintStore | None = None) -> float:
+def likelihood_atom(lifted: Atom, grounded: Atom) -> float:
     """How specific an equivalent lifted atom is: 1 when fully grounded,
     halved by the first open variable, and so on."""
-    store = store if store is not None else VarConstraintStore()
-    if not equivalent_atoms(lifted, grounded, store):
+    if not equivalent_atoms(lifted, grounded, _NO_CONSTRAINTS):
         raise ValueError(f"{lifted} is not equivalent to {grounded}")
     return 1.0 / (1 + len(lifted.variables()))
 
 
-def likelihood_edge(lifted_edge: Edge, grounded_edge: Edge,
-                    store: VarConstraintStore | None = None) -> float:
+def likelihood_edge(lifted_edge: Edge, grounded_edge: Edge) -> float:
     """Mean of the two endpoint likelihoods."""
-    src = likelihood_atom(lifted_edge[0], grounded_edge[0], store)
-    dst = likelihood_atom(lifted_edge[1], grounded_edge[1], store)
+    src = likelihood_atom(lifted_edge[0], grounded_edge[0])
+    dst = likelihood_atom(lifted_edge[1], grounded_edge[1])
     return (src + dst) / 2
 
 
@@ -87,9 +88,9 @@ def likelihood_edge_set(candidates: Iterable[Edge], target: Edge) -> float:
     return sum(values) / len(values)
 
 
-def _edge_equivalent(a: Edge, b: Edge, store: VarConstraintStore) -> bool:
-    return (equivalent_atoms(a[0], b[0], store)
-            and equivalent_atoms(a[1], b[1], store))
+def _edge_equivalent(a: Edge, b: Edge) -> bool:
+    return (equivalent_atoms(a[0], b[0], _NO_CONSTRAINTS)
+            and equivalent_atoms(a[1], b[1], _NO_CONSTRAINTS))
 
 
 def alpha_values(reference: LGG, content: PlggContent) -> tuple[float, float]:
@@ -99,8 +100,6 @@ def alpha_values(reference: LGG, content: PlggContent) -> tuple[float, float]:
     variable matches any object.  A missed item with no equivalent lifted
     extra contributes 0, and an empty missed set yields 0 outright.
     """
-    store = VarConstraintStore()
-
     ref_v = set(reference.vertices)
     pred_v = set(content.landmarks)
     v_diff = ref_v - pred_v
@@ -110,7 +109,7 @@ def alpha_values(reference: LGG, content: PlggContent) -> tuple[float, float]:
     else:
         total = 0.0
         for missed in sorted(v_diff):
-            cands = [c for c in lifted_extras if equivalent_atoms(c, missed, store)]
+            cands = [c for c in lifted_extras if equivalent_atoms(c, missed, _NO_CONSTRAINTS)]
             if cands:
                 total += likelihood_atom_set(cands, missed)
         alpha_v = total / len(v_diff)
@@ -125,7 +124,7 @@ def alpha_values(reference: LGG, content: PlggContent) -> tuple[float, float]:
     else:
         total = 0.0
         for missed in sorted(e_diff):
-            cands = [c for c in lifted_edge_extras if _edge_equivalent(c, missed, store)]
+            cands = [c for c in lifted_edge_extras if _edge_equivalent(c, missed)]
             if cands:
                 total += likelihood_edge_set(cands, missed)
         alpha_e = total / len(e_diff)

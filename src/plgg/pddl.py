@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 ROOT_TYPE = "object"
@@ -29,6 +30,15 @@ class ParseError(PddlError):
         super().__init__(f"{message}{location}")
         self.line = line
         self.column = column
+
+
+def read_text(path: str | Path) -> str:
+    """Read an input file as UTF-8; undecodable bytes raise `PddlError`
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PddlError(f"{path}: {exc}") from exc
 
 
 def is_variable(symbol: str) -> bool:

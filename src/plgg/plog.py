@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import artifact
-from .pddl import Atom
+from .pddl import Atom, read_text
 from .lgg import LGG
 
 
@@ -192,7 +192,7 @@ def write_plog(plog: PLog, path: str | Path) -> None:
 
 
 def read_plog(path: str | Path) -> PLog:
-    return plog_from_json(Path(path).read_text())
+    return plog_from_json(read_text(path))
 
 
 def plog_to_dot(plog: PLog) -> str:

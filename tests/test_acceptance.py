@@ -13,10 +13,8 @@ from collections import Counter
 from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
-from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, combine,
-                              equiv_candidates, extract_result, generate_plgg_goal,
-                              generate_plgg_init, instantiate_task,
-                              search_best_equiv, update_distinct_consts)
+from plgg.instantiate import (PLgg, VarConstraintStore, equiv_candidates, extract_result,
+                              instantiate_task, search_best_equiv, update_distinct_consts)
 from plgg.metrics import PRF, alpha_prf, alpha_values, compare
 from plgg.instantiate import PlggContent
 
@@ -77,13 +75,12 @@ def test_criterion_03_equivalence_example():
     }
     plgg = PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
     lm = Atom("p", ("a", "b", "c"))
-    store = VarConstraintStore()
-    found = equiv_candidates(plgg, lm, store)
+    found = equiv_candidates(plgg, lm)
     assert sorted(c.distance for c in found) == [1, 1, 2, 2, 3]
     closest = {c.candidate for c in found if c.distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
-    assert search_best_equiv(plgg, lm, store, top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(plgg, lm, store, top_n=2) == {"?x4": "b", "?x5": "c"}
+    assert search_best_equiv(plgg, lm, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(plgg, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 @criterion(4, "distinct-value constraints: objects={a}, variables={?x0,?x1} exactly")

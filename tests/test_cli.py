@@ -176,6 +176,7 @@ def test_unreadable_input_exits_2_with_message(command, unreadable, learned, ben
     assert main(argv) == EXIT_TASK
     err = capsys.readouterr().err
     assert err.startswith(f"plgg {command}: error: ") and err.count("\n") == 1
+    assert str(bad) in err
     assert "Traceback" not in err
 
 

@@ -9,9 +9,8 @@ from plgg.plog import LiftedEdge
 from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, apply_instantiation,
                               combine, equiv_candidates, equivalent_atoms,
                               equivalent_params, extract_result, fresh_variables,
-                              generate_plgg_goal, generate_plgg_init,
-                              get_instantiated_lms, instantiate_task, instantiation,
-                              param_distance, plgg_from_json, plgg_to_dot,
+                              generate_plgg_goal, generate_plgg_init, instantiate_task,
+                              instantiation, param_distance, plgg_from_json, plgg_to_dot,
                               plgg_to_json, search_best_equiv, update_distinct_consts)
 
 
@@ -34,16 +33,6 @@ def test_update_distinct_consts_shared_variable_exempt():
     assert store.forbidden_objects("?x1") == frozenset()
     assert store.forbidden_objects("?x0") == {"b"}
     assert store.forbidden_variables("?x0") == {"?x1"}
-
-
-def test_store_merge_unions_constraints():
-    a, b = VarConstraintStore(), VarConstraintStore()
-    a.for_var("?x0").objects.add("a")
-    b.for_var("?x0").objects.add("b")
-    b.for_var("?x1").variables.add("?x0")
-    a.merge(b)
-    assert a.forbidden_objects("?x0") == {"a", "b"}
-    assert a.forbidden_variables("?x1") == {"?x0"}
 
 
 def test_fresh_variables_keep_coreferences():
@@ -106,7 +95,7 @@ def spec_candidates_graph():
 def test_candidate_distances_match_worked_example():
     plgg = spec_candidates_graph()
     lm = Atom("p", ("a", "b", "c"))
-    found = equiv_candidates(plgg, lm, VarConstraintStore())
+    found = equiv_candidates(plgg, lm)
     assert sorted(c.distance for c in found) == [1, 1, 2, 2, 3]
     closest = {c.candidate for c in found if c.distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
@@ -115,21 +104,19 @@ def test_candidate_distances_match_worked_example():
 def test_top_n_binding_selection():
     plgg = spec_candidates_graph()
     lm = Atom("p", ("a", "b", "c"))
-    assert search_best_equiv(plgg, lm, VarConstraintStore(), top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(plgg, lm, VarConstraintStore(), top_n=2) == {
-        "?x4": "b", "?x5": "c"}
+    assert search_best_equiv(plgg, lm, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(plgg, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 def test_search_best_equiv_without_candidates():
     plgg = PLgg(nodes={}, side="goal", store=VarConstraintStore())
-    assert search_best_equiv(plgg, Atom("p", ("a",)), VarConstraintStore()) == {}
+    assert search_best_equiv(plgg, Atom("p", ("a",))) == {}
 
 
 def test_first_binding_wins_across_landmarks():
-    store = VarConstraintStore()
     nodes = {Atom("q", ("?x0",)): {Atom("r", ()): 1.0}, Atom("r", ()): {}}
-    plgg = PLgg(nodes=nodes, side="goal", store=store)
-    out = instantiation(plgg, [Atom("q", ("a",)), Atom("q", ("b",))], store)
+    plgg = PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
+    out = instantiation(plgg, [Atom("q", ("a",)), Atom("q", ("b",))])
     assert Atom("q", ("a",)) in out.nodes
     assert Atom("q", ("b",)) not in out.nodes
 
@@ -177,7 +164,7 @@ def test_partial_binding_leaves_disjunctive_node():
 
 def test_goal_generation_reaches_hand_facts(plog, make_task):
     task = make_task("p06")
-    plgg, _ = generate_plgg_goal(plog, task)
+    plgg = generate_plgg_goal(plog, task)
     assert Atom("on", ("a", "b")) in plgg.nodes
     assert Atom("holding", ("a",)) in plgg.nodes
     assert Atom("clear", ("b",)) in plgg.nodes
@@ -189,7 +176,7 @@ def test_goal_generation_reaches_hand_facts(plog, make_task):
 
 def test_goal_generation_stops_at_init_facts(plog, make_task):
     task = make_task("p06")
-    plgg, _ = generate_plgg_goal(plog, task)
+    plgg = generate_plgg_goal(plog, task)
     for fact in task.init:
         if fact in plgg.nodes:
             assert plgg.nodes[fact] == {}
@@ -197,13 +184,13 @@ def test_goal_generation_stops_at_init_facts(plog, make_task):
 
 def test_init_generation_covers_initial_state(plog, make_task):
     task = make_task("p06")
-    plgg, _ = generate_plgg_init(plog, task)
+    plgg = generate_plgg_init(plog, task)
     assert set(task.init) <= set(plgg.nodes)
 
 
 def test_generation_records_constraints(plog, make_task):
     task = make_task("p06")
-    _, store = generate_plgg_goal(plog, task)
+    store = generate_plgg_goal(plog, task).store
     constrained = [v for v in store.variables() if store.forbidden_objects(v)]
     assert constrained
 
@@ -216,7 +203,7 @@ def test_generation_warns_on_unknown_seed(plog, make_task, caplog, domain):
             "(:goal (and (holding a) (ontable b))))")
     task = ground_task(domain, parse_problem(text, domain))
     with caplog.at_level("WARNING"):
-        plgg, _ = generate_plgg_goal(plog, task)
+        plgg = generate_plgg_goal(plog, task)
     assert Atom("holding", ("a",)) in plgg.nodes
 
 
@@ -236,19 +223,13 @@ def test_combine_reaches_monotone_fixpoint(plog, make_task):
     assert expected <= grounded
 
 
-def test_combine_side_order_converges_to_same_landmarks(plog, make_task):
+def test_combine_requires_one_shared_store(plog, make_task):
     task = make_task("p09")
-    source_a = VarSource()
-    store_a = VarConstraintStore()
-    goal_a, _ = generate_plgg_goal(plog, task, var_source=source_a, store=store_a)
-    init_a, _ = generate_plgg_init(plog, task, var_source=source_a, store=store_a)
-    first = combine(goal_a, init_a, task, store_a, init_first=True)
-    source_b = VarSource()
-    store_b = VarConstraintStore()
-    goal_b, _ = generate_plgg_goal(plog, task, var_source=source_b, store=store_b)
-    init_b, _ = generate_plgg_init(plog, task, var_source=source_b, store=store_b)
-    second = combine(goal_b, init_b, task, store_b, init_first=False)
-    assert get_instantiated_lms(first, task) == get_instantiated_lms(second, task)
+    source = VarSource()
+    goal_side = generate_plgg_goal(plog, task, var_source=source, store=VarConstraintStore())
+    init_side = generate_plgg_init(plog, task, var_source=source, store=VarConstraintStore())
+    with pytest.raises(ValueError, match="share one constraint store"):
+        combine(goal_side, init_side, task)
 
 
 def test_combined_union_is_predecessor_oriented(plog, make_task):
@@ -308,8 +289,8 @@ def test_plgg_json_roundtrip(plog, make_task):
 
 def test_plgg_json_side_orientation(plog, make_task):
     task = make_task("p01")
-    goal_side, _ = generate_plgg_goal(plog, task)
-    init_side, _ = generate_plgg_init(plog, task)
+    goal_side = generate_plgg_goal(plog, task)
+    init_side = generate_plgg_init(plog, task)
     for side in (goal_side, init_side):
         back = plgg_from_json(plgg_to_json(side))
         assert extract_result(back).orderings == extract_result(side).orderings
