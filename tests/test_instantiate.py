@@ -232,6 +232,17 @@ def test_combine_requires_one_shared_store(plog, make_task):
         combine(goal_side, init_side, task)
 
 
+def test_combine_keeps_the_shared_store(plog, make_task):
+    task = make_task("p09")
+    source, store = VarSource(), VarConstraintStore()
+    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
+    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
+    assert goal_side.store is store and init_side.store is store
+    combined = combine(goal_side, init_side, task)
+    assert combined.store is store
+    assert combined.nodes == instantiate_task(plog, task).nodes
+
+
 def test_combined_union_is_predecessor_oriented(plog, make_task):
     task = make_task("p06")
     plgg = instantiate_task(plog, task)

@@ -6,8 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import (Atom, ParseError, domain_to_pddl, ground_task, parse_domain,
-                       parse_problem, problem_to_pddl)
+from plgg.pddl import (Atom, ParseError, PddlError, domain_to_pddl, ground_task,
+                       parse_domain, parse_problem, problem_to_pddl, read_text)
 
 from conftest import CORPUS
 
@@ -146,6 +146,17 @@ def test_problem_errors(domain, text, fragment):
     with pytest.raises(ParseError) as err:
         parse_problem(text, domain)
     assert fragment in str(err.value).lower()
+
+
+def test_read_text_names_undecodable_file(tmp_path):
+    good = tmp_path / "good.pddl"
+    good.write_bytes("(define (domain caf\u00e9))".encode("utf-8"))
+    assert read_text(good) == "(define (domain caf\u00e9))"
+    bad = tmp_path / "bad.pddl"
+    bad.write_bytes(b"\xff(define)")
+    with pytest.raises(PddlError) as info:
+        read_text(bad)
+    assert str(info.value).startswith(f"{bad}: ")
 
 
 def test_parse_error_carries_position():
