@@ -14,8 +14,8 @@ from .plog import (PLog, VocabularyError, learn_plog, lift_atom, lift_edge,
 from .instantiate import (PLgg, PlggContent, VarConstraintStore, combine,
                           extract_result, generate_plgg_goal, generate_plgg_init,
                           instantiate_task, read_plgg, search_best_equiv, write_plgg)
-from .metrics import (MetricReport, alpha_prf, alpha_values, compare,
-                      grounded_prf, likelihood_atom, likelihood_edge)
+from .metrics import (MetricReport, alpha_prf, compare, likelihood_atom,
+                      likelihood_edge)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
     "PLgg", "PlggContent", "VarConstraintStore", "combine", "extract_result",
     "generate_plgg_goal", "generate_plgg_init", "instantiate_task", "read_plgg",
     "search_best_equiv", "write_plgg",
-    "MetricReport", "alpha_prf", "alpha_values", "compare", "grounded_prf",
-    "likelihood_atom", "likelihood_edge",
+    "MetricReport", "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",
     "ExperimentConfig", "ExperimentResult", "run_experiment",
 ]
 

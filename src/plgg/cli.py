@@ -11,6 +11,7 @@ input, bad PDDL, unsolvable task, vocabulary mismatch).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections import Counter
@@ -63,10 +64,10 @@ def cmd_extract(args) -> int:
 
 
 def _mu_histogram(probs) -> str:
+    """Counts per right-closed fifth of (0, 1]."""
     buckets = Counter()
     for mu in probs:
-        edge = min(int(mu * 5), 4)
-        buckets[edge] += 1
+        buckets[min(max(math.ceil(mu * 5) - 1, 0), 4)] += 1
     parts = [f"({i / 5:.1f},{(i + 1) / 5:.1f}]:{buckets[i]}" for i in range(5) if buckets[i]]
     return " ".join(parts) if parts else "empty"
 
@@ -89,7 +90,7 @@ def _check_vocabulary(plog, domain) -> None:
     if plog.domain and plog.domain != domain.name:
         raise VocabularyError(
             f"graph was learned for domain {plog.domain!r}, not {domain.name!r}")
-    for atom in plog.vertices:
+    for atom in sorted(plog.atoms):
         pred = domain.predicates.get(atom.pred)
         if pred is None or len(pred.param_types) != atom.arity:
             raise VocabularyError(

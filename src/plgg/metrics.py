@@ -1,8 +1,9 @@
 """Scoring predicted landmark graphs against reference graphs.
 
-Grounded predictions are scored with plain precision/recall/F1.  Lifted
-predictions get partial credit instead: each reference item the grounded
-side missed is compared against the equivalent lifted extras, every lifted
+Landmarks (atoms) and orderings (src, dst pairs) are scored by one facet
+scorer.  Ground predictions get plain precision/recall/F1.  Lifted
+predictions get partial credit instead: each reference item the prediction
+missed is compared against the equivalent lifted extras, every lifted
 candidate earns a likelihood that shrinks with its number of open
 variables, and the averaged credit is folded into alpha-precision and
 alpha-recall.
@@ -11,7 +12,7 @@ alpha-recall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .instantiate import PlggContent, VarConstraintStore, equivalent_atoms
 from .lgg import LGG
@@ -44,24 +45,17 @@ def _prf(hits: int, predicted: int, reference: int) -> PRF:
     return PRF(precision, recall, f1)
 
 
-def grounded_prf(reference: LGG, content: PlggContent) -> tuple[PRF, PRF]:
-    """Classical scores over grounded content only, vertices then edges."""
-    ref_v = set(reference.vertices)
-    pred_v = set(content.landmarks_grounded)
-    vertex = _prf(len(ref_v & pred_v), len(pred_v), len(ref_v))
-    ref_e = set(reference.edges)
-    pred_e = set(content.orderings_grounded())
-    edge = _prf(len(ref_e & pred_e), len(pred_e), len(ref_e))
-    return vertex, edge
-
-
 # --- likelihoods ----------------------------------------------------------------
+
+
+def _atom_equivalent(a: Atom, b: Atom) -> bool:
+    return equivalent_atoms(a, b, _NO_CONSTRAINTS)
 
 
 def likelihood_atom(lifted: Atom, grounded: Atom) -> float:
     """How specific an equivalent lifted atom is: 1 when fully grounded,
     halved by the first open variable, and so on."""
-    if not equivalent_atoms(lifted, grounded, _NO_CONSTRAINTS):
+    if not _atom_equivalent(lifted, grounded):
         raise ValueError(f"{lifted} is not equivalent to {grounded}")
     return 1.0 / (1 + len(lifted.variables()))
 
@@ -73,63 +67,8 @@ def likelihood_edge(lifted_edge: Edge, grounded_edge: Edge) -> float:
     return (src + dst) / 2
 
 
-def likelihood_atom_set(candidates: Iterable[Atom], target: Atom) -> float:
-    """Mean likelihood of the equivalent candidates for one missed atom."""
-    values = [likelihood_atom(c, target) for c in candidates]
-    if not values:
-        raise ValueError(f"no candidates provided for {target}")
-    return sum(values) / len(values)
-
-
-def likelihood_edge_set(candidates: Iterable[Edge], target: Edge) -> float:
-    values = [likelihood_edge(c, target) for c in candidates]
-    if not values:
-        raise ValueError(f"no candidates provided for {target}")
-    return sum(values) / len(values)
-
-
 def _edge_equivalent(a: Edge, b: Edge) -> bool:
-    return (equivalent_atoms(a[0], b[0], _NO_CONSTRAINTS)
-            and equivalent_atoms(a[1], b[1], _NO_CONSTRAINTS))
-
-
-def alpha_values(reference: LGG, content: PlggContent) -> tuple[float, float]:
-    """Averaged partial credit for missed vertices and edges.
-
-    Evaluation is constraint-free: equivalence uses an empty store, so a
-    variable matches any object.  A missed item with no equivalent lifted
-    extra contributes 0, and an empty missed set yields 0 outright.
-    """
-    ref_v = set(reference.vertices)
-    pred_v = set(content.landmarks)
-    v_diff = ref_v - pred_v
-    lifted_extras = [v for v in pred_v - ref_v if v.variables()]
-    if not v_diff:
-        alpha_v = 0.0
-    else:
-        total = 0.0
-        for missed in sorted(v_diff):
-            cands = [c for c in lifted_extras if equivalent_atoms(c, missed, _NO_CONSTRAINTS)]
-            if cands:
-                total += likelihood_atom_set(cands, missed)
-        alpha_v = total / len(v_diff)
-
-    ref_e = set(reference.edges)
-    pred_e = set(content.orderings)
-    e_diff = ref_e - pred_e
-    lifted_edge_extras = [e for e in pred_e - ref_e
-                          if e[0].variables() or e[1].variables()]
-    if not e_diff:
-        alpha_e = 0.0
-    else:
-        total = 0.0
-        for missed in sorted(e_diff):
-            cands = [c for c in lifted_edge_extras if _edge_equivalent(c, missed)]
-            if cands:
-                total += likelihood_edge_set(cands, missed)
-        alpha_e = total / len(e_diff)
-
-    return alpha_v, alpha_e
+    return _atom_equivalent(a[0], b[0]) and _atom_equivalent(a[1], b[1])
 
 
 def alpha_prf(prf: PRF, alpha: float) -> PRF:
@@ -161,23 +100,39 @@ class MetricReport:
     orderings: FacetScores
 
 
-def _facet(prf: PRF, alpha: float, hits: int, predicted: int, reference: int) -> FacetScores:
+def _score_facet(reference: set, grounded: set, lifted: set,
+                 equivalent: Callable, likelihood: Callable) -> FacetScores:
+    """Score one facet: classical scores over the ground predictions, and
+    the averaged partial credit of the lifted ones.
+
+    Evaluation is constraint-free: equivalence uses an empty store, so a
+    variable matches any object.  A missed item with no equivalent lifted
+    extra contributes 0, and an empty missed set yields 0 outright.
+    """
+    hits = len(reference & grounded)
+    prf = _prf(hits, len(grounded), len(reference))
+    missed = reference - grounded - lifted
+    extras = sorted(lifted - reference)
+    total = 0.0
+    for item in sorted(missed):
+        values = [likelihood(c, item) for c in extras if equivalent(c, item)]
+        if values:
+            total += sum(values) / len(values)
+    alpha = total / len(missed) if missed else 0.0
     return FacetScores(classical=prf, alpha=alpha, alpha_classical=alpha_prf(prf, alpha),
-                       hits=hits, misses=reference - hits, extras=predicted - hits)
+                       hits=hits, misses=len(reference) - hits,
+                       extras=len(grounded) - hits)
 
 
 def compare(reference: LGG, content: PlggContent) -> MetricReport:
     """Score one prediction against one reference graph."""
-    vertex_prf, edge_prf = grounded_prf(reference, content)
-    alpha_v, alpha_e = alpha_values(reference, content)
-
-    ref_v = set(reference.vertices)
-    pred_v = set(content.landmarks_grounded)
-    ref_e = set(reference.edges)
-    pred_e = set(content.orderings_grounded())
+    grounded_edges = set(content.orderings_grounded())
     return MetricReport(
-        landmarks=_facet(vertex_prf, alpha_v, len(ref_v & pred_v), len(pred_v), len(ref_v)),
-        orderings=_facet(edge_prf, alpha_e, len(ref_e & pred_e), len(pred_e), len(ref_e)))
+        landmarks=_score_facet(set(reference.vertices), content.landmarks_grounded,
+                               content.landmarks_lifted, _atom_equivalent, likelihood_atom),
+        orderings=_score_facet(set(reference.edges), grounded_edges,
+                               content.orderings.keys() - grounded_edges,
+                               _edge_equivalent, likelihood_edge))
 
 
 def report_to_dict(report: MetricReport) -> dict:

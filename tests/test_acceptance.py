@@ -15,7 +15,7 @@ from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
 from plgg.instantiate import (PLgg, VarConstraintStore, equiv_candidates, extract_result,
                               instantiate_task, search_best_equiv, update_distinct_consts)
-from plgg.metrics import PRF, alpha_prf, alpha_values, compare
+from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
 TRAIN = ("p01", "p02", "p03", "p04")
@@ -58,8 +58,7 @@ def test_criterion_02_alpha_v_example():
         landmarks_grounded={Atom("on", ("c", "d")), Atom("ontable", ("d",))},
         landmarks_lifted={Atom("on", ("b", "?x0")), Atom("ontable", ("?x0",))},
         orderings={})
-    alpha_v, _ = alpha_values(reference, predicted)
-    assert alpha_v == 0.5
+    assert compare(reference, predicted).landmarks.alpha == 0.5
 
 
 @criterion(3, "equivalence search: distances {2,2,1,1,3}, top-1/top-2 bindings as stated")

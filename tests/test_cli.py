@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plgg.cli import EXIT_OK, EXIT_TASK, EXIT_USAGE, main
+from plgg.cli import EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
 
 
 @pytest.fixture()
@@ -76,6 +76,11 @@ def test_learn_summary_line(paths, bench_dir, tmp_path, capsys):
     assert "(0.8,1.0]" in out  # single graph: every edge certain
 
 
+def test_mu_histogram_buckets_are_right_closed():
+    assert _mu_histogram([0.2, 0.4, 0.6, 0.8, 1.0]) == \
+        "(0.0,0.2]:1 (0.2,0.4]:1 (0.4,0.6]:1 (0.6,0.8]:1 (0.8,1.0]:1"
+
+
 def test_learn_without_files_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["learn", "--out", str(tmp_path / "p.json")])
@@ -132,6 +137,23 @@ def test_instantiate_vocabulary_mismatch_exits_2(learned, tmp_path, capsys):
     code = main(["instantiate", str(learned), str(other), str(problem)])
     assert code == EXIT_TASK
     assert "domain" in capsys.readouterr().err
+
+
+def test_instantiate_undeclared_edge_atom_exits_2(learned, bench_dir, paths, tmp_path,
+                                                 capsys):
+    # every root is a blocksworld predicate; one edge source is not
+    payload = json.loads(learned.read_text())
+    payload["vertices"].append({"pred": "bogus", "args": ["?x0", "?x1", "?x2"]})
+    payload["edges"].append({"src": len(payload["vertices"]) - 1,
+                             "dst": payload["edges"][0]["dst"], "n": 1, "mu": 0.5})
+    plog = tmp_path / "bogus.json"
+    plog.write_text(json.dumps(payload))
+    out = tmp_path / "p06.plgg.json"
+    code = main(["instantiate", str(plog), str(bench_dir / "domain.pddl"), paths("p06"),
+                 "--out", str(out)])
+    assert code == EXIT_TASK
+    assert "bogus(?x0, ?x1, ?x2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_instantiate_dot_requires_out(learned, bench_dir, paths, capsys):

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from plgg.pddl import Atom
 from plgg.lgg import LGG
 from plgg.instantiate import PlggContent
-from plgg.metrics import (PRF, alpha_prf, alpha_values, compare, grounded_prf,
-                          likelihood_atom, likelihood_edge, mean_reports,
-                          render_table, report_to_dict)
+from plgg.metrics import (PRF, alpha_prf, compare, likelihood_atom, likelihood_edge,
+                          mean_reports, render_table, report_to_dict)
 
 
 def content(grounded=(), lifted=(), orderings=None):
@@ -19,6 +18,16 @@ def content(grounded=(), lifted=(), orderings=None):
 
 ON_BA = Atom("on", ("b", "a"))
 ON_BX = Atom("on", ("b", "?x0"))
+
+
+def alphas(reference, predicted):
+    report = compare(reference, predicted)
+    return report.landmarks.alpha, report.orderings.alpha
+
+
+def classical(reference, predicted):
+    report = compare(reference, predicted)
+    return report.landmarks.classical, report.orderings.classical
 
 
 # --- likelihoods ----------------------------------------------------------------
@@ -65,26 +74,26 @@ def test_alpha_v_worked_example():
     predicted = content(
         grounded=[Atom("on", ("c", "d")), Atom("ontable", ("d",))],
         lifted=[ON_BX, Atom("ontable", ("?x0",))])
-    alpha_v, alpha_e = alpha_values(reference_graph(), predicted)
+    alpha_v, alpha_e = alphas(reference_graph(), predicted)
     assert alpha_v == 0.5
     assert alpha_e == 0.0
 
 
 def test_alpha_zero_without_lifted_content():
     predicted = content(grounded=[Atom("on", ("c", "d"))])
-    assert alpha_values(reference_graph(), predicted) == (0.0, 0.0)
+    assert alphas(reference_graph(), predicted) == (0.0, 0.0)
 
 
 def test_alpha_zero_when_nothing_missed():
     predicted = content(grounded=list(reference_graph().vertices) + [Atom("clear", ("a",))])
-    assert alpha_values(reference_graph(), predicted) == (0.0, 0.0)
+    assert alphas(reference_graph(), predicted) == (0.0, 0.0)
 
 
 def test_alpha_e_uses_componentwise_equivalence():
     ref = LGG(task="t", vertices=(Atom("clear", ("b",)), ON_BA),
               edges=((Atom("clear", ("b",)), ON_BA),))
     predicted = content(orderings={(Atom("clear", ("b",)), ON_BX): 0.8})
-    _, alpha_e = alpha_values(ref, predicted)
+    _, alpha_e = alphas(ref, predicted)
     assert alpha_e == pytest.approx((1.0 + 0.5) / 2)
 
 
@@ -94,7 +103,7 @@ def test_alpha_invariant_under_variable_renaming():
                 lifted=[ON_BX, Atom("ontable", ("?x0",))])
     b = content(grounded=[Atom("on", ("c", "d")), Atom("ontable", ("d",))],
                 lifted=[Atom("on", ("b", "?y9")), Atom("ontable", ("?z3",))])
-    assert alpha_values(ref, a) == alpha_values(ref, b)
+    assert alphas(ref, a) == alphas(ref, b)
 
 
 # --- classical scores -------------------------------------------------------------
@@ -103,7 +112,7 @@ def test_alpha_invariant_under_variable_renaming():
 def test_prf_worked_example():
     ref = LGG(task="t", vertices=tuple(Atom("p", (c,)) for c in "abcd"), edges=())
     predicted = content(grounded=[Atom("p", (c,)) for c in "abe"])
-    vertex, _ = grounded_prf(ref, predicted)
+    vertex, _ = classical(ref, predicted)
     assert vertex.precision == pytest.approx(2 / 3)
     assert vertex.recall == 0.5
     assert vertex.f1 == pytest.approx(4 / 7)
@@ -111,20 +120,20 @@ def test_prf_worked_example():
 
 def test_prf_empty_set_conventions():
     empty_ref = LGG(task="t", vertices=(), edges=())
-    vertex, edge = grounded_prf(empty_ref, content())
+    vertex, edge = classical(empty_ref, content())
     assert vertex == PRF(1.0, 1.0, 1.0) and edge == PRF(1.0, 1.0, 1.0)
-    vertex, _ = grounded_prf(reference_graph(), content())
+    vertex, _ = classical(reference_graph(), content())
     assert vertex.precision == 0.0 and vertex.recall == 0.0 and vertex.f1 == 0.0
-    vertex, _ = grounded_prf(empty_ref, content(grounded=[ON_BA]))
+    vertex, _ = classical(empty_ref, content(grounded=[ON_BA]))
     assert vertex.precision == 0.0 and vertex.recall == 0.0
 
 
 def test_prf_swapping_sides_swaps_p_and_r():
     ref = LGG(task="t", vertices=tuple(Atom("p", (c,)) for c in "abcd"), edges=())
     pred_atoms = [Atom("p", (c,)) for c in "abe"]
-    forward, _ = grounded_prf(ref, content(grounded=pred_atoms))
-    flipped, _ = grounded_prf(LGG(task="t", vertices=tuple(pred_atoms), edges=()),
-                              content(grounded=list(ref.vertices)))
+    forward, _ = classical(ref, content(grounded=pred_atoms))
+    flipped, _ = classical(LGG(task="t", vertices=tuple(pred_atoms), edges=()),
+                           content(grounded=list(ref.vertices)))
     assert forward.precision == flipped.recall
     assert forward.recall == flipped.precision
 

@@ -6,8 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import (Atom, ParseError, PddlError, domain_to_pddl, ground_task,
-                       parse_domain, parse_problem, problem_to_pddl, read_text)
+from plgg.pddl import (Atom, ParseError, PddlError, domain_to_pddl, parse_domain,
+                       parse_problem, problem_to_pddl, read_text)
 
 from conftest import CORPUS
 

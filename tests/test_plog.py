@@ -1,16 +1,14 @@
 """Lifting, pooled counts, and the probability laws of learned graphs."""
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plgg.pddl import Atom
-from plgg.lgg import LGG, extract_lgg
-from plgg.plog import (VocabularyError, WLog, build_log, build_task_log,
-                       finalize_plog, learn_plog, lift_atom, lift_edge,
-                       merge_wlogs, plog_from_json, plog_to_dot, plog_to_json)
+from plgg.lgg import LGG
+from plgg.plog import (LiftedEdge, VocabularyError, learn_plog, lift_atom, lift_edge,
+                       plog_from_json, plog_to_dot, plog_to_json)
 
 
 def test_lift_atom_examples():
@@ -46,24 +44,40 @@ def test_lift_atom_inverts(pred, args):
     assert lifted.substitute(inverse) == ground
 
 
-def test_build_log_dedups_lifted_edges():
-    dst = Atom("on", ("a", "b"))
+def test_logs_with_one_lifted_root_pool_their_counts():
+    # on(a,b) and on(a,c) root two LOGs whose in-edges lift to one pattern
+    on_ab, on_ac = Atom("on", ("a", "b")), Atom("on", ("a", "c"))
     lgg = LGG(task="t",
-              vertices=(Atom("clear", ("b",)), Atom("clear", ("c",)), dst,
-                        Atom("on", ("c", "d")), Atom("on", ("a", "d"))),
-              edges=((Atom("clear", ("b",)), dst),
-                     (Atom("clear", ("c",)), Atom("on", ("c", "d")))))
-    log = build_log(lgg, dst)
-    assert log.root == Atom("on", ("?x0", "?x1"))
-    assert len(log.edges) == 1
+              vertices=(Atom("clear", ("b",)), Atom("clear", ("c",)), on_ab, on_ac,
+                        Atom("holding", ("a",))),
+              edges=((Atom("clear", ("b",)), on_ab), (Atom("clear", ("c",)), on_ac),
+                     (Atom("clear", ("b",)), Atom("holding", ("a",)))))
+    plog = learn_plog([lgg])
+    on = Atom("on", ("?x0", "?x1"))
+    assert plog.log_counts[on] == 2 and plog.log_counts[Atom("clear", ("?x0",))] == 2
+    assert plog.edge_counts[LiftedEdge(Atom("clear", ("?x1",)), on)] == 2
+    assert plog.edge_counts[LiftedEdge(Atom("clear", ("?x1",)),
+                                       Atom("holding", ("?x0",)))] == 1
+    assert plog.vertices == {on, Atom("clear", ("?x0",)), Atom("holding", ("?x0",))}
+
+
+def test_edge_counted_once_within_one_log():
+    # two sources of one destination that lift to the same pattern
+    dst = Atom("p", ("a",))
+    lgg = LGG(task="t", vertices=(Atom("q", ("b",)), Atom("q", ("c",)), dst),
+              edges=((Atom("q", ("b",)), dst), (Atom("q", ("c",)), dst)))
+    plog = learn_plog([lgg])
+    edge = LiftedEdge(Atom("q", ("?x1",)), Atom("p", ("?x0",)))
+    assert plog.edge_counts == {edge: 1}
+    assert plog.probs == {edge: 1.0}
 
 
 def test_ngraph_counts_occurrences_not_tasks(train_lggs):
     # every vertex occurrence roots one LOG, so counts exceed the task count
-    wlog = merge_wlogs([build_task_log(lgg) for lgg in train_lggs])
+    plog = learn_plog(train_lggs)
     holding = Atom("holding", ("?x0",))
-    assert wlog.log_counts[holding] == 6
-    assert wlog.log_counts[Atom("handempty", ())] == 4
+    assert plog.log_counts[holding] == 6
+    assert plog.log_counts[Atom("handempty", ())] == 4
 
 
 def test_learned_probabilities(plog):
@@ -86,35 +100,38 @@ def test_single_graph_gives_certainty(train_lggs, domain):
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=50, deadline=None)
-def test_merge_is_order_invariant(train_lggs, rng):
-    parts = [build_task_log(lgg) for lgg in train_lggs]
-    shuffled = list(parts)
+def test_learning_is_order_invariant(train_lggs, rng):
+    shuffled = list(train_lggs)
     rng.shuffle(shuffled)
-    a = finalize_plog(merge_wlogs(parts))
-    b = finalize_plog(merge_wlogs(shuffled))
+    a = learn_plog(train_lggs)
+    b = learn_plog(shuffled)
     assert a.probs == b.probs and a.log_counts == b.log_counts
 
 
 def test_arity_conflict_rejected():
-    one = WLog(vertices={Atom("p", ("?x0",))})
-    other = WLog(vertices={Atom("p", ("?x0", "?x1"))})
-    with pytest.raises(VocabularyError):
-        merge_wlogs([one, other])
+    one = LGG(task="one", vertices=(Atom("p", ("a",)),), edges=())
+    other = LGG(task="other", vertices=(Atom("p", ("a", "b")),), edges=())
+    with pytest.raises(VocabularyError, match="arities"):
+        learn_plog([one, other])
 
 
-def test_domain_conflict_rejected():
-    one = WLog(vertices=set(), domain="alpha")
-    other = WLog(vertices=set(), domain="beta")
-    with pytest.raises(VocabularyError):
-        merge_wlogs([one, other])
+def _plog_text(edges, log_counts):
+    atoms = [Atom("p", ("?x0",)), Atom("q", ("?x1",))]
+    return json.dumps({
+        "domain": "d",
+        "vertices": [{"pred": a.pred, "args": list(a.args)} for a in atoms],
+        "edges": [{"src": s, "dst": d, "n": n, "mu": 0.5} for s, d, n in edges],
+        "log_counts": [{"vertex": v, "n_graph": n} for v, n in log_counts]})
 
 
-def test_count_exceeding_support_rejected(train_lggs):
-    wlog = merge_wlogs([build_task_log(lgg) for lgg in train_lggs])
-    edge = next(iter(wlog.edge_counts))
-    wlog.edge_counts[edge] = wlog.log_counts[edge.dst] + 1
-    with pytest.raises(VocabularyError):
-        finalize_plog(wlog)
+def test_count_exceeding_support_rejected():
+    with pytest.raises(VocabularyError, match="counted 3 times"):
+        plog_from_json(_plog_text(edges=[(1, 0, 3)], log_counts=[(0, 2)]))
+
+
+def test_destination_without_root_count_rejected():
+    with pytest.raises(VocabularyError, match="no graphs recorded"):
+        plog_from_json(_plog_text(edges=[(1, 0, 1)], log_counts=[(1, 2)]))
 
 
 def test_json_roundtrip_preserves_edge_context(plog):
@@ -122,6 +139,7 @@ def test_json_roundtrip_preserves_edge_context(plog):
     back = plog_from_json(text)
     assert back.probs == plog.probs
     assert back.log_counts == plog.log_counts
+    assert back.vertices == plog.vertices
     assert plog_to_json(back) == text
     # source patterns that co-reference the destination survive the format
     payload = json.loads(text)
