@@ -13,7 +13,7 @@ from .plog import (PLog, VocabularyError, learn_plog, lift_atom, lift_edge,
                    read_plog, write_plog)
 from .instantiate import (PLgg, PlggContent, VarConstraintStore, combine,
                           extract_result, generate_plgg_goal, generate_plgg_init,
-                          instantiate_task, read_plgg, search_best_equiv, write_plgg)
+                          instantiate_task, read_plgg, write_plgg)
 from .metrics import (MetricReport, alpha_prf, compare, likelihood_atom,
                       likelihood_edge)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
@@ -27,7 +27,7 @@ __all__ = [
     "read_plog", "write_plog",
     "PLgg", "PlggContent", "VarConstraintStore", "combine", "extract_result",
     "generate_plgg_goal", "generate_plgg_init", "instantiate_task", "read_plgg",
-    "search_best_equiv", "write_plgg",
+    "write_plgg",
     "MetricReport", "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",
     "ExperimentConfig", "ExperimentResult", "run_experiment",
 ]

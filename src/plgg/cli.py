@@ -17,8 +17,9 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from .experiment import (ExperimentConfig, render_oracle_report, render_score_report,
-                         render_timing_report, result_to_json, run_experiment)
+from .experiment import (ExperimentConfig, check_ranges, render_oracle_report,
+                         render_score_report, render_timing_report, result_to_json,
+                         run_experiment)
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
                           write_plgg)
 from .lgg import extract_lgg, lgg_to_json, read_lgg
@@ -101,6 +102,11 @@ def cmd_instantiate(args) -> int:
     if args.dot and not args.out:
         print("plgg instantiate: error: --dot needs --out", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    try:
+        check_ranges(args.top_n, args.threshold)
+    except ValueError as exc:
+        print(f"plgg instantiate: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     plog = read_plog(args.plog)
     domain = _load_domain(args.domain)
     _check_vocabulary(plog, domain)

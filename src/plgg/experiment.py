@@ -26,6 +26,14 @@ from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_tex
 from .plog import learn_plog
 
 
+def check_ranges(top_n: int, threshold: float) -> None:
+    """Reject a `top_n` below 1 and a `threshold` outside [0, 1], NaN included."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
 @dataclass
 class ExperimentConfig:
     domain_path: str
@@ -48,6 +56,7 @@ class ExperimentConfig:
                 f"but only {len(self.problem_paths)} were given")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        check_ranges(self.top_n, self.threshold)
 
 
 @dataclass

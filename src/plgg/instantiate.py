@@ -11,13 +11,19 @@ and each round instantiates the init side first, then the goal side.
 Whenever an expansion introduces a variable next to known parameters, the
 known parameters are recorded as forbidden values for that variable: a
 variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
+
+The graph a pass works on does not change until the pass rewrites it, so
+each pass ranks its lifted nodes once: grouped by predicate and arity,
+ordered by best incident probability.  Each landmark is then matched only
+against its own group; the closest equivalent nodes, the `top_n` best
+ranked first, supply its bindings.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,35 +38,21 @@ SIDE_INIT = "init"
 SIDE_COMBINED = "combined"
 
 
-@dataclass
-class VarConstraints:
-    """Values a variable must stay distinct from."""
-
-    objects: set[str] = field(default_factory=set)
-    variables: set[str] = field(default_factory=set)
-
-
 class VarConstraintStore:
-    """Distinct-value constraints per variable, shared across one task run."""
+    """Distinct-value constraints per variable, shared across one task run.
+
+    `update_distinct_consts` is its only writer.
+    """
 
     def __init__(self):
-        self._by_var: dict[str, VarConstraints] = {}
-
-    def for_var(self, var: str) -> VarConstraints:
-        if var not in self._by_var:
-            self._by_var[var] = VarConstraints()
-        return self._by_var[var]
+        self._objects: dict[str, frozenset[str]] = {}
+        self._variables: dict[str, frozenset[str]] = {}
 
     def forbidden_objects(self, var: str) -> frozenset[str]:
-        entry = self._by_var.get(var)
-        return frozenset(entry.objects) if entry else frozenset()
+        return self._objects.get(var, frozenset())
 
     def forbidden_variables(self, var: str) -> frozenset[str]:
-        entry = self._by_var.get(var)
-        return frozenset(entry.variables) if entry else frozenset()
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(self._by_var)
+        return self._variables.get(var, frozenset())
 
 
 class VarSource:
@@ -95,9 +87,8 @@ def update_distinct_consts(store: VarConstraintStore, pred: Atom, lm: Atom) -> N
     for var in sorted(pred.variables()):
         if var in lm_params:
             continue
-        entry = store.for_var(var)
-        entry.objects.update(lm.objects())
-        entry.variables.update(lm.variables())
+        store._objects[var] = store.forbidden_objects(var) | lm.objects()
+        store._variables[var] = store.forbidden_variables(var) | lm.variables()
 
 
 @dataclass
@@ -218,13 +209,6 @@ def param_distance(a: Atom, b: Atom) -> int:
     return sum(1 for x, y in zip(a.args, b.args) if is_variable(x) != is_variable(y))
 
 
-@dataclass(frozen=True)
-class EquivCandidate:
-    candidate: Atom
-    distance: int
-    prob: float
-
-
 def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     best: dict[Atom, float] = {}
     for node, neighbours in plgg.nodes.items():
@@ -234,45 +218,38 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
-def equiv_candidates(plgg: PLgg, lm: Atom) -> list[EquivCandidate]:
-    """Lifted nodes equivalent to the ground atom `lm` under the graph's
-    constraints, closest first.
-
-    Ties on distance are broken by higher best incident probability, then
-    lexicographically.
-    """
+def rank_lifted_nodes(plgg: PLgg) -> dict[tuple[str, int], list[Atom]]:
+    """The graph's lifted nodes grouped by predicate and arity, each group
+    ordered by higher best incident probability, then lexicographically."""
     best = _best_incident_prob(plgg)
-    found = [EquivCandidate(node, param_distance(node, lm), best.get(node, 0.0))
-             for node in plgg.nodes
-             if node.variables() and equivalent_atoms(node, lm, plgg.store)]
-    found.sort(key=lambda c: (c.distance, -c.prob, c.candidate))
-    return found
+    ranked: dict[tuple[str, int], list[Atom]] = {}
+    lifted = (node for node in plgg.nodes if node.variables())
+    for node in sorted(lifted, key=lambda n: (-best.get(n, 0.0), n)):
+        ranked.setdefault((node.pred, node.arity), []).append(node)
+    return ranked
 
 
-def search_best_equiv(plgg: PLgg, lm: Atom, top_n: int = 1) -> dict[str, str]:
+def search_best_equiv(ranked: Mapping[tuple[str, int], list[Atom]], lm: Atom,
+                      store: VarConstraintStore, top_n: int = 1) -> dict[str, str]:
     """Variable bindings harvested from the closest equivalents of `lm`.
 
-    Among equivalent lifted nodes only those at minimum distance compete;
-    the `top_n` most probable of them contribute bindings position by
-    position, and a variable bound once is never rebound.
+    `ranked` is the pass's `rank_lifted_nodes` view.  Among lifted nodes
+    equivalent to `lm` only those at minimum `param_distance` compete; the
+    `top_n` best ranked of them contribute bindings position by position,
+    and a variable bound once is never rebound.
     """
-    candidates = equiv_candidates(plgg, lm)
-    if not candidates:
+    found = [(param_distance(node, lm), node) for node in ranked.get((lm.pred, lm.arity), ())
+             if equivalent_atoms(node, lm, store)]
+    if not found:
         return {}
-    dmin = candidates[0].distance
-    chosen = [c for c in candidates if c.distance == dmin][:max(top_n, 0)]
+    dmin = min(distance for distance, _ in found)
+    chosen = [node for distance, node in found if distance == dmin][:top_n]
     bindings: dict[str, str] = {}
-    for entry in chosen:
-        for cand_param, lm_param in zip(entry.candidate.args, lm.args):
+    for node in chosen:
+        for cand_param, lm_param in zip(node.args, lm.args):
             if is_variable(cand_param) and not is_variable(lm_param):
                 bindings.setdefault(cand_param, lm_param)
     return bindings
-
-
-def get_instantiated_lms(plgg: PLgg, task: GroundTask) -> set[Atom]:
-    """Fully ground nodes that are facts of the task; anything outside the
-    task's fact set is an ungroundable artifact and is not harvested."""
-    return {node for node in plgg.nodes if node.is_ground and node in task.facts}
 
 
 def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
@@ -302,11 +279,13 @@ def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
 
 
 def instantiation(plgg: PLgg, lms: Iterable[Atom], top_n: int = 1) -> PLgg:
-    """One instantiation pass: harvest bindings from every known landmark,
-    first binding per variable wins, then rewrite the graph once."""
+    """One instantiation pass: rank the lifted nodes once, harvest bindings
+    from every known landmark against that ranking, first binding per
+    variable wins, then rewrite the graph once."""
+    ranked = rank_lifted_nodes(plgg)
     var_inst: dict[str, str] = {}
     for lm in sorted(lms):
-        for var, obj in search_best_equiv(plgg, lm, top_n).items():
+        for var, obj in search_best_equiv(ranked, lm, plgg.store, top_n).items():
             var_inst.setdefault(var, obj)
     return apply_instantiation(plgg, var_inst)
 
@@ -317,9 +296,11 @@ def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, 
 
     Both sides must share one constraint store.  Each round instantiates
     the init side from the goal side's ground landmarks, then the goal side
-    from the init side's; the loop stops when a full round adds no new
-    ground landmark.  The returned graph is the predecessor-oriented union
-    of both sides.
+    from the init side's; a side's ground landmarks are its fully ground
+    nodes that are facts of the task (anything else is an ungroundable
+    artifact and is not harvested).  The loop stops when a full round adds
+    no new ground landmark.  The returned graph is the predecessor-oriented
+    union of both sides.
     """
     if goal_side.store is not init_side.store:
         raise ValueError("the goal and init sides must share one constraint store")
@@ -330,9 +311,9 @@ def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, 
         iteration_log.append(frozenset(known))
     while True:
         init_side = instantiation(init_side, lms_goal, top_n)
-        lms_init |= get_instantiated_lms(init_side, task)
+        lms_init |= {n for n in init_side.nodes if n.is_ground and n in task.facts}
         goal_side = instantiation(goal_side, lms_init, top_n)
-        lms_goal |= get_instantiated_lms(goal_side, task)
+        lms_goal |= {n for n in goal_side.nodes if n.is_ground and n in task.facts}
         grown = known | lms_init | lms_goal
         if iteration_log is not None:
             iteration_log.append(frozenset(grown))

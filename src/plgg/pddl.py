@@ -245,6 +245,24 @@ def _parse_typed_list(items: list, what: str, known_types: dict[str, str | None]
     return pairs
 
 
+def _check_requirements(section: _SList) -> None:
+    for req in section[1:]:
+        tok = _expect_symbol(req, "a requirement flag")
+        if tok.text not in SUPPORTED_REQUIREMENTS:
+            raise ParseError(f"unsupported requirement {tok.text}", tok.line, tok.col)
+
+
+def _check_declared(atom: Atom, predicates: Mapping[str, Predicate], where: str,
+                    line, col) -> None:
+    """The atom's predicate is declared, with the atom's arity."""
+    decl = predicates.get(atom.pred)
+    if decl is None:
+        raise ParseError(f"unknown predicate {atom.pred} in {where}", line, col)
+    if decl.arity != atom.arity:
+        raise ParseError(f"arity mismatch for {atom.pred} in {where}: "
+                         f"expected {decl.arity}, got {atom.arity}", line, col)
+
+
 # --- domain parsing ---------------------------------------------------------
 
 
@@ -272,10 +290,7 @@ def parse_domain(text: str) -> Domain:
     for section in sections:
         kind = _form_name(section)
         if kind == ":requirements":
-            for req in section[1:]:
-                tok = _expect_symbol(req, "a requirement flag")
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise ParseError(f"unsupported requirement {tok.text}", tok.line, tok.col)
+            _check_requirements(section)
         elif kind == ":types":
             declared = _parse_typed_list(section[1:], "type", None)
             for tname, parent, tok in declared:
@@ -367,22 +382,14 @@ def _parse_action(section: _SList, types, predicates) -> ActionSchema:
         params.append((vname, vtype))
     param_vars = {v for v, _ in params}
 
-    def check_atom(atom: Atom, where: str, tok_line, tok_col) -> None:
-        decl = predicates.get(atom.pred)
-        if decl is None:
-            raise ParseError(f"unknown predicate {atom.pred} in {where} of action {name}",
-                             tok_line, tok_col)
-        if decl.arity != atom.arity:
-            raise ParseError(
-                f"arity mismatch for {atom.pred} in {where} of action {name}: "
-                f"expected {decl.arity}, got {atom.arity}", tok_line, tok_col)
+    def check_atom(atom: Atom, part: str, line, col) -> None:
+        where = f"{part} of action {name}"
+        _check_declared(atom, predicates, where, line, col)
         for a in atom.args:
             if is_variable(a) and a not in param_vars:
-                raise ParseError(f"unbound variable {a} in {where} of action {name}",
-                                 tok_line, tok_col)
+                raise ParseError(f"unbound variable {a} in {where}", line, col)
             if not is_variable(a):
-                raise ParseError(f"constant {a} in {where} of action {name} is not supported",
-                                 tok_line, tok_col)
+                raise ParseError(f"constant {a} in {where} is not supported", line, col)
 
     pre = frozenset(_parse_conjunction(fields.get(":precondition"), allow_not=False,
                                        check=lambda a, l, c: check_atom(a, "precondition", l, c)))
@@ -454,12 +461,7 @@ def parse_problem(text: str, domain: Domain) -> Problem:
     domain_name = ""
 
     def check_ground_atom(atom: Atom, where: str, line, col) -> None:
-        decl = domain.predicates.get(atom.pred)
-        if decl is None:
-            raise ParseError(f"unknown predicate {atom.pred} in {where}", line, col)
-        if decl.arity != atom.arity:
-            raise ParseError(f"arity mismatch for {atom.pred} in {where}: "
-                             f"expected {decl.arity}, got {atom.arity}", line, col)
+        _check_declared(atom, domain.predicates, where, line, col)
         for a in atom.args:
             if is_variable(a):
                 raise ParseError(f"variable {a} is not allowed in {where}", line, col)
@@ -475,10 +477,7 @@ def parse_problem(text: str, domain: Domain) -> Problem:
                 raise ParseError(f"problem declares domain {domain_name}, "
                                  f"expected {domain.name}", section.line, section.col)
         elif kind == ":requirements":
-            for req in section[1:]:
-                tok = _expect_symbol(req, "a requirement flag")
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise ParseError(f"unsupported requirement {tok.text}", tok.line, tok.col)
+            _check_requirements(section)
         elif kind == ":objects":
             for oname, otype, tok in _parse_typed_list(section[1:], "object", domain.types):
                 if oname in objects or oname in domain.constants:

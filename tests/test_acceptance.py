@@ -13,8 +13,9 @@ from collections import Counter
 from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
-from plgg.instantiate import (PLgg, VarConstraintStore, equiv_candidates, extract_result,
-                              instantiate_task, search_best_equiv, update_distinct_consts)
+from plgg.instantiate import (PLgg, VarConstraintStore, equivalent_atoms, extract_result,
+                              instantiate_task, param_distance, rank_lifted_nodes,
+                              search_best_equiv, update_distinct_consts)
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
@@ -74,12 +75,14 @@ def test_criterion_03_equivalence_example():
     }
     plgg = PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
     lm = Atom("p", ("a", "b", "c"))
-    found = equiv_candidates(plgg, lm)
-    assert sorted(c.distance for c in found) == [1, 1, 2, 2, 3]
-    closest = {c.candidate for c in found if c.distance == 1}
+    found = {node: param_distance(node, lm) for node in plgg.nodes
+             if node.variables() and equivalent_atoms(node, lm, plgg.store)}
+    assert sorted(found.values()) == [1, 1, 2, 2, 3]
+    closest = {node for node, distance in found.items() if distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
-    assert search_best_equiv(plgg, lm, top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(plgg, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
+    ranked = rank_lifted_nodes(plgg)
+    assert search_best_equiv(ranked, lm, plgg.store, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(ranked, lm, plgg.store, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 @criterion(4, "distinct-value constraints: objects={a}, variables={?x0,?x1} exactly")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from plgg.cli import EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
+from plgg.experiment import ExperimentConfig
 
 
 @pytest.fixture()
@@ -162,6 +163,37 @@ def test_instantiate_dot_requires_out(learned, bench_dir, paths, capsys):
               paths("p06"), "--dot"])
     assert err.value.code == EXIT_USAGE
     assert "plgg instantiate: error: --dot needs --out" in capsys.readouterr().err
+
+
+OUT_OF_RANGE = [("top_n", "0"), ("top_n", "-3"), ("threshold", "7"),
+                ("threshold", "-0.5"), ("threshold", "nan")]
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE)
+@pytest.mark.parametrize("command", ["instantiate", "evaluate"])
+def test_out_of_range_option_exits_1(command, field, value, learned, bench_dir, paths,
+                                     tmp_path, capsys):
+    domain = str(bench_dir / "domain.pddl")
+    argv = (["instantiate", str(learned), domain, paths("p06"),
+             "--out", str(tmp_path / "p06.json")] if command == "instantiate"
+            else ["evaluate", domain] + [paths(f"p0{i}") for i in range(1, 7)]
+            + ["--train", "4", "--test", "2", "--reps", "1", "--no-oracle"])
+    capsys.readouterr()
+    assert main(argv + ["--" + field.replace("_", "-"), value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"plgg {command}: error: {field} must") and err.count("\n") == 1
+    assert not (tmp_path / "p06.json").exists()
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE)
+def test_config_rejects_out_of_range_option(field, value, bench_dir, paths):
+    config = ExperimentConfig(domain_path=str(bench_dir / "domain.pddl"),
+                              problem_paths=[paths(f"p0{i}") for i in range(1, 7)],
+                              train_count=4, test_count=2)
+    config.validate()
+    setattr(config, field, int(value) if field == "top_n" else float(value))
+    with pytest.raises(ValueError, match=f"{field} must"):
+        config.validate()
 
 
 @pytest.mark.parametrize("command", ["learn", "instantiate"])

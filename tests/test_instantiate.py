@@ -4,14 +4,15 @@ task-specific probabilistic landmark graphs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import Atom
+from plgg.pddl import Atom, is_variable
 from plgg.plog import LiftedEdge
-from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, apply_instantiation,
-                              combine, equiv_candidates, equivalent_atoms,
-                              equivalent_params, extract_result, fresh_variables,
-                              generate_plgg_goal, generate_plgg_init, instantiate_task,
-                              instantiation, param_distance, plgg_from_json, plgg_to_dot,
-                              plgg_to_json, search_best_equiv, update_distinct_consts)
+from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob,
+                              apply_instantiation,
+                              combine, equivalent_atoms, equivalent_params, extract_result,
+                              fresh_variables, generate_plgg_goal, generate_plgg_init,
+                              instantiate_task, instantiation, param_distance,
+                              plgg_from_json, plgg_to_dot, plgg_to_json, rank_lifted_nodes,
+                              search_best_equiv, update_distinct_consts)
 
 
 # --- constraint bookkeeping -----------------------------------------------------
@@ -50,15 +51,15 @@ def test_fresh_variables_keep_coreferences():
 
 def test_equivalent_params_clauses():
     store = VarConstraintStore()
-    store.for_var("?x2").objects.add("a")
+    update_distinct_consts(store, Atom("p", ("?x2",)), Atom("q", ("a",)))
     assert equivalent_params("a", "a", store)
     assert not equivalent_params("a", "b", store)
     assert not equivalent_params("?x2", "a", store)
     assert equivalent_params("?x2", "b", store)
     # same forbidden sets, no mutual ban
-    store.for_var("?x3").objects.add("a")
+    update_distinct_consts(store, Atom("p", ("?x3",)), Atom("q", ("a",)))
     assert equivalent_params("?x2", "?x3", store)
-    store.for_var("?x2").variables.add("?x3")
+    update_distinct_consts(store, Atom("p", ("?x2",)), Atom("q", ("?x3",)))
     assert not equivalent_params("?x2", "?x3", store)
     # differing forbidden sets
     assert not equivalent_params("?x2", "?x4", store)
@@ -95,22 +96,88 @@ def spec_candidates_graph():
 def test_candidate_distances_match_worked_example():
     plgg = spec_candidates_graph()
     lm = Atom("p", ("a", "b", "c"))
-    found = equiv_candidates(plgg, lm)
-    assert sorted(c.distance for c in found) == [1, 1, 2, 2, 3]
-    closest = {c.candidate for c in found if c.distance == 1}
+    found = {node: param_distance(node, lm) for node in plgg.nodes
+             if node.variables() and equivalent_atoms(node, lm, plgg.store)}
+    assert sorted(found.values()) == [1, 1, 2, 2, 3]
+    closest = {node for node, distance in found.items() if distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
 
 
 def test_top_n_binding_selection():
     plgg = spec_candidates_graph()
+    ranked = rank_lifted_nodes(plgg)
     lm = Atom("p", ("a", "b", "c"))
-    assert search_best_equiv(plgg, lm, top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(plgg, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
+    assert search_best_equiv(ranked, lm, plgg.store, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(ranked, lm, plgg.store, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 def test_search_best_equiv_without_candidates():
     plgg = PLgg(nodes={}, side="goal", store=VarConstraintStore())
-    assert search_best_equiv(plgg, Atom("p", ("a",))) == {}
+    assert search_best_equiv(rank_lifted_nodes(plgg), Atom("p", ("a",)), plgg.store) == {}
+
+
+def test_ranking_groups_lifted_nodes_by_signature():
+    plgg = spec_candidates_graph()
+    ranked = rank_lifted_nodes(plgg)
+    assert list(ranked) == [("p", 3)]
+    assert ranked[("p", 3)] == [Atom("p", ("?x2", "b", "?x3")), Atom("p", ("?x6", "?x7", "?x8")),
+                                Atom("p", ("a", "?x0", "?x1")), Atom("p", ("a", "?x4", "c")),
+                                Atom("p", ("a", "b", "?x5"))]
+
+
+def full_scan_bindings(plgg, lm, top_n):
+    """Reference search: scan every node, with the best incident probability
+    recomputed for this one landmark."""
+    best = _best_incident_prob(plgg)
+    found = sorted((param_distance(node, lm), -best.get(node, 0.0), node)
+                   for node in plgg.nodes
+                   if node.variables() and equivalent_atoms(node, lm, plgg.store))
+    bindings = {}
+    for _, _, node in [entry for entry in found if entry[0] == found[0][0]][:top_n]:
+        for cand_param, lm_param in zip(node.args, lm.args):
+            if is_variable(cand_param) and not is_variable(lm_param):
+                bindings.setdefault(cand_param, lm_param)
+    return bindings
+
+
+PARAMS = st.sampled_from(["a", "b", "?x0", "?x1", "?x2"])
+ATOMS = st.builds(Atom, st.sampled_from(["p", "q"]),
+                  st.integers(0, 2).flatmap(lambda n: st.tuples(*[PARAMS] * n)))
+GROUND_ATOMS = st.builds(Atom, st.sampled_from(["p", "q"]),
+                         st.lists(st.sampled_from("ab"), max_size=2).map(tuple))
+
+
+@st.composite
+def graphs_and_landmarks(draw):
+    nodes = draw(st.lists(ATOMS, min_size=1, max_size=12, unique=True))
+    graph = {node: {} for node in nodes}
+    for src, dst, mu in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                                st.sampled_from([0.5, 1.0])),
+                                      max_size=16)):
+        graph[src][dst] = mu
+    store = VarConstraintStore()
+    for pred, lm in draw(st.lists(st.tuples(ATOMS, ATOMS), max_size=6)):
+        update_distinct_consts(store, pred, lm)
+    # landmarks are mostly groundings of nodes, so that candidates compete
+    lms = [node.substitute({v: draw(st.sampled_from("ab")) for v in sorted(node.variables())})
+           for node in draw(st.lists(st.sampled_from(nodes), max_size=6))]
+    lms += draw(st.lists(GROUND_ATOMS | ATOMS, min_size=1, max_size=2))
+    return PLgg(nodes=graph, side="goal", store=store), lms
+
+
+@given(graphs_and_landmarks())
+@settings(max_examples=300, deadline=None)
+def test_ranked_pass_matches_full_scan(case):
+    plgg, lms = case
+    ranked = rank_lifted_nodes(plgg)
+    for top_n in (1, 2, 3):
+        expected = {}
+        for lm in sorted(lms):
+            found = full_scan_bindings(plgg, lm, top_n)
+            assert search_best_equiv(ranked, lm, plgg.store, top_n) == found
+            for var, obj in found.items():
+                expected.setdefault(var, obj)
+        assert instantiation(plgg, lms, top_n).nodes == apply_instantiation(plgg, expected).nodes
 
 
 def test_first_binding_wins_across_landmarks():
@@ -143,7 +210,7 @@ def test_apply_instantiation_noop_binding():
 
 def test_apply_instantiation_respects_constraints(caplog):
     store = VarConstraintStore()
-    store.for_var("?x0").objects.add("a")
+    update_distinct_consts(store, Atom("on", ("b", "?x0")), Atom("clear", ("a",)))
     plgg = PLgg(nodes={Atom("on", ("b", "?x0")): {}}, side="goal", store=store)
     with caplog.at_level("WARNING"):
         out = apply_instantiation(plgg, {"?x0": "a"})
@@ -190,8 +257,9 @@ def test_init_generation_covers_initial_state(plog, make_task):
 
 def test_generation_records_constraints(plog, make_task):
     task = make_task("p06")
-    store = generate_plgg_goal(plog, task).store
-    constrained = [v for v in store.variables() if store.forbidden_objects(v)]
+    plgg = generate_plgg_goal(plog, task)
+    constrained = [v for node in plgg.nodes for v in node.variables()
+                   if plgg.store.forbidden_objects(v)]
     assert constrained
 
 

@@ -127,6 +127,37 @@ def test_domain_errors(text, fragment):
     assert fragment in str(err.value).lower()
 
 
+ACTION = "(define (domain d) (:predicates (p ?x)) (:action a :parameters (?x) {}))"
+EXACT_MESSAGES = [
+    (ACTION.format(":precondition (q ?x) :effect (p ?x)"),
+     "unknown predicate q in precondition of action a (line 1, column 83)"),
+    (ACTION.format(":precondition (p ?x ?x) :effect (p ?x)"),
+     "arity mismatch for p in precondition of action a: expected 1, got 2 (line 1, column 83)"),
+    (ACTION.format(":effect (p ?y)"),
+     "unbound variable ?y in effect of action a (line 1, column 77)"),
+    (ACTION.format(":effect (not (p b))"),
+     "constant b in effect of action a is not supported (line 1, column 77)"),
+    ("(define (domain d) (:requirements :strips :adl))",
+     "unsupported requirement :adl (line 1, column 43)"),
+    ("(define (problem p) (:domain blocksworld) (:requirements :strips :fluents))",
+     "unsupported requirement :fluents (line 1, column 66)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) (:goal (foo a)))",
+     "unknown predicate foo in :goal (line 1, column 79)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init (on a)) (:goal (and)))",
+     "arity mismatch for on in :init: expected 2, got 1 (line 1, column 71)"),
+]
+
+
+@pytest.mark.parametrize("text,message", EXACT_MESSAGES)
+def test_check_messages_are_exact(domain, text, message):
+    with pytest.raises(ParseError) as err:
+        if "(problem" in text:
+            parse_problem(text, domain)
+        else:
+            parse_domain(text)
+    assert str(err.value) == message
+
+
 BAD_PROBLEMS = [
     ("(define (problem p) (:domain other) (:objects a - block) "
      "(:init) (:goal (and)))", "domain"),
