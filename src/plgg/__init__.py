@@ -16,7 +16,7 @@ from .instantiate import (PLgg, PlggContent, VarConstraintStore, combine,
                           instantiate_task, read_plgg, write_plgg)
 from .metrics import (MetricReport, alpha_prf, compare, likelihood_atom,
                       likelihood_edge)
-from .experiment import ExperimentConfig, ExperimentResult, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 
 __all__ = [
     "Atom", "Domain", "GroundAction", "GroundTask", "ParseError", "Predicate",
@@ -29,7 +29,7 @@ __all__ = [
     "generate_plgg_goal", "generate_plgg_init", "instantiate_task", "read_plgg",
     "write_plgg",
     "MetricReport", "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",
-    "ExperimentConfig", "ExperimentResult", "run_experiment",
+    "ExperimentConfig", "run_experiment",
 ]
 
 __version__ = "0.1.0"

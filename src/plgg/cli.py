@@ -144,15 +144,15 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         print(f"plgg evaluate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_experiment(config)
+    report = run_experiment(config)
     if args.json:
-        print(result_to_json(result), end="")
+        print(result_to_json(report), end="")
     else:
-        print(render_score_report(result))
-        print(render_oracle_report(result))
-        print(render_timing_report(result), end="")
+        print(render_score_report(report))
+        print(render_oracle_report(report))
+        print(render_timing_report(report), end="")
     if args.out:
-        Path(args.out).write_text(result_to_json(result))
+        Path(args.out).write_text(result_to_json(report))
         print(f"wrote {args.out}")
     return EXIT_OK
 

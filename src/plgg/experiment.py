@@ -5,10 +5,14 @@ lifted ordering graph from the training split, instantiates a probabilistic
 landmark graph for every test task, and scores it against a reference
 landmark graph (the built-in extractor by default, or pre-extracted files
 from a reference directory).  Reported numbers are arithmetic means, first
-within a repetition and then across repetitions.
+within a repetition and then across repetitions.  A second report compares
+grounded-landmark recall against the brute-force oracle, side by side for
+the instantiated graph and the native extractor.
 
-A second report compares grounded-landmark recall against the brute-force
-oracle, side by side for the instantiated graph and the native extractor.
+`run_experiment` returns both as one JSON-ready dict: `overall` means,
+`oracle_recall` rows and the `repetitions`, each with its split, timings,
+`means` and per-task `report` dicts.  `result_to_json` prints that dict, and
+the three text renderers read it.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
-from .metrics import MetricReport, compare, mean_reports, render_table, report_to_dict
+from .metrics import align_columns, compare, mean_reports, render_table, report_to_dict
 from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_text
 from .plog import learn_plog
 
@@ -48,6 +53,11 @@ class ExperimentConfig:
     oracle_baseline: bool = True
 
     def validate(self) -> None:
+        stems = Counter(Path(p).stem for p in self.problem_paths)
+        for stem, count in sorted(stems.items()):
+            if count > 1:
+                raise ValueError(f"problem stem {stem!r} is given {count} times; "
+                                 "stems name the tasks and must be distinct")
         if self.train_count < 1 or self.test_count < 1:
             raise ValueError("train and test splits must each hold at least one task")
         if self.train_count + self.test_count > len(self.problem_paths):
@@ -57,48 +67,6 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         check_ranges(self.top_n, self.threshold)
-
-
-@dataclass
-class TaskEval:
-    task: str
-    instantiate_seconds: float
-    report: MetricReport
-    plgg_oracle_recall: float | None = None
-    native_oracle_recall: float | None = None
-
-
-@dataclass
-class RepetitionResult:
-    index: int
-    seed: int
-    train: list[str]
-    test: list[str]
-    extract_seconds: float
-    learn_seconds: float
-    tasks: list[TaskEval] = field(default_factory=list)
-
-    def means(self) -> dict:
-        return mean_reports([t.report for t in self.tasks])
-
-
-@dataclass
-class ExperimentResult:
-    repetitions: list[RepetitionResult]
-
-    def overall(self) -> dict:
-        return mean_reports([t.report for rep in self.repetitions for t in rep.tasks])
-
-    def oracle_rows(self) -> list[dict]:
-        rows = []
-        for rep in self.repetitions:
-            for t in rep.tasks:
-                if t.plgg_oracle_recall is None:
-                    continue
-                rows.append({"repetition": rep.index, "task": t.task,
-                             "plgg_recall": t.plgg_oracle_recall,
-                             "native_recall": t.native_oracle_recall})
-        return rows
 
 
 class _Corpus:
@@ -145,7 +113,9 @@ class _Corpus:
         return self._oracles[path]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the protocol and return its report, the object `result_to_json`
+    prints: `overall` means, `oracle_recall` rows and `repetitions`."""
     config.validate()
     corpus = _Corpus(config)
     repetitions = []
@@ -166,10 +136,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         plog = learn_plog(train_lggs, domain=corpus.domain.name)
         learn_seconds = time.perf_counter() - start
 
-        result = RepetitionResult(index=rep, seed=rep_seed,
-                                  train=train, test=test,
-                                  extract_seconds=extract_seconds,
-                                  learn_seconds=learn_seconds)
+        tasks = []
         for path in test:
             task = corpus.task(path)
             start = time.perf_counter()
@@ -177,79 +144,67 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             seconds = time.perf_counter() - start
             content = extract_result(plgg, threshold=config.threshold)
             reference, _ = corpus.reference_lgg(path)
-            evaluation = TaskEval(task=Path(path).stem,
-                                  instantiate_seconds=seconds,
-                                  report=compare(reference, content))
+            plgg_recall = native_recall = None
             if config.oracle_baseline:
                 oracle = corpus.oracle(path)
                 native = set(corpus.native_lgg(path)[0].vertices)
-                evaluation.plgg_oracle_recall = (
-                    len(content.landmarks_grounded & oracle) / len(oracle))
-                evaluation.native_oracle_recall = len(native & oracle) / len(oracle)
-            result.tasks.append(evaluation)
-        repetitions.append(result)
-    return ExperimentResult(repetitions=repetitions)
+                plgg_recall = len(content.landmarks_grounded & oracle) / len(oracle)
+                native_recall = len(native & oracle) / len(oracle)
+            tasks.append({"task": Path(path).stem,
+                          "instantiate_seconds": seconds,
+                          "report": report_to_dict(compare(reference, content)),
+                          "plgg_oracle_recall": plgg_recall,
+                          "native_oracle_recall": native_recall})
+        repetitions.append({"index": rep, "seed": rep_seed,
+                            "train": [Path(p).stem for p in train],
+                            "test": [Path(p).stem for p in test],
+                            "extract_seconds": extract_seconds,
+                            "learn_seconds": learn_seconds,
+                            "means": mean_reports(t["report"] for t in tasks),
+                            "tasks": tasks})
+    return {
+        "overall": mean_reports(t["report"] for rep in repetitions for t in rep["tasks"]),
+        "oracle_recall": [{"repetition": rep["index"], "task": t["task"],
+                           "plgg_recall": t["plgg_oracle_recall"],
+                           "native_recall": t["native_oracle_recall"]}
+                          for rep in repetitions for t in rep["tasks"]
+                          if t["plgg_oracle_recall"] is not None],
+        "repetitions": repetitions,
+    }
 
 
 # --- reports ------------------------------------------------------------------
 
 
-def result_to_dict(result: ExperimentResult) -> dict:
-    return {
-        "overall": result.overall(),
-        "oracle_recall": result.oracle_rows(),
-        "repetitions": [{
-            "index": rep.index,
-            "seed": rep.seed,
-            "train": [Path(p).stem for p in rep.train],
-            "test": [Path(p).stem for p in rep.test],
-            "extract_seconds": rep.extract_seconds,
-            "learn_seconds": rep.learn_seconds,
-            "means": rep.means(),
-            "tasks": [{
-                "task": t.task,
-                "instantiate_seconds": t.instantiate_seconds,
-                "report": report_to_dict(t.report),
-                "plgg_oracle_recall": t.plgg_oracle_recall,
-                "native_oracle_recall": t.native_oracle_recall,
-            } for t in rep.tasks],
-        } for rep in result.repetitions],
-    }
+def result_to_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def result_to_json(result: ExperimentResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n"
-
-
-def render_score_report(result: ExperimentResult) -> str:
+def render_score_report(report: dict) -> str:
     """Mean scores per repetition plus the overall mean, as a text table."""
-    rows = {f"rep{rep.index}": rep.means() for rep in result.repetitions}
-    rows["mean"] = result.overall()
+    rows = {f"rep{rep['index']}": rep["means"] for rep in report["repetitions"]}
+    rows["mean"] = report["overall"]
     return render_table(rows)
 
 
-def render_oracle_report(result: ExperimentResult) -> str:
+def render_oracle_report(report: dict) -> str:
     """Grounded-landmark recall vs the brute-force oracle, per test task."""
-    rows = result.oracle_rows()
+    rows = report["oracle_recall"]
     if not rows:
         return "oracle baseline disabled\n"
-    lines = ["rep  task  plgg_recall  native_recall".split()]
-    for row in rows:
-        lines.append([str(row["repetition"]), row["task"],
-                      f"{row['plgg_recall']:.3f}", f"{row['native_recall']:.3f}"])
+    lines = [[str(row["repetition"]), row["task"],
+              f"{row['plgg_recall']:.3f}", f"{row['native_recall']:.3f}"] for row in rows]
     plgg_mean = sum(r["plgg_recall"] for r in rows) / len(rows)
     native_mean = sum(r["native_recall"] for r in rows) / len(rows)
     lines.append(["mean", "-", f"{plgg_mean:.3f}", f"{native_mean:.3f}"])
-    widths = [max(len(line[i]) for line in lines) for i in range(4)]
-    out = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines]
-    return "\n".join(out) + "\n"
+    return align_columns("rep  task  plgg_recall  native_recall".split(), lines)
 
 
-def render_timing_report(result: ExperimentResult) -> str:
+def render_timing_report(report: dict) -> str:
     lines = []
-    for rep in result.repetitions:
-        inst = [t.instantiate_seconds for t in rep.tasks]
+    for rep in report["repetitions"]:
+        inst = [t["instantiate_seconds"] for t in rep["tasks"]]
         lines.append(
-            f"rep{rep.index}: learn {rep.learn_seconds * 1000:.0f} ms, "
+            f"rep{rep['index']}: learn {rep['learn_seconds'] * 1000:.0f} ms, "
             f"instantiate {min(inst) * 1000:.0f}-{max(inst) * 1000:.0f} ms/task")
     return "\n".join(lines) + "\n"

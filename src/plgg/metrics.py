@@ -152,9 +152,9 @@ def report_to_dict(report: MetricReport) -> dict:
     return {"landmarks": facet(report.landmarks), "orderings": facet(report.orderings)}
 
 
-def mean_reports(reports: Iterable[MetricReport]) -> dict:
-    """Field-wise means over per-task reports, same shape as report_to_dict."""
-    dicts = [report_to_dict(r) for r in reports]
+def mean_reports(reports: Iterable[dict]) -> dict:
+    """Field-wise means over `report_to_dict` outputs, in the same shape."""
+    dicts = list(reports)
     if not dicts:
         raise ValueError("no reports to average")
     out: dict = {}
@@ -164,17 +164,20 @@ def mean_reports(reports: Iterable[MetricReport]) -> dict:
     return out
 
 
+def align_columns(header: list[str], lines: list[list[str]]) -> str:
+    """Left-aligned text columns two spaces apart, the header line first."""
+    rows = [header] + lines
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in rows) + "\n"
+
+
 def render_table(rows: Mapping[str, Mapping[str, Mapping[str, float]]]) -> str:
     """Aligned text table: one row per label, grouped score columns."""
     columns = ["precision", "recall", "f1", "alpha_precision", "alpha_recall", "alpha_f1"]
-    header = ["task", "facet"] + columns
     lines = []
     for label in rows:
         for facet in ("landmarks", "orderings"):
             scores = rows[label][facet]
             lines.append([label, facet] + [f"{scores[c]:.3f}" for c in columns])
-    widths = [max(len(header[i]), *(len(line[i]) for line in lines)) if lines else len(header[i])
-              for i in range(len(header))]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    return "\n".join([fmt(header)] + [fmt(line) for line in lines]) + "\n"
+    return align_columns(["task", "facet"] + columns, lines)

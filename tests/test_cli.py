@@ -266,6 +266,20 @@ def test_evaluate_insufficient_problems(bench_dir, paths, capsys):
     assert "split" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_repeated_problem_stem(bench_dir, paths, tmp_path, capsys):
+    other = tmp_path / "p01.pddl"
+    other.write_text((bench_dir / "p02.pddl").read_text())
+    for problems in ([paths("p01")] * 5, [paths("p01"), paths("p03"), paths("p04"),
+                                          paths("p05"), str(other)]):
+        capsys.readouterr()
+        code = main(["evaluate", str(bench_dir / "domain.pddl"), *problems,
+                     "--train", "4", "--test", "1", "--reps", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("plgg evaluate: error: problem stem 'p01'")
+        assert err.count("\n") == 1
+
+
 def test_evaluate_with_reference_dir(bench_dir, paths, tmp_path, capsys):
     names = ["p01", "p02", "p03", "p04", "p05", "p06"]
     refs = tmp_path / "refs"

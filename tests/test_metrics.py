@@ -187,5 +187,5 @@ def test_report_round_numbers():
     assert d["landmarks"]["misses"] == 2
     table = render_table({"demo": d})
     assert "demo" in table and "0.750" in table
-    means = mean_reports([report, report])
+    means = mean_reports([d, d])
     assert means["landmarks"]["alpha_recall"] == 0.75
