@@ -17,9 +17,9 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from .experiment import (ExperimentConfig, check_ranges, render_oracle_report,
-                         render_score_report, render_timing_report, result_to_json,
-                         run_experiment)
+from .experiment import (ExperimentConfig, check_distinct_stems, check_ranges,
+                         render_oracle_report, render_score_report, render_timing_report,
+                         result_to_json, run_experiment)
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
                           write_plgg)
 from .lgg import extract_lgg, lgg_to_json, read_lgg
@@ -51,6 +51,11 @@ def _load_task(domain, path: str):
 
 
 def cmd_extract(args) -> int:
+    try:
+        check_distinct_stems(args.problems)
+    except ValueError as exc:
+        print(f"plgg extract: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     domain = _load_domain(args.domain)
     outputs = []
     for path in args.problems:

@@ -39,6 +39,16 @@ def check_ranges(top_n: int, threshold: float) -> None:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
 
 
+def check_distinct_stems(problem_paths: list[str]) -> None:
+    """Stems name the tasks and their output files, so a repeated one
+    raises `ValueError`."""
+    stems = Counter(Path(p).stem for p in problem_paths)
+    for stem, count in sorted(stems.items()):
+        if count > 1:
+            raise ValueError(f"problem stem {stem!r} is given {count} times; "
+                             "stems name the tasks and must be distinct")
+
+
 @dataclass
 class ExperimentConfig:
     domain_path: str
@@ -53,11 +63,7 @@ class ExperimentConfig:
     oracle_baseline: bool = True
 
     def validate(self) -> None:
-        stems = Counter(Path(p).stem for p in self.problem_paths)
-        for stem, count in sorted(stems.items()):
-            if count > 1:
-                raise ValueError(f"problem stem {stem!r} is given {count} times; "
-                                 "stems name the tasks and must be distinct")
+        check_distinct_stems(self.problem_paths)
         if self.train_count < 1 or self.test_count < 1:
             raise ValueError("train and test splits must each hold at least one task")
         if self.train_count + self.test_count > len(self.problem_paths):

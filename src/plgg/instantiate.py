@@ -267,12 +267,14 @@ def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
             continue
         safe[var] = obj
     nodes = {node: dict(neighbours) for node, neighbours in plgg.nodes.items()}
-    for lifted in sorted(node for node in plgg.nodes if node.variables()):
+    for lifted, neighbours in plgg.nodes.items():
+        if lifted.is_ground:
+            continue
         inst = lifted.substitute(safe)
         if inst == lifted:
             continue
         bucket = nodes.setdefault(inst, {})
-        for neighbour, mu in plgg.nodes[lifted].items():
+        for neighbour, mu in neighbours.items():
             rewritten = neighbour.substitute(safe)
             bucket[rewritten] = max(mu, bucket.get(rewritten, 0.0))
     return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)

@@ -2,11 +2,12 @@
 
 A landmark generation graph (LGG) collects ground landmarks of a task and
 greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
-immediately before L2 is first achieved.  Both halves rest on the one
-delete-relaxed exploration, `plgg.pddl.relaxed_exploration`: its levels
-pick the first achievers that extraction back-chains through from the goal,
-and the brute-force oracle runs it without a candidate's achievers to
-decide whether the candidate is a landmark.
+immediately before L2 is first achieved.  Both halves read the task's
+index (`plgg.pddl.TaskIndex`) and rest on its one delete-relaxed
+exploration: its levels pick, among a landmark's achievers, the first
+achievers that extraction back-chains through from the goal, and the
+brute-force oracle reruns it with a candidate's achievers banned to decide
+whether the candidate is a landmark.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError  # noqa: F401  re-exported for callers
-from .pddl import Atom, GroundAction, GroundTask, PddlError, read_text, relaxed_exploration
+from .pddl import Atom, GroundAction, GroundTask, PddlError, read_text, reached
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +49,8 @@ class LGG:
 
 def relaxed_levels(task: GroundTask) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
     """First level at which each fact holds / each action applies, relaxed."""
-    return relaxed_exploration(task.init, task.actions)
+    fact_level, action_level = task.index.levels()
+    return reached(task.index.atoms, fact_level), reached(task.actions, action_level)
 
 
 def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
@@ -62,9 +64,9 @@ def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
         raise ValueError(f"{atom} is not a fact of task {task.name}")
     if atom in task.init or atom in task.goal:
         return LandmarkVerdict(atom, True, "in-init-or-goal")
-    allowed = [a for a in task.actions if atom not in a.add]
-    fact_level, _ = relaxed_exploration(task.init, allowed)
-    if task.goal <= fact_level.keys():
+    index = task.index
+    fact_level, _ = index.levels(banned=index.achievers[index.fact_id(atom)])
+    if all(fact_level[g] >= 0 for g in index.goal):
         return LandmarkVerdict(atom, False, "achievable-without")
     return LandmarkVerdict(atom, True, "goal-unreachable-without")
 
@@ -105,8 +107,8 @@ def extract_lgg(task: GroundTask) -> LGG:
         if lm in task.init:
             continue
         level = fact_level[lm]
-        first_achievers = [a for a in task.actions
-                           if lm in a.add and action_level.get(a, level) < level]
+        achievers = (task.actions[a] for a in task.index.achievers[task.index.fact_id(lm)])
+        first_achievers = [a for a in achievers if action_level.get(a, level) < level]
         if not first_achievers:
             continue
         shared = frozenset.intersection(*(a.pre for a in first_achievers))

@@ -3,9 +3,14 @@
 The fragment accepted here is deliberately small: ``:strips`` and ``:typing``
 are the only requirements honoured, preconditions are conjunctions of
 positive atoms, and effects are conjunctions of positive and negated atoms.
-Identifiers are case-insensitive and normalised to lower case.  Grounding
-and landmark extraction share one delete-relaxed exploration,
-`relaxed_exploration`.
+Identifiers are case-insensitive and normalised to lower case.
+
+`ground_task` numbers every fact once and leaves a `TaskIndex` on the task:
+the fact table, each action's precondition and add ids, and per fact the
+actions that consume and that add it.  Grounding, relaxed levels and the
+landmark oracle share one delete-relaxed exploration over those ids,
+`explore`, the counter-based one of FF; `relaxed_exploration` runs it over
+atoms and actions.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing"})
@@ -144,6 +149,32 @@ class Problem:
     goal: frozenset[Atom]
 
 
+@dataclass(frozen=True)
+class TaskIndex:
+    """Integer view of a ground task, built once by `ground_task`.
+
+    Fact ids number `atoms`, every atom grounding met; action ids number
+    the task's `actions`.  The per-fact tables list action ids in
+    increasing order.
+    """
+
+    atoms: tuple[Atom, ...]                        # fact id -> atom
+    ids: dict[tuple[str, tuple[str, ...]], int]    # (pred, args) -> fact id
+    init: tuple[int, ...]
+    goal: tuple[int, ...]
+    pre: list[tuple[int, ...]]       # action id -> its distinct precondition ids
+    add: list[tuple[int, ...]]       # action id -> its add ids
+    consumers: list[list[int]]       # fact id -> actions with it as a precondition
+    achievers: list[list[int]]       # fact id -> actions that add it
+
+    def fact_id(self, atom: Atom) -> int:
+        return self.ids[atom.pred, atom.args]
+
+    def levels(self, banned: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+        """`explore` from the task's init, never applying the `banned` actions."""
+        return explore(self.init, self.pre, self.add, self.consumers, banned)
+
+
 @dataclass
 class GroundTask:
     """A fully ground task over the delete-relaxed-reachable fact set."""
@@ -155,6 +186,7 @@ class GroundTask:
     goal: frozenset[Atom]
     objects: dict[str, str]
     domain: Domain
+    index: TaskIndex = field(repr=False, compare=False)
 
 
 # --- tokenizer / s-expression reader ---------------------------------------
@@ -563,37 +595,79 @@ def problem_to_pddl(problem: Problem) -> str:
 # --- grounding --------------------------------------------------------------
 
 
+def explore(init: Iterable[int], pre: Sequence[Sequence[int]], add: Sequence[Sequence[int]],
+            consumers: Sequence[Sequence[int]], banned: Iterable[int] = ()
+            ) -> tuple[list[int], list[int]]:
+    """First level at which each fact holds / each action applies when
+    deletes are ignored, by id; -1 marks the unreached ones.
+
+    This is the counter-based exploration of FF (Hoffmann & Nebel, JAIR
+    2001).  `pre` lists each action's distinct precondition ids and
+    `consumers` each fact's actions with it as a precondition.  Every
+    action counts its unmet preconditions, and facts leave a FIFO queue in
+    the order they are reached, so their levels never decrease along it.
+    An action applies when its last precondition leaves the queue, at the
+    highest level of its preconditions; a fact holds one level after the
+    first action that adds it, the lowest level of its achievers.  Init
+    facts and actions without preconditions sit at level 0.  The `banned`
+    actions never apply.
+    """
+    fact_level = [-1] * len(consumers)
+    action_level = [-1] * len(pre)
+    unmet = list(map(len, pre))
+    for a in banned:
+        unmet[a] = -1  # counts down from below zero, so it never reaches 0
+    queue = []
+    for f in init:
+        if fact_level[f] < 0:
+            fact_level[f] = 0
+            queue.append(f)
+    for a, count in enumerate(unmet):
+        if count == 0:
+            action_level[a] = 0
+            for g in add[a]:
+                if fact_level[g] < 0:
+                    fact_level[g] = 1
+                    queue.append(g)
+    for f in queue:  # also visits the facts appended while it runs
+        level = fact_level[f]
+        for a in consumers[f]:
+            unmet[a] -= 1
+            if unmet[a] == 0:
+                action_level[a] = level
+                for g in add[a]:
+                    if fact_level[g] < 0:
+                        fact_level[g] = level + 1
+                        queue.append(g)
+    return fact_level, action_level
+
+
+def _by_fact(n_facts: int, tables: Iterable[Iterable[int]]) -> list[list[int]]:
+    """Per fact id, the ids of the actions whose table holds it."""
+    out: list[list[int]] = [[] for _ in range(n_facts)]
+    for a, facts in enumerate(tables):
+        for f in facts:
+            out[f].append(a)
+    return out
+
+
+def reached(items: Iterable, levels: Iterable[int]) -> dict:
+    """`explore`'s levels keyed by the items they number, unreached ones left out."""
+    return {item: level for item, level in zip(items, levels) if level >= 0}
+
+
 def relaxed_exploration(init: Iterable[Atom], actions: Iterable[GroundAction]
                         ) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
-    """First level at which each fact holds / each action applies when
-    deletes are ignored.
-
-    Init facts sit at level 0.  Each layer splits the pending actions once:
-    those whose preconditions are all reached get the current level, and
-    their add effects not reached before get the next one.  The exploration
-    stops at the first layer without a ready action; facts and actions
-    missing from the result are unreachable.
-    """
-    reached = set(init)
-    fact_level = dict.fromkeys(reached, 0)
-    action_level: dict[GroundAction, int] = {}
-    pending = list(actions)
-    level = 0
-    while True:
-        ready: list[GroundAction] = []
-        blocked: list[GroundAction] = []
-        for a in pending:
-            (ready if a.pre <= reached else blocked).append(a)
-        if not ready:
-            return fact_level, action_level
-        for a in ready:
-            action_level[a] = level
-            fresh = a.add - reached
-            if fresh:
-                reached |= fresh
-                fact_level.update(dict.fromkeys(fresh, level + 1))
-        level += 1
-        pending = blocked
+    """`explore` over atoms and actions: the first level at which each fact
+    holds / each action applies when deletes are ignored.  Facts and
+    actions missing from the result are unreachable."""
+    actions = list(actions)
+    ids: dict[Atom, int] = {}
+    init_ids = [ids.setdefault(f, len(ids)) for f in init]
+    pre = [[ids.setdefault(p, len(ids)) for p in a.pre] for a in actions]
+    add = [[ids.setdefault(f, len(ids)) for f in a.add] for a in actions]
+    fact_level, action_level = explore(init_ids, pre, add, _by_fact(len(ids), pre))
+    return reached(ids, fact_level), reached(actions, action_level)
 
 
 def ground_task(domain: Domain, problem: Problem) -> GroundTask:
@@ -603,36 +677,65 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     A substitution that makes an add and a delete collide is discarded (it
     has no consistent STRIPS reading); everything else is kept exactly when
     its preconditions become reachable in the delete relaxation of the task.
+
+    Every fact is numbered once, by its (pred, args) key, and becomes one
+    `Atom`; init and goal atoms keep the problem's objects.  The candidates
+    are explored by id, and the task's `index` holds the kept actions'
+    tables only.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
+    given = {(a.pred, a.args): a for a in itertools.chain(problem.init, problem.goal)}
+    ids = {key: i for i, key in enumerate(given)}
 
-    candidates: list[GroundAction] = []
+    def ground(shapes, combo: tuple[str, ...]) -> set[int]:
+        return {ids.setdefault((pred, tuple(map(combo.__getitem__, slots))), len(ids))
+                for pred, slots in shapes}
+
+    # Schemas in name order and substitutions drawn from sorted pools list
+    # the candidates in (name, args) order, the order of `GroundAction`.
+    names, combos, pres, adds, deletes = [], [], [], [], []
     for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
-        pools = []
-        for _, ptype in schema.params:
-            pools.append(sorted(o for o, ot in objects.items() if domain.is_subtype(ot, ptype)))
+        pools = [sorted(o for o, ot in objects.items() if domain.is_subtype(ot, ptype))
+                 for _, ptype in schema.params]
+        slot = {v: i for i, (v, _) in enumerate(schema.params)}
+        s_pre, s_add, s_del = ([(a.pred, [slot[v] for v in a.args]) for a in sorted(atoms)]
+                               for atoms in (schema.pre, schema.add, schema.delete))
         for combo in itertools.product(*pools):
-            binding = {v: o for (v, _), o in zip(schema.params, combo)}
-            add = frozenset(a.substitute(binding) for a in schema.add)
-            delete = frozenset(a.substitute(binding) for a in schema.delete)
+            add, delete = ground(s_add, combo), ground(s_del, combo)
             if add & delete:
                 continue
-            candidates.append(GroundAction(
-                name=schema.name, args=combo,
-                pre=frozenset(a.substitute(binding) for a in schema.pre),
-                add=add, delete=delete))
+            names.append(schema.name)
+            combos.append(combo)
+            pres.append(tuple(ground(s_pre, combo)))
+            adds.append(tuple(add))
+            deletes.append(tuple(delete))
 
-    fact_level, action_level = relaxed_exploration(problem.init, candidates)
-    facts = set(fact_level)
-    for a in action_level:
-        facts.update(a.delete)
-    facts.update(problem.goal)
+    init = tuple(ids[a.pred, a.args] for a in problem.init)
+    goal = tuple(ids[a.pred, a.args] for a in problem.goal)
+    fact_level, action_level = explore(init, pres, adds, _by_fact(len(ids), pres))
+    kept = [c for c, level in enumerate(action_level) if level >= 0]
 
+    atoms = tuple(given.get(key) or Atom(*key) for key in ids)
+    fact_ids = {f for f, level in enumerate(fact_level) if level >= 0}
+    fact_ids.update(goal)
+    for c in kept:
+        fact_ids.update(deletes[c])
+    pre = [pres[c] for c in kept]
+    add = [adds[c] for c in kept]
+    atom_of = atoms.__getitem__
+    actions = tuple(GroundAction(name=names[c], args=combos[c],
+                                 pre=frozenset(map(atom_of, pres[c])),
+                                 add=frozenset(map(atom_of, adds[c])),
+                                 delete=frozenset(map(atom_of, deletes[c])))
+                    for c in kept)
+    index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pre, add=add,
+                      consumers=_by_fact(len(atoms), pre), achievers=_by_fact(len(atoms), add))
     return GroundTask(name=problem.name,
-                      facts=frozenset(facts),
-                      actions=tuple(sorted(action_level)),
+                      facts=frozenset(map(atom_of, fact_ids)),
+                      actions=actions,
                       init=problem.init,
                       goal=problem.goal,
                       objects=objects,
-                      domain=domain)
+                      domain=domain,
+                      index=index)

@@ -9,6 +9,11 @@ from plgg.plog import learn_plog
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "blocksworld"
 TRAIN = ("p01", "p02", "p03", "p04")
 CORPUS = sorted(p.stem for p in BENCH.glob("p*.pddl"))
+# A hand-written typed domain with constants and 3-parameter actions.
+GRIPPER = Path(__file__).resolve().parent / "gripper"
+GRIPPER_CORPUS = sorted(p.stem for p in GRIPPER.glob("p*.pddl"))
+# (directory, problem stem) of every shipped task of both domains
+ALL_TASKS = [(BENCH, n) for n in CORPUS] + [(GRIPPER, n) for n in GRIPPER_CORPUS]
 
 
 @pytest.fixture(scope="session")
@@ -22,16 +27,25 @@ def domain():
 
 
 @pytest.fixture(scope="session")
-def make_task(domain):
-    cache = {}
+def load():
+    """(directory, stem) -> (domain, problem, ground task), each built once."""
+    domains, cache = {}, {}
 
-    def build(name):
-        if name not in cache:
-            problem = parse_problem((BENCH / f"{name}.pddl").read_text(), domain)
-            cache[name] = ground_task(domain, problem)
-        return cache[name]
+    def build(directory, name):
+        if directory not in domains:
+            domains[directory] = parse_domain((directory / "domain.pddl").read_text())
+        if (directory, name) not in cache:
+            domain = domains[directory]
+            problem = parse_problem((directory / f"{name}.pddl").read_text(), domain)
+            cache[directory, name] = (domain, problem, ground_task(domain, problem))
+        return cache[directory, name]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def make_task(load):
+    return lambda name: load(BENCH, name)[2]
 
 
 @pytest.fixture(scope="session")

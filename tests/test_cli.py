@@ -45,6 +45,21 @@ def test_extract_unsolvable_task_exits_2(bench_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # nothing written on failure
 
 
+def test_extract_rejects_repeated_problem_stem(bench_dir, tmp_path, capsys):
+    # a/p01.pddl and b/p01.pddl would both write p01.lgg.json
+    for sub, source in (("a", "p01"), ("b", "p02")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "p01.pddl").write_text((bench_dir / f"{source}.pddl").read_text())
+    code = main(["extract", str(bench_dir / "domain.pddl"), str(tmp_path / "a/p01.pddl"),
+                 str(tmp_path / "b/p01.pddl"), "--out", str(tmp_path / "lggs")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("plgg extract: error: problem stem 'p01'")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "lggs").exists()
+
+
 @pytest.fixture()
 def learned(paths, bench_dir, tmp_path):
     lggs = tmp_path / "lggs"

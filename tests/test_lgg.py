@@ -4,13 +4,14 @@ plus serialization of the graph files."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import Atom, ground_task, parse_problem, relaxed_exploration
+from plgg.pddl import Atom, GroundAction, ground_task, parse_problem, relaxed_exploration
 from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
                       is_landmark_oracle, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
 
-from conftest import CORPUS
+from conftest import ALL_TASKS, CORPUS, GRIPPER, GRIPPER_CORPUS
 
 
 def atom(s):
@@ -138,6 +139,66 @@ def test_relaxed_levels_match_definition(name, domain, make_task):
     allowed = [a for a in task.actions if dropped not in a.add]
     assert_levels_match_definition(task.init, allowed,
                                    *relaxed_exploration(task.init, allowed))
+
+
+VOCABULARY = [Atom("p", (str(i),)) for i in range(6)]
+
+
+@st.composite
+def action_sets(draw):
+    """Init facts and actions over six atoms: empty preconditions, facts no
+    action adds, and precondition lists with repeats all occur."""
+    init = draw(st.sets(st.sampled_from(VOCABULARY), max_size=3))
+    actions = []
+    for i in range(draw(st.integers(0, 8))):
+        pre = draw(st.lists(st.sampled_from(VOCABULARY), max_size=3))
+        add = draw(st.lists(st.sampled_from(VOCABULARY), max_size=2))
+        actions.append(GroundAction(f"a{i}", (), frozenset(pre), frozenset(add), frozenset()))
+    return init, actions
+
+
+@given(action_sets())
+@settings(max_examples=300, deadline=None)
+def test_levels_match_definition_on_random_actions(init_and_actions):
+    init, actions = init_and_actions
+    assert_levels_match_definition(init, actions, *relaxed_exploration(init, actions))
+
+
+@pytest.mark.parametrize("name", GRIPPER_CORPUS)
+def test_gripper_levels_match_definition(name, load):
+    task = load(GRIPPER, name)[2]
+    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
+    dropped = min(task.goal - task.init)
+    allowed = [a for a in task.actions if dropped not in a.add]
+    assert_levels_match_definition(task.init, allowed,
+                                   *relaxed_exploration(task.init, allowed))
+
+
+def task_id(case):
+    directory, name = case
+    return f"{directory.name}-{name}"
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_oracle_matches_definition(case, load):
+    # a landmark is an init or goal fact, or one without whose achievers
+    # the goal is relaxed-unreachable
+    task = load(*case)[2]
+    for fact in task.facts:
+        allowed = [a for a in task.actions if fact not in a.add]
+        fact_level, _ = relaxed_exploration(task.init, allowed)
+        expected = (fact in task.init or fact in task.goal
+                    or not task.goal <= fact_level.keys())
+        assert is_landmark_oracle(task, fact).is_landmark == expected, fact
+
+
+@pytest.mark.parametrize("name", GRIPPER_CORPUS)
+def test_gripper_extracted_vertices_pass_the_oracle(name, load):
+    task = load(GRIPPER, name)[2]
+    lgg = extract_lgg(task)
+    assert lgg.vertices > task.goal
+    for vertex in lgg.vertices:
+        assert is_landmark_oracle(task, vertex).is_landmark, vertex
 
 
 @pytest.mark.parametrize("closed", [False, True])

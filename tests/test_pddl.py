@@ -1,15 +1,18 @@
 """Parser, printer, and grounding checks, including an independent
 re-grounding oracle that enumerates substitutions from scratch."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import (Atom, ParseError, PddlError, domain_to_pddl, parse_domain,
-                       parse_problem, problem_to_pddl, read_text)
+from plgg.lgg import relaxed_levels
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, domain_to_pddl, ground_task,
+                       parse_domain, parse_problem, problem_to_pddl, read_text)
 
-from conftest import CORPUS
+from conftest import ALL_TASKS, CORPUS, GRIPPER, GRIPPER_CORPUS
+from test_lgg import assert_levels_match_definition, task_id
 
 
 def test_domain_shape(domain):
@@ -72,6 +75,80 @@ def test_grounding_matches_naive_oracle(name, domain, bench_dir, make_task):
     expected = naive_ground_actions(domain, problem)
     actual = {(a.name, a.args) for a in make_task(name).actions}
     assert actual == expected
+
+
+@pytest.mark.parametrize("name", GRIPPER_CORPUS)
+def test_gripper_grounding_matches_naive_oracle(name, load):
+    domain, problem, task = load(GRIPPER, name)
+    # the naive grounder reads the problem's objects; the domain's
+    # constants (the grippers) are objects of every problem
+    with_constants = dataclasses.replace(
+        problem, objects={**domain.constants, **problem.objects})
+    expected = naive_ground_actions(domain, with_constants)
+    assert {(a.name, a.args) for a in task.actions} == expected
+    assert {a.name for a in task.actions} == {"drop", "move", "pick"}
+
+
+def assert_index_matches_scan(task):
+    """Every table of the task's index equals a scan of its actions, and
+    every atom of the task is the one object the fact table holds."""
+    index = task.index
+    assert list(task.actions) == sorted(task.actions)
+    for f, atom in enumerate(index.atoms):
+        assert index.fact_id(atom) == f
+    table = {atom: atom for atom in index.atoms}
+    for atom in task.facts | task.init | task.goal:
+        assert table[atom] is atom
+    for a, action in enumerate(task.actions):
+        assert sorted(index.pre[a]) == sorted({index.fact_id(p) for p in action.pre})
+        assert sorted(index.add[a]) == sorted({index.fact_id(f) for f in action.add})
+        for atom in action.pre | action.add | action.delete:
+            assert table[atom] is atom
+    for f, atom in enumerate(index.atoms):
+        assert index.consumers[f] == [a for a, action in enumerate(task.actions)
+                                      if atom in action.pre]
+        assert index.achievers[f] == [a for a, action in enumerate(task.actions)
+                                      if atom in action.add]
+    assert {index.atoms[f] for f in index.init} == task.init
+    assert {index.atoms[f] for f in index.goal} == task.goal
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_index_tables_match_a_scan(case, load):
+    assert_index_matches_scan(load(*case)[2])
+
+
+# Substitutions with ?x = ?y collapse join's two preconditions into one, so
+# a count of preconditions that is not distinct never lets such a join apply;
+# swap with ?x = ?y adds and deletes one atom and is discarded.
+TOKENS = parse_domain("""
+(define (domain tokens)
+  (:requirements :strips :typing)
+  (:types item)
+  (:predicates (p ?x - item) (q ?x - item) (r ?x - item ?y - item) (s))
+  (:action spark :parameters () :effect (s))
+  (:action join :parameters (?x - item ?y - item)
+    :precondition (and (p ?x) (p ?y)) :effect (r ?x ?y))
+  (:action lift :parameters (?x - item ?y - item)
+    :precondition (and (r ?x ?y) (s)) :effect (and (q ?x) (not (p ?y))))
+  (:action swap :parameters (?x - item ?y - item)
+    :precondition (q ?x) :effect (and (q ?y) (not (q ?x)))))
+""")
+TOKEN_FACTS = sorted({Atom("s")}
+                     | {Atom(pred, (x,)) for pred in "pq" for x in "abc"}
+                     | {Atom("r", (x, y)) for x in "abc" for y in "abc"})
+
+
+@given(st.sets(st.sampled_from(TOKEN_FACTS), max_size=4),
+       st.sets(st.sampled_from(TOKEN_FACTS), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_grounding_counts_collapsed_preconditions_once(init, goal):
+    problem = Problem("tokens-1", "tokens", dict.fromkeys("abc", "item"),
+                      frozenset(init), frozenset(goal))
+    task = ground_task(TOKENS, problem)
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(TOKENS, problem)
+    assert_index_matches_scan(task)
+    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
 
 
 def test_grounding_counts_three_blocks(make_task):
