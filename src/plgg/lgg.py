@@ -3,11 +3,11 @@
 A landmark generation graph (LGG) collects ground landmarks of a task and
 greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
 immediately before L2 is first achieved.  Both halves read the task's
-index (`plgg.pddl.TaskIndex`) and rest on its one delete-relaxed
-exploration: its levels pick, among a landmark's achievers, the first
-achievers that extraction back-chains through from the goal, and the
-brute-force oracle reruns it with a candidate's achievers banned to decide
-whether the candidate is a landmark.
+index (`plgg.pddl.TaskIndex`) and rest on one delete-relaxed exploration:
+grounding's levels, kept in the index, pick among a landmark's achievers
+the first achievers that extraction back-chains through from the goal, and
+the brute-force oracle reruns it with a candidate's achievers banned to
+decide whether the candidate is a landmark.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError  # noqa: F401  re-exported for callers
-from .pddl import Atom, GroundAction, GroundTask, PddlError, read_text, reached
+from .pddl import Atom, GroundTask, PddlError, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +47,10 @@ class LGG:
     edges: frozenset[tuple[Atom, Atom]]
 
 
-def relaxed_levels(task: GroundTask) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
-    """First level at which each fact holds / each action applies, relaxed."""
-    fact_level, action_level = task.index.levels()
-    return reached(task.index.atoms, fact_level), reached(task.actions, action_level)
+def relaxed_levels(task: GroundTask) -> tuple[list[int], list[int]]:
+    """First level at which each fact holds / each action applies, relaxed,
+    by fact and action id (-1: unreached); grounding already explored them."""
+    return task.index.fact_level, task.index.action_level
 
 
 def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
@@ -85,7 +85,8 @@ def extract_lgg(task: GroundTask) -> LGG:
     the oracle become vertices with an edge into L and are chained further.
     """
     fact_level, action_level = relaxed_levels(task)
-    missing = sorted(g for g in task.goal if g not in fact_level)
+    index = task.index
+    missing = sorted(g for g in task.goal if fact_level[index.fact_id(g)] < 0)
     if missing:
         raise UnsolvableTaskError(
             f"task {task.name} is unsolvable: goal atom {missing[0]} is "
@@ -106,13 +107,13 @@ def extract_lgg(task: GroundTask) -> LGG:
         lm = queue.popleft()
         if lm in task.init:
             continue
-        level = fact_level[lm]
-        achievers = (task.actions[a] for a in task.index.achievers[task.index.fact_id(lm)])
-        first_achievers = [a for a in achievers if action_level.get(a, level) < level]
+        f = index.fact_id(lm)
+        first_achievers = [a for a in index.achievers[f] if action_level[a] < fact_level[f]]
         if not first_achievers:
             continue
-        shared = frozenset.intersection(*(a.pre for a in first_achievers))
-        for cand in sorted(shared):
+        shared = set(index.pre[first_achievers[0]]).intersection(
+            *(index.pre[a] for a in first_achievers[1:]))
+        for cand in sorted(map(index.atoms.__getitem__, shared)):
             if cand == lm or not passes(cand):
                 continue
             vertices.add(cand)

@@ -5,12 +5,12 @@ are the only requirements honoured, preconditions are conjunctions of
 positive atoms, and effects are conjunctions of positive and negated atoms.
 Identifiers are case-insensitive and normalised to lower case.
 
-`ground_task` numbers every fact once and leaves a `TaskIndex` on the task:
-the fact table, each action's precondition and add ids, and per fact the
-actions that consume and that add it.  Grounding, relaxed levels and the
-landmark oracle share one delete-relaxed exploration over those ids,
-`explore`, the counter-based one of FF; `relaxed_exploration` runs it over
-atoms and actions.
+`ground_task` grounds column by column and leaves a `TaskIndex` on the task:
+the fact table, each kept action's name, args and fact ids, per fact its
+consumers and achievers, and the levels of grounding's own exploration
+`explore`, the counter-based one of FF, which the landmark oracle reruns.
+The task's `GroundAction`s are a view built from the index on first read;
+`relaxed_exploration` runs `explore` over atoms and actions.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -154,8 +156,9 @@ class TaskIndex:
     """Integer view of a ground task, built once by `ground_task`.
 
     Fact ids number `atoms`, every atom grounding met; action ids number
-    the task's `actions`.  The per-fact tables list action ids in
-    increasing order.
+    the kept actions in (name, args) order, and the per-fact tables list
+    them in increasing order.  The levels are grounding's own `explore`'s,
+    restricted to the kept actions: unreached candidates never fire.
     """
 
     atoms: tuple[Atom, ...]                        # fact id -> atom
@@ -166,6 +169,11 @@ class TaskIndex:
     add: list[tuple[int, ...]]       # action id -> its add ids
     consumers: list[list[int]]       # fact id -> actions with it as a precondition
     achievers: list[list[int]]       # fact id -> actions that add it
+    names: list[str]                 # action id -> schema name
+    args: list[tuple[str, ...]]      # action id -> objects
+    delete: list[tuple[int, ...]]    # action id -> its delete ids
+    fact_level: list[int]            # fact id -> relaxed level, -1 if unreached
+    action_level: list[int]          # action id -> relaxed level
 
     def fact_id(self, atom: Atom) -> int:
         return self.ids[atom.pred, atom.args]
@@ -181,12 +189,21 @@ class GroundTask:
 
     name: str
     facts: frozenset[Atom]
-    actions: tuple[GroundAction, ...]
     init: frozenset[Atom]
     goal: frozenset[Atom]
     objects: dict[str, str]
     domain: Domain
     index: TaskIndex = field(repr=False, compare=False)
+
+    @cached_property
+    def actions(self) -> tuple[GroundAction, ...]:
+        """The kept actions in (name, args) order, built from the index when first read."""
+        index = self.index
+        atom = index.atoms.__getitem__
+        return tuple(GroundAction(name, args, frozenset(map(atom, pre)),
+                                  frozenset(map(atom, add)), frozenset(map(atom, delete)))
+                     for name, args, pre, add, delete
+                     in zip(index.names, index.args, index.pre, index.add, index.delete))
 
 
 # --- tokenizer / s-expression reader ---------------------------------------
@@ -678,19 +695,23 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     has no consistent STRIPS reading); everything else is kept exactly when
     its preconditions become reachable in the delete relaxation of the task.
 
-    Every fact is numbered once, by its (pred, args) key, and becomes one
-    `Atom`; init and goal atoms keep the problem's objects.  The candidates
-    are explored by id, and the task's `index` holds the kept actions'
-    tables only.
+    Grounding runs column by column: each schema atom projects every
+    substitution onto its parameter slots, interns each distinct projection
+    once by its (pred, args) key and maps the projections back to a column
+    of fact ids.  Init and goal atoms keep the problem's objects.  The
+    candidates are explored by id, and the task's `index` holds the kept
+    actions' tables and their levels only.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
     given = {(a.pred, a.args): a for a in itertools.chain(problem.init, problem.goal)}
     ids = {key: i for i, key in enumerate(given)}
 
-    def ground(shapes, combo: tuple[str, ...]) -> set[int]:
-        return {ids.setdefault((pred, tuple(map(combo.__getitem__, slots))), len(ids))
-                for pred, slots in shapes}
+    def column(atom: Atom, slot: dict[str, int], combos: list) -> list[int]:
+        projections = (list(zip(*(map(itemgetter(slot[v]), combos) for v in atom.args)))
+                       if atom.args else [()] * len(combos))
+        fact = {p: ids.setdefault((atom.pred, p), len(ids)) for p in dict.fromkeys(projections)}
+        return list(map(fact.__getitem__, projections))
 
     # Schemas in name order and substitutions drawn from sorted pools list
     # the candidates in (name, args) order, the order of `GroundAction`.
@@ -699,41 +720,39 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
         pools = [sorted(o for o, ot in objects.items() if domain.is_subtype(ot, ptype))
                  for _, ptype in schema.params]
         slot = {v: i for i, (v, _) in enumerate(schema.params)}
-        s_pre, s_add, s_del = ([(a.pred, [slot[v] for v in a.args]) for a in sorted(atoms)]
-                               for atoms in (schema.pre, schema.add, schema.delete))
-        for combo in itertools.product(*pools):
-            add, delete = ground(s_add, combo), ground(s_del, combo)
-            if add & delete:
-                continue
-            names.append(schema.name)
-            combos.append(combo)
-            pres.append(tuple(ground(s_pre, combo)))
-            adds.append(tuple(add))
-            deletes.append(tuple(delete))
+        s_combos = list(itertools.product(*pools))
+        parts = [sorted(atoms) for atoms in (schema.pre, schema.add, schema.delete)]
+        cols = [[column(a, slot, s_combos) for a in part] for part in parts]
+        clashes = [map(eq, add_col, del_col) for (a, add_col), (d, del_col)
+                   in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
+                   if a.pred == d.pred]
+        ok = [not any(row) for row in zip(*clashes)] if clashes else [True] * len(s_combos)
+        names += itertools.compress(itertools.repeat(schema.name), ok)
+        combos += itertools.compress(s_combos, ok)
+        for table, part, part_cols in zip((pres, adds, deletes), parts, cols):
+            part_rows = zip(*part_cols) if part_cols else itertools.repeat(())
+            if len({a.pred for a in part}) < len(part):  # two atoms may ground alike
+                part_rows = map(tuple, map(dict.fromkeys, part_rows))
+            table.extend(itertools.compress(part_rows, ok))
 
     init = tuple(ids[a.pred, a.args] for a in problem.init)
     goal = tuple(ids[a.pred, a.args] for a in problem.goal)
     fact_level, action_level = explore(init, pres, adds, _by_fact(len(ids), pres))
-    kept = [c for c, level in enumerate(action_level) if level >= 0]
-
+    kept = [level >= 0 for level in action_level]
+    pre, add, delete, names, combos, action_level = (
+        list(itertools.compress(table, kept))
+        for table in (pres, adds, deletes, names, combos, action_level))
     atoms = tuple(given.get(key) or Atom(*key) for key in ids)
     fact_ids = {f for f, level in enumerate(fact_level) if level >= 0}
     fact_ids.update(goal)
-    for c in kept:
-        fact_ids.update(deletes[c])
-    pre = [pres[c] for c in kept]
-    add = [adds[c] for c in kept]
-    atom_of = atoms.__getitem__
-    actions = tuple(GroundAction(name=names[c], args=combos[c],
-                                 pre=frozenset(map(atom_of, pres[c])),
-                                 add=frozenset(map(atom_of, adds[c])),
-                                 delete=frozenset(map(atom_of, deletes[c])))
-                    for c in kept)
+    for row in delete:
+        fact_ids.update(row)
     index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pre, add=add,
-                      consumers=_by_fact(len(atoms), pre), achievers=_by_fact(len(atoms), add))
+                      consumers=_by_fact(len(atoms), pre), achievers=_by_fact(len(atoms), add),
+                      names=names, args=combos, delete=delete,
+                      fact_level=fact_level, action_level=action_level)
     return GroundTask(name=problem.name,
-                      facts=frozenset(map(atom_of, fact_ids)),
-                      actions=actions,
+                      facts=frozenset(map(atoms.__getitem__, fact_ids)),
                       init=problem.init,
                       goal=problem.goal,
                       objects=objects,

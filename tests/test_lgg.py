@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import Atom, GroundAction, ground_task, parse_problem, relaxed_exploration
+from plgg.pddl import (Atom, GroundAction, ground_task, parse_problem, reached,
+                       relaxed_exploration)
 from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
                       is_landmark_oracle, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
@@ -107,9 +108,15 @@ def test_unsolvable_task_raises(domain):
     assert "impossible" in str(err.value)
 
 
+def atom_levels(task):
+    """`relaxed_levels`, keyed by atom and by action, unreached ones left out."""
+    fact_level, action_level = relaxed_levels(task)
+    return reached(task.index.atoms, fact_level), reached(task.actions, action_level)
+
+
 def test_relaxed_levels_start_at_init(make_task):
     task = make_task("p01")
-    fact_level, action_level = relaxed_levels(task)
+    fact_level, action_level = atom_levels(task)
     for fact in task.init:
         assert fact_level[fact] == 0
     assert all(level >= 0 for level in action_level.values())
@@ -133,7 +140,7 @@ def assert_levels_match_definition(init, actions, fact_level, action_level):
 def test_relaxed_levels_match_definition(name, domain, make_task):
     task = (ground_task(domain, parse_problem(IMPOSSIBLE, domain)) if name == "impossible"
             else make_task(name))
-    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
+    assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
     # without the achievers of a goal atom, as the oracle explores, some actions stay unreached
     dropped = min(task.goal - task.init)
     allowed = [a for a in task.actions if dropped not in a.add]
@@ -167,7 +174,7 @@ def test_levels_match_definition_on_random_actions(init_and_actions):
 @pytest.mark.parametrize("name", GRIPPER_CORPUS)
 def test_gripper_levels_match_definition(name, load):
     task = load(GRIPPER, name)[2]
-    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
+    assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
     dropped = min(task.goal - task.init)
     allowed = [a for a in task.actions if dropped not in a.add]
     assert_levels_match_definition(task.init, allowed,

@@ -1,18 +1,18 @@
 """Parser, printer, and grounding checks, including an independent
 re-grounding oracle that enumerates substitutions from scratch."""
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.lgg import relaxed_levels
-from plgg.pddl import (Atom, ParseError, PddlError, Problem, domain_to_pddl, ground_task,
-                       parse_domain, parse_problem, problem_to_pddl, read_text)
+from plgg.instantiate import instantiate_task
+from plgg.lgg import extract_lgg, oracle_landmarks
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, domain_to_pddl, explore,
+                       ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
 
 from conftest import ALL_TASKS, CORPUS, GRIPPER, GRIPPER_CORPUS
-from test_lgg import assert_levels_match_definition, task_id
+from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
 def test_domain_shape(domain):
@@ -35,12 +35,13 @@ def test_atom_helpers():
 
 
 def naive_ground_actions(domain, problem):
-    """Ground every schema by brute-force substitution, written without any
-    of the library's grounding machinery.  Substitutions that make an atom
+    """Ground every schema by brute-force substitution over the domain's
+    constants and the problem's objects, written without any of the
+    library's grounding machinery.  Substitutions that make an atom
     appear in both add and delete are dropped; the rest are filtered by a
     relaxed reachability loop."""
     pools = {}
-    for obj, typ in problem.objects.items():
+    for obj, typ in {**domain.constants, **problem.objects}.items():
         t = typ
         while t is not None:
             pools.setdefault(t, []).append(obj)
@@ -80,12 +81,7 @@ def test_grounding_matches_naive_oracle(name, domain, bench_dir, make_task):
 @pytest.mark.parametrize("name", GRIPPER_CORPUS)
 def test_gripper_grounding_matches_naive_oracle(name, load):
     domain, problem, task = load(GRIPPER, name)
-    # the naive grounder reads the problem's objects; the domain's
-    # constants (the grippers) are objects of every problem
-    with_constants = dataclasses.replace(
-        problem, objects={**domain.constants, **problem.objects})
-    expected = naive_ground_actions(domain, with_constants)
-    assert {(a.name, a.args) for a in task.actions} == expected
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(domain, problem)
     assert {a.name for a in task.actions} == {"drop", "move", "pick"}
 
 
@@ -111,11 +107,41 @@ def assert_index_matches_scan(task):
                                       if atom in action.add]
     assert {index.atoms[f] for f in index.init} == task.init
     assert {index.atoms[f] for f in index.goal} == task.goal
+    for a, action in enumerate(task.actions):
+        assert sorted(index.delete[a]) == sorted({index.fact_id(d) for d in action.delete})
+        schema = task.domain.schemas[action.name]
+        binding = {v: obj for (v, _), obj in zip(schema.params, action.args)}
+        for part in ("pre", "add", "delete"):
+            expected = {atom.substitute(binding) for atom in getattr(schema, part)}
+            assert getattr(action, part) == expected
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
 def test_index_tables_match_a_scan(case, load):
     assert_index_matches_scan(load(*case)[2])
+
+
+def assert_stored_levels_are_fresh(index):
+    assert (index.fact_level, index.action_level) == explore(index.init, index.pre,
+                                                             index.add, index.consumers)
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_stored_levels_equal_a_fresh_exploration(case, load):
+    assert_stored_levels_are_fresh(load(*case)[2].index)
+
+
+def test_pipeline_leaves_the_action_view_unbuilt(domain, bench_dir, plog):
+    # extraction, the oracle and instantiation read only the index, so the
+    # GroundAction view costs nothing until something asks for it
+    problem = parse_problem((bench_dir / "p05.pddl").read_text(), domain)
+    task = ground_task(domain, problem)
+    extract_lgg(task)
+    oracle_landmarks(task)
+    instantiate_task(plog, task)
+    assert "actions" not in vars(task)
+    assert ([(a.name, a.args) for a in task.actions]
+            == sorted(naive_ground_actions(domain, problem)))
 
 
 # Substitutions with ?x = ?y collapse join's two preconditions into one, so
@@ -148,7 +174,54 @@ def test_grounding_counts_collapsed_preconditions_once(init, goal):
     task = ground_task(TOKENS, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(TOKENS, problem)
     assert_index_matches_scan(task)
-    assert_levels_match_definition(task.init, task.actions, *relaxed_levels(task))
+    assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
+
+
+# Edge cases of column-by-column grounding: put's two adds of p and take's
+# two deletes of q collapse at ?x = ?y; the ghost type has no objects; mark
+# takes the tool c in item slots and clashes when ?x = ?t; the 0-ary u sits
+# in parameterised schemas.
+EDGES = parse_domain("""
+(define (domain edges)
+  (:requirements :strips :typing)
+  (:types item ghost - object tool - item)
+  (:predicates (p ?x - item) (q ?x - item) (r ?x - item ?y - item) (u) (w ?g - ghost))
+  (:action put :parameters (?x - item ?y - item)
+    :precondition (r ?x ?y) :effect (and (p ?x) (p ?y) (u)))
+  (:action take :parameters (?x - item ?y - item)
+    :precondition (and (p ?x) (u)) :effect (and (r ?y ?x) (not (q ?x)) (not (q ?y))))
+  (:action mark :parameters (?t - tool ?x - item)
+    :precondition (p ?t) :effect (and (q ?x) (not (q ?t))))
+  (:action haunt :parameters (?g - ghost ?x - item)
+    :precondition (p ?x) :effect (w ?g)))
+""")
+EDGE_OBJECTS = {"a": "item", "b": "item", "c": "tool"}
+EDGE_FACTS = sorted({Atom("u")}
+                    | {Atom(pred, (x,)) for pred in "pq" for x in "abc"}
+                    | {Atom("r", (x, y)) for x in "abc" for y in "abc"})
+
+
+@given(st.sets(st.sampled_from(EDGE_FACTS), max_size=4),
+       st.sets(st.sampled_from(EDGE_FACTS), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_grounding_edge_cases_match_the_naive_oracle(init, goal):
+    problem = Problem("edges-1", "edges", dict(EDGE_OBJECTS), frozenset(init), frozenset(goal))
+    task = ground_task(EDGES, problem)
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
+    assert_index_matches_scan(task)
+    assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
+    assert_stored_levels_are_fresh(task.index)
+
+
+def test_grounding_edge_cases_by_hand():
+    init = {Atom("r", ("a", "a")), Atom("r", ("a", "c"))}
+    task = ground_task(EDGES, Problem("edges-2", "edges", dict(EDGE_OBJECTS),
+                                      frozenset(init), frozenset()))
+    actions = {(a.name, a.args): a for a in task.actions}
+    assert actions["put", ("a", "a")].add == {Atom("p", ("a",)), Atom("u")}
+    assert actions["take", ("a", "a")].delete == {Atom("q", ("a",))}
+    assert ("mark", ("c", "a")) in actions and ("mark", ("c", "c")) not in actions
+    assert not any(a.name == "haunt" for a in task.actions)
 
 
 def test_grounding_counts_three_blocks(make_task):
