@@ -12,11 +12,19 @@ Whenever an expansion introduces a variable next to known parameters, the
 known parameters are recorded as forbidden values for that variable: a
 variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
 
+Each side expands an atom at most once up to variable renaming: a renamed
+copy of an expanded atom still gets its node and its edge, but is not
+expanded again, so cycles in the learned graph end.
+
 The graph a pass works on does not change until the pass rewrites it, so
-each pass ranks its lifted nodes once: grouped by predicate and arity,
-ordered by best incident probability.  Each landmark is then matched only
-against its own group; the closest equivalent nodes, the `top_n` best
-ranked first, supply its bindings.
+each pass ranks its lifted nodes once, by best incident probability, and
+files them in buckets keyed by predicate, arity, object positions and the
+objects at those positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.
+A ground landmark looks its equivalents up in the buckets of its own
+objects, from the fewest variables upward, since a node's distance to a
+ground landmark is its variable count; the first count with a match holds
+the closest equivalents, and the `top_n` best ranked of them supply its
+bindings.  A landmark with variables scans its predicate's whole group.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -116,6 +126,13 @@ def _edges_from(plog: PLog, backward: bool) -> dict[Atom, list[tuple[LiftedEdge,
     return index
 
 
+def _shape(atom: Atom) -> tuple:
+    """`atom` up to variable renaming: variables numbered by first appearance."""
+    numbers: dict[str, int] = {}
+    return atom.pred, tuple(numbers.setdefault(p, len(numbers)) if is_variable(p) else p
+                            for p in atom.args)
+
+
 def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
               var_source: VarSource | None, store: VarConstraintStore | None) -> PLgg:
     store = store if store is not None else VarConstraintStore()
@@ -125,14 +142,15 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
     blocked = task.init if backward else task.goal
 
     nodes: dict[Atom, dict[Atom, float]] = {}
-    expanded: set[Atom] = set()
+    expanded: set[tuple] = set()
     queue = deque(sorted(seeds))
     seed_set = frozenset(seeds)
     while queue:
         lm = queue.popleft()
-        if lm in expanded:
+        shape = _shape(lm)
+        if shape in expanded:
             continue
-        expanded.add(lm)
+        expanded.add(shape)
         nodes.setdefault(lm, {})
         if not lm.objects() or lm in blocked:
             continue
@@ -148,7 +166,7 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
             nodes.setdefault(neighbour, {})
             current = nodes[lm].get(neighbour)
             nodes[lm][neighbour] = mu if current is None else max(mu, current)
-            if neighbour.objects() and neighbour not in expanded:
+            if neighbour.objects() and _shape(neighbour) not in expanded:
                 queue.append(neighbour)
     return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
 
@@ -161,8 +179,8 @@ def generate_plgg_goal(plog: PLog, task: GroundTask, *,
     Each dequeued atom with at least one object that is not an init fact is
     expanded: every learned edge into its lifted form is freshly renamed,
     its destination unified with the atom, and the resulting predecessor
-    inserted (and queued, if it mentions any object).  Atoms already present
-    are not re-expanded.
+    inserted (and queued, if it mentions any object).  An atom is expanded
+    at most once up to variable renaming.
     """
     return _generate(plog, task, task.goal, SIDE_GOAL, var_source, store)
 
@@ -218,32 +236,85 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
-def rank_lifted_nodes(plgg: PLgg) -> dict[tuple[str, int], list[Atom]]:
-    """The graph's lifted nodes grouped by predicate and arity, each group
-    ordered by higher best incident probability, then lexicographically."""
+@dataclass
+class RankedNodes:
+    """One pass's lifted nodes, ranked by higher best incident probability,
+    then lexicographically.
+
+    `groups` lists each (predicate, arity) group in rank order.  `buckets`
+    files each node as (rank, node), in rank order, under (predicate,
+    arity, object positions, objects at those positions).
+    """
+
+    groups: dict[tuple[str, int], list[Atom]]
+    buckets: dict[tuple, list[tuple[int, Atom]]]
+
+
+def rank_lifted_nodes(plgg: PLgg) -> RankedNodes:
+    """Rank and bucket the graph's lifted nodes once for a pass."""
     best = _best_incident_prob(plgg)
-    ranked: dict[tuple[str, int], list[Atom]] = {}
-    lifted = (node for node in plgg.nodes if node.variables())
-    for node in sorted(lifted, key=lambda n: (-best.get(n, 0.0), n)):
-        ranked.setdefault((node.pred, node.arity), []).append(node)
+    lifted = [node for node in plgg.nodes if not node.is_ground]
+    lifted.sort(key=lambda n: (-best.get(n, 0.0), n.pred, n.args))
+    ranked = RankedNodes(groups={}, buckets={})
+    for rank, node in enumerate(lifted):
+        ranked.groups.setdefault((node.pred, node.arity), []).append(node)
+        fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+        key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
+        ranked.buckets.setdefault(key, []).append((rank, node))
     return ranked
 
 
-def search_best_equiv(ranked: Mapping[tuple[str, int], list[Atom]], lm: Atom,
+_Pattern = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _object_patterns(arity: int) -> tuple[tuple[_Pattern, ...], ...]:
+    """Each lifted shape of this arity as (object positions, variable
+    positions), grouped by variable count, fewest first."""
+    positions = range(arity)
+    return tuple(tuple((fixed, tuple(i for i in positions if i not in fixed))
+                       for fixed in combinations(positions, arity - count))
+                 for count in range(1, arity + 1))
+
+
+def _closest_to_ground(ranked: RankedNodes, lm: Atom, store: VarConstraintStore,
+                       top_n: int) -> list[Atom]:
+    """The `top_n` best ranked nodes equivalent to the ground `lm` at the
+    fewest variables, read from the buckets of `lm`'s own objects."""
+    args = lm.args
+    forbidden = store.forbidden_objects
+    for level in _object_patterns(len(args)):
+        found: list[tuple[int, Atom]] = []
+        for fixed, open_ in level:
+            members = ranked.buckets.get(
+                (lm.pred, len(args), fixed, tuple(args[i] for i in fixed)), ())
+            found += islice((entry for entry in members
+                             if all(args[i] not in forbidden(entry[1].args[i]) for i in open_)),
+                            top_n)
+        if found:
+            found.sort()
+            return [node for _, node in found[:top_n]]
+    return []
+
+
+def search_best_equiv(ranked: RankedNodes, lm: Atom,
                       store: VarConstraintStore, top_n: int = 1) -> dict[str, str]:
     """Variable bindings harvested from the closest equivalents of `lm`.
 
     `ranked` is the pass's `rank_lifted_nodes` view.  Among lifted nodes
     equivalent to `lm` only those at minimum `param_distance` compete; the
     `top_n` best ranked of them contribute bindings position by position,
-    and a variable bound once is never rebound.
+    and a variable bound once is never rebound.  A ground `lm` reads them
+    from the buckets of its own objects; any other scans its group.
     """
-    found = [(param_distance(node, lm), node) for node in ranked.get((lm.pred, lm.arity), ())
-             if equivalent_atoms(node, lm, store)]
-    if not found:
-        return {}
-    dmin = min(distance for distance, _ in found)
-    chosen = [node for distance, node in found if distance == dmin][:top_n]
+    if lm.is_ground:
+        chosen = _closest_to_ground(ranked, lm, store, top_n)
+    else:
+        found = [(param_distance(node, lm), node)
+                 for node in ranked.groups.get((lm.pred, lm.arity), ())
+                 if equivalent_atoms(node, lm, store)]
+        dmin = min((distance for distance, _ in found), default=None)
+        chosen = [node for distance, node in found if distance == dmin][:top_n]
     bindings: dict[str, str] = {}
     for node in chosen:
         for cand_param, lm_param in zip(node.args, lm.args):
@@ -401,15 +472,21 @@ def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
 # --- serialization ------------------------------------------------------------
 
 
-def plgg_to_json(plgg: PLgg) -> str:
+def _edge_table(plgg: PLgg) -> tuple[list[Atom], list[tuple[int, int, float]]]:
+    """The graph's sorted atom table, and its directed edges as (source
+    index, destination index, mu) in index order."""
     edges = _directed_edges(plgg)
     table, index = artifact.atom_table(set(plgg.nodes) | {a for e in edges for a in e})
+    return table, sorted((index[s], index[d], mu) for (s, d), mu in edges.items())
+
+
+def plgg_to_json(plgg: PLgg) -> str:
+    table, edges = _edge_table(plgg)
     return artifact.dumps({
         "domain": plgg.domain,
         "side": plgg.side,
         "vertices": [{**artifact.atom_payload(a), "grounded": a.is_ground} for a in table],
-        "edges": [{"src": index[s], "dst": index[d], "mu": mu}
-                  for (s, d), mu in sorted(edges.items())],
+        "edges": [{"src": s, "dst": d, "mu": mu} for s, d, mu in edges],
     })
 
 
@@ -439,13 +516,12 @@ def read_plgg(path: str | Path) -> PLgg:
 
 def plgg_to_dot(plgg: PLgg) -> str:
     """Graphviz rendering; lifted nodes are dashed, edges carry probabilities."""
-    edges = _directed_edges(plgg)
-    table, index = artifact.atom_table(set(plgg.nodes) | {a for e in edges for a in e})
+    table, edges = _edge_table(plgg)
     lines = ["digraph plgg {", "  rankdir=BT;"]
-    for a in table:
+    for i, a in enumerate(table):
         style = " style=dashed" if not a.is_ground else ""
-        lines.append(f'  n{index[a]} [label="{a}"{style}];')
-    for (s, d), mu in sorted(edges.items()):
-        lines.append(f'  n{index[s]} -> n{index[d]} [label="{mu:.2f}"];')
+        lines.append(f'  n{i} [label="{a}"{style}];')
+    for s, d, mu in edges:
+        lines.append(f'  n{s} -> n{d} [label="{mu:.2f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

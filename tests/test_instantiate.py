@@ -4,15 +4,18 @@ task-specific probabilistic landmark graphs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, is_variable
-from plgg.plog import LiftedEdge
-from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob,
+from plgg.plog import LiftedEdge, learn_plog, plog_from_json, plog_to_json
+from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob, _shape,
                               apply_instantiation,
                               combine, equivalent_atoms, equivalent_params, extract_result,
                               fresh_variables, generate_plgg_goal, generate_plgg_init,
                               instantiate_task, instantiation, param_distance,
                               plgg_from_json, plgg_to_dot, plgg_to_json, rank_lifted_nodes,
                               search_best_equiv, update_distinct_consts)
+
+from conftest import GRIPPER
 
 
 # --- constraint bookkeeping -----------------------------------------------------
@@ -119,10 +122,18 @@ def test_search_best_equiv_without_candidates():
 def test_ranking_groups_lifted_nodes_by_signature():
     plgg = spec_candidates_graph()
     ranked = rank_lifted_nodes(plgg)
-    assert list(ranked) == [("p", 3)]
-    assert ranked[("p", 3)] == [Atom("p", ("?x2", "b", "?x3")), Atom("p", ("?x6", "?x7", "?x8")),
-                                Atom("p", ("a", "?x0", "?x1")), Atom("p", ("a", "?x4", "c")),
-                                Atom("p", ("a", "b", "?x5"))]
+    assert list(ranked.groups) == [("p", 3)]
+    assert ranked.groups[("p", 3)] == [
+        Atom("p", ("?x2", "b", "?x3")), Atom("p", ("?x6", "?x7", "?x8")),
+        Atom("p", ("a", "?x0", "?x1")), Atom("p", ("a", "?x4", "c")),
+        Atom("p", ("a", "b", "?x5"))]
+
+
+def test_buckets_file_nodes_by_object_positions():
+    ranked = rank_lifted_nodes(spec_candidates_graph())
+    assert ranked.buckets[("p", 3, (0,), ("a",))] == [(2, Atom("p", ("a", "?x0", "?x1")))]
+    assert ranked.buckets[("p", 3, (), ())] == [(1, Atom("p", ("?x6", "?x7", "?x8")))]
+    assert ranked.buckets[("p", 3, (0, 2), ("a", "c"))] == [(3, Atom("p", ("a", "?x4", "c")))]
 
 
 def full_scan_bindings(plgg, lm, top_n):
@@ -178,6 +189,53 @@ def test_ranked_pass_matches_full_scan(case):
             for var, obj in found.items():
                 expected.setdefault(var, obj)
         assert instantiation(plgg, lms, top_n).nodes == apply_instantiation(plgg, expected).nodes
+
+
+OBJECTS = st.sampled_from("abc")
+VARIABLES = st.sampled_from(["?x0", "?x1", "?x2", "?x3"])
+GROUND_LANDMARKS = st.builds(Atom, st.sampled_from(["p", "q"]),
+                             st.integers(1, 3).flatmap(lambda n: st.tuples(*[OBJECTS] * n)))
+
+
+@st.composite
+def lifted_copies(draw, lm):
+    """`lm` with some positions, at least one, turned into variables that
+    may repeat, so that one landmark has equivalents in several buckets at
+    one distance."""
+    open_ = draw(st.sets(st.integers(0, lm.arity - 1), min_size=1))
+    return Atom(lm.pred, tuple(draw(VARIABLES) if i in open_ else p
+                               for i, p in enumerate(lm.args)))
+
+
+@st.composite
+def ground_landmark_cases(draw):
+    lms = draw(st.lists(GROUND_LANDMARKS, min_size=1, max_size=4))
+    nodes = draw(st.lists(st.sampled_from(lms).flatmap(lifted_copies), min_size=1,
+                          max_size=14, unique=True))
+    graph = {node: {} for node in nodes}
+    for src, dst, mu in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                                st.sampled_from([0.25, 0.5, 1.0])),
+                                      max_size=16)):
+        graph[src][dst] = mu
+    store = VarConstraintStore()
+    for pred, lm in draw(st.lists(st.tuples(st.sampled_from(nodes), GROUND_LANDMARKS),
+                                  min_size=1, max_size=4)):
+        update_distinct_consts(store, pred, lm)
+    lms += draw(st.lists(GROUND_LANDMARKS, max_size=3))
+    return PLgg(nodes=graph, side="goal", store=store), lms
+
+
+@given(ground_landmark_cases())
+@settings(max_examples=300, deadline=None)
+def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
+    # ground landmarks of arity up to 3, repeated node variables, a
+    # constraint store that forbids objects, and ties across buckets
+    plgg, lms = case
+    ranked = rank_lifted_nodes(plgg)
+    for top_n in (1, 2, 3, 5):
+        for lm in lms:
+            assert search_best_equiv(ranked, lm, plgg.store, top_n) == \
+                full_scan_bindings(plgg, lm, top_n)
 
 
 def test_first_binding_wins_across_landmarks():
@@ -273,6 +331,47 @@ def test_generation_warns_on_unknown_seed(plog, make_task, caplog, domain):
     with caplog.at_level("WARNING"):
         plgg = generate_plgg_goal(plog, task)
     assert Atom("holding", ("a",)) in plgg.nodes
+
+
+@pytest.fixture(scope="module")
+def gripper_chain(load):
+    """The p-LOG learned from gripper p01, p05 and p06, its LGGs, and the
+    p02 task it is instantiated on."""
+    lggs = [extract_lgg(load(GRIPPER, name)[2]) for name in ("p01", "p05", "p06")]
+    domain, problem, task = load(GRIPPER, "p02")
+    return lggs, learn_plog(lggs, domain=domain.name), domain, problem, task
+
+
+def test_goal_side_expands_each_atom_once_up_to_renaming(gripper_chain):
+    # the learned orderings at(?x0, ?x2) -> carry(?x0, ?x1) and
+    # carry(?x0, ?x2) -> at(?x0, ?x1) form a cycle
+    _, plog, _, _, task = gripper_chain
+    goal_side = generate_plgg_goal(plog, task)
+    expanded = [_shape(node) for node, neighbours in goal_side.nodes.items() if neighbours]
+    assert len(expanded) == len(set(expanded))
+    # the cycle closes on a renamed copy that keeps its node and its edge
+    repeats = [node for node, neighbours in goal_side.nodes.items()
+               if not neighbours and node.objects() and _shape(node) in expanded]
+    assert repeats
+    assert all(any(node in neighbours for neighbours in goal_side.nodes.values())
+               for node in repeats)
+
+
+def test_gripper_chain_stays_in_the_task_vocabulary(gripper_chain):
+    lggs, plog, domain, problem, task = gripper_chain
+    assert plog.probs and all(0.0 <= mu <= 1.0 for mu in plog.probs.values())
+    for lgg in lggs:
+        assert lgg_to_json(lgg_from_json(lgg_to_json(lgg))) == lgg_to_json(lgg)
+    text = plog_to_json(plog)
+    assert plog_to_json(plog_from_json(text)) == text
+    plgg = instantiate_task(plog, task)
+    text = plgg_to_json(plgg)
+    assert plgg_to_json(plgg_from_json(text)) == text
+    vocabulary = problem.objects.keys() | domain.constants.keys()
+    assert task.goal <= {node for node in plgg.nodes if node.is_ground}
+    for node in plgg.nodes:
+        assert domain.predicates[node.pred].arity == node.arity, node
+        assert node.objects() <= vocabulary, node
 
 
 # --- combination ----------------------------------------------------------------
