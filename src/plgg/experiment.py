@@ -6,8 +6,9 @@ landmark graph for every test task, and scores it against a reference
 landmark graph (the built-in extractor by default, or pre-extracted files
 from a reference directory).  Reported numbers are arithmetic means, first
 within a repetition and then across repetitions.  A second report compares
-grounded-landmark recall against the brute-force oracle, side by side for
-the instantiated graph and the native extractor.
+grounded-landmark recall against the oracle's exact landmark set
+(`oracle_landmarks`), side by side for the instantiated graph and the
+native extractor.
 
 `run_experiment` returns both as one JSON-ready dict: `overall` means,
 `oracle_recall` rows and the `repetitions`, each with its split, timings,

@@ -3,11 +3,17 @@
 A landmark generation graph (LGG) collects ground landmarks of a task and
 greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
 immediately before L2 is first achieved.  Both halves read the task's
-index (`plgg.pddl.TaskIndex`) and rest on one delete-relaxed exploration:
-grounding's levels, kept in the index, pick among a landmark's achievers
-the first achievers that extraction back-chains through from the goal, and
-the brute-force oracle reruns it with a candidate's achievers banned to
-decide whether the candidate is a landmark.
+index (`plgg.pddl.TaskIndex`).  Grounding's delete-relaxed levels, kept
+in the index, pick among a landmark's achievers the first achievers that
+extraction back-chains through from the goal.
+
+Whether a candidate is a landmark is decided exactly in one of two ways.
+The brute-force oracle reruns the exploration with the candidate's
+achievers banned; `landmark_labels` answers for every fact at once with
+one greatest-fixpoint pass over the relaxed AND/OR graph (Zhu & Givan
+2003; Keyder, Richter & Helmert 2010).  A pass costs a few explorations,
+so extraction asks the oracle for its first `BRUTE_FORCE_VERDICTS`
+decisions and the labels for the rest; the output is the same either way.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from graphlib import CycleError, TopologicalSorter
+from operator import or_
 from pathlib import Path
 
 from . import artifact
@@ -25,6 +33,12 @@ from .pddl import Atom, GroundTask, PddlError, read_text
 logger = logging.getLogger(__name__)
 
 ORDER_TYPE = "greedy_necessary"
+
+# Distinct landmark decisions `extract_lgg` leaves to the oracle before it
+# computes the labels once (ski rental: one label pass costs about 5-6
+# explorations on 20-50-block tasks; one-atom goals ask about 5 decisions,
+# full-tower goals 52-84).
+BRUTE_FORCE_VERDICTS = 8
 
 
 class UnsolvableTaskError(PddlError):
@@ -71,9 +85,64 @@ def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
     return LandmarkVerdict(atom, True, "goal-unreachable-without")
 
 
+def landmark_labels(task: GroundTask) -> list[int]:
+    """Each fact's relaxed landmarks, by fact id, as bitsets over fact ids.
+
+    The labels are the greatest fixpoint of ::
+
+        label(f) = {f} | AND over the reached actions a adding f of
+                         (add(a) | OR over p in pre(a) of label(p))
+
+    An init fact's label is ``{f}``, every other fact starts at all facts,
+    and sweeps over the reached non-init facts in level order, each reading
+    the labels already updated, run until one changes nothing.  A fact x
+    outside init is in ``label(f)`` exactly when x is f or every relaxed
+    plan that reaches f applies an action adding x, so an unreached fact
+    keeps all facts.  The ``add(a)`` term keeps facts an achiever adds
+    alongside f, such as ``holding(a)`` when unstacking a.
+    """
+    index = task.index
+    fact_level = index.fact_level
+    label = [(1 << len(index.atoms)) - 1] * len(index.atoms)
+    for f in index.init:
+        label[f] = 1 << f
+    add_mask = [reduce(or_, map((1).__lshift__, row), 0) for row in index.add]
+    pre, achievers = index.pre, index.achievers
+    order = sorted((f for f, level in enumerate(fact_level) if level > 0),
+                   key=fact_level.__getitem__)
+    changed = True
+    while changed:
+        changed = False
+        for f in order:
+            new = -1
+            for a in achievers[f]:
+                mask = add_mask[a]
+                for p in pre[a]:
+                    mask |= label[p]
+                new &= mask
+            new |= 1 << f
+            if new != label[f]:
+                label[f] = new
+                changed = True
+    return label
+
+
+def _landmark_bits(task: GroundTask) -> int:
+    """init | goal | the goal facts' labels, as one bitset over fact ids."""
+    index = task.index
+    label = landmark_labels(task)
+    bits = 0
+    for f in index.init:
+        bits |= 1 << f
+    for g in index.goal:
+        bits |= label[g]
+    return bits
+
+
 def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:
-    """Every fact the oracle accepts.  Exhaustive; meant for small tasks."""
-    return frozenset(f for f in task.facts if is_landmark_oracle(task, f).is_landmark)
+    """Every fact the oracle accepts, read from one `landmark_labels` pass."""
+    bits, ids = _landmark_bits(task), task.index.ids
+    return frozenset(f for f in task.facts if bits >> ids[f.pred, f.args] & 1)
 
 
 def extract_lgg(task: GroundTask) -> LGG:
@@ -81,8 +150,10 @@ def extract_lgg(task: GroundTask) -> LGG:
 
     For a landmark L outside init, every atom shared by the preconditions
     of all first achievers of L (achievers applicable strictly before L
-    first holds in the relaxation) is a candidate; candidates that pass
-    the oracle become vertices with an edge into L and are chained further.
+    first holds in the relaxation) is a candidate; candidates that are
+    landmarks become vertices with an edge into L and are chained further.
+    The first `BRUTE_FORCE_VERDICTS` distinct candidates go to the oracle,
+    the rest to `landmark_labels`, computed once.
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
@@ -95,10 +166,17 @@ def extract_lgg(task: GroundTask) -> LGG:
     vertices: set[Atom] = set(task.goal)
     edges: set[tuple[Atom, Atom]] = set()
     verdict_cache: dict[Atom, bool] = {}
+    landmark_bits = None
 
     def passes(atom: Atom) -> bool:
+        nonlocal landmark_bits
         if atom not in verdict_cache:
-            verdict_cache[atom] = is_landmark_oracle(task, atom).is_landmark
+            if len(verdict_cache) < BRUTE_FORCE_VERDICTS:
+                verdict_cache[atom] = is_landmark_oracle(task, atom).is_landmark
+            else:
+                if landmark_bits is None:
+                    landmark_bits = _landmark_bits(task)
+                verdict_cache[atom] = bool(landmark_bits >> index.fact_id(atom) & 1)
         return verdict_cache[atom]
 
     queue = deque(sorted(task.goal))

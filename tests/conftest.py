@@ -12,8 +12,13 @@ CORPUS = sorted(p.stem for p in BENCH.glob("p*.pddl"))
 # A hand-written typed domain with constants and 3-parameter actions.
 GRIPPER = Path(__file__).resolve().parent / "gripper"
 GRIPPER_CORPUS = sorted(p.stem for p in GRIPPER.glob("p*.pddl"))
-# (directory, problem stem) of every shipped task of both domains
-ALL_TASKS = [(BENCH, n) for n in CORPUS] + [(GRIPPER, n) for n in GRIPPER_CORPUS]
+# A hand-written typed domain with a 3-ary predicate among an action's
+# preconditions and add effects.
+COURIER = Path(__file__).resolve().parent / "courier"
+COURIER_CORPUS = sorted(p.stem for p in COURIER.glob("p*.pddl"))
+# (directory, problem stem) of every shipped task of the three domains
+ALL_TASKS = ([(BENCH, n) for n in CORPUS] + [(GRIPPER, n) for n in GRIPPER_CORPUS]
+             + [(COURIER, n) for n in COURIER_CORPUS])
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_inciden
                               plgg_from_json, plgg_to_dot, plgg_to_json, rank_lifted_nodes,
                               search_best_equiv, update_distinct_consts)
 
-from conftest import GRIPPER
+from conftest import COURIER, GRIPPER
 
 
 # --- constraint bookkeeping -----------------------------------------------------
@@ -362,6 +362,25 @@ def test_gripper_chain_stays_in_the_task_vocabulary(gripper_chain):
     assert plog.probs and all(0.0 <= mu <= 1.0 for mu in plog.probs.values())
     for lgg in lggs:
         assert lgg_to_json(lgg_from_json(lgg_to_json(lgg))) == lgg_to_json(lgg)
+    text = plog_to_json(plog)
+    assert plog_to_json(plog_from_json(text)) == text
+    plgg = instantiate_task(plog, task)
+    text = plgg_to_json(plgg)
+    assert plgg_to_json(plgg_from_json(text)) == text
+    vocabulary = problem.objects.keys() | domain.constants.keys()
+    assert task.goal <= {node for node in plgg.nodes if node.is_ground}
+    for node in plgg.nodes:
+        assert domain.predicates[node.pred].arity == node.arity, node
+        assert node.objects() <= vocabulary, node
+
+
+def test_courier_chain_stays_in_the_task_vocabulary(load):
+    # the learned orderings run through the 3-ary aboard(?p, ?v, ?x)
+    lggs = [extract_lgg(load(COURIER, name)[2]) for name in ("p01", "p03", "p05")]
+    domain, problem, task = load(COURIER, "p04")
+    plog = learn_plog(lggs, domain=domain.name)
+    assert any(edge.src.arity == 3 or edge.dst.arity == 3 for edge in plog.probs)
+    assert plog.probs and all(0.0 <= mu <= 1.0 for mu in plog.probs.values())
     text = plog_to_json(plog)
     assert plog_to_json(plog_from_json(text)) == text
     plgg = instantiate_task(plog, task)

@@ -6,19 +6,25 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plgg import lgg as lgg_module
 from plgg.pddl import (Atom, GroundAction, ground_task, parse_problem, reached,
                        relaxed_exploration)
 from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
-                      is_landmark_oracle, lgg_from_json, lgg_to_json,
+                      is_landmark_oracle, landmark_labels, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
 
-from conftest import ALL_TASKS, CORPUS, GRIPPER, GRIPPER_CORPUS
+from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
 
 
 def atom(s):
     name, _, rest = s.partition("(")
     args = tuple(a.strip() for a in rest.rstrip(")").split(",") if a.strip())
     return Atom(name, args)
+
+
+def task_id(case):
+    directory, name = case
+    return f"{directory.name}-{name}"
 
 
 # --- oracle verdicts ------------------------------------------------------------
@@ -108,6 +114,110 @@ def test_unsolvable_task_raises(domain):
     assert "impossible" in str(err.value)
 
 
+# --- landmark labels against the brute-force oracle ----------------------------
+
+
+def brute_force_landmarks(task):
+    return frozenset(f for f in task.facts if is_landmark_oracle(task, f).is_landmark)
+
+
+@st.composite
+def blocksworld_problems(draw):
+    """PDDL text of a blocksworld task over 3-9 blocks: random initial
+    towers, and either every `on` atom of random goal towers or one atom."""
+    blocks = [f"b{i}" for i in range(draw(st.integers(3, 9)))]
+
+    def towers():
+        order = draw(st.permutations(blocks))
+        # at most len - 2 cuts leave one tower of two blocks or more
+        cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1), max_size=len(order) - 2)))
+        return [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(order)])]
+
+    init = ["(handempty)"]
+    for tower in towers():
+        init += [f"(ontable {tower[0]})", f"(clear {tower[-1]})"]
+        init += [f"(on {upper} {lower})" for lower, upper in zip(tower, tower[1:])]
+    if draw(st.booleans()):
+        goal = [f"(on {upper} {lower})" for tower in towers()
+                for lower, upper in zip(tower, tower[1:])]
+    else:
+        x, y = draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=2, unique=True))
+        goal = [draw(st.sampled_from([f"(on {x} {y})", f"(ontable {x})", f"(clear {x})",
+                                      f"(holding {x})", "(handempty)"]))]
+    return (f"(define (problem drawn) (:domain blocksworld) "
+            f"(:objects {' '.join(blocks)} - block) (:init {' '.join(init)}) "
+            f"(:goal (and {' '.join(goal)})))")
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_labels_match_the_oracle_on_every_task(case, load):
+    task = load(*case)[2]
+    assert oracle_landmarks(task) == brute_force_landmarks(task)
+
+
+@given(blocksworld_problems())
+@settings(max_examples=60, deadline=None)
+def test_labels_match_the_oracle_on_drawn_tasks(domain, text):
+    task = ground_task(domain, parse_problem(text, domain))
+    assert oracle_landmarks(task) == brute_force_landmarks(task)
+
+
+def test_labels_on_a_relaxed_unsolvable_task_hold_every_fact(domain):
+    # no plan reaches the goal, so banning any fact's achievers changes nothing
+    task = ground_task(domain, parse_problem(IMPOSSIBLE, domain))
+    assert brute_force_landmarks(task) == task.facts
+    assert oracle_landmarks(task) == task.facts
+
+
+def test_labels_keep_facts_added_alongside(make_task):
+    # on p02 clearing b means unstacking a, which adds holding(a) together
+    # with clear(b); no precondition chain of the goal holds holding(a), so
+    # only the add term of the fixpoint keeps it
+    task = make_task("p02")
+    label = landmark_labels(task)
+    index = task.index
+    goal_label = {index.atoms[f] for f in range(len(index.atoms))
+                  if any(label[g] >> f & 1 for g in index.goal)}
+    assert atom("holding(a)") in goal_label
+    for f in index.init:
+        assert label[f] == 1 << f
+
+
+NEVER = float("inf")
+
+
+def extract_bytes(task, k):
+    """`lgg_to_json(extract_lgg(task))` with the first `k` decisions left
+    to the oracle; 0 never calls it, NEVER never computes the labels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lgg_module, "BRUTE_FORCE_VERDICTS", k)
+
+        def unused(*args):
+            raise AssertionError(f"k={k} must not reach this path")
+        if k == 0:
+            mp.setattr(lgg_module, "is_landmark_oracle", unused)
+        if k == NEVER:
+            mp.setattr(lgg_module, "landmark_labels", unused)
+        return lgg_to_json(extract_lgg(task))
+
+
+def assert_switch_point_keeps_the_output(task):
+    default = extract_bytes(task, lgg_module.BRUTE_FORCE_VERDICTS)
+    assert extract_bytes(task, 0) == default
+    assert extract_bytes(task, NEVER) == default
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_switch_point_keeps_the_output_on_every_task(case, load):
+    assert_switch_point_keeps_the_output(load(*case)[2])
+
+
+@given(blocksworld_problems())
+@settings(max_examples=60, deadline=None)
+def test_switch_point_keeps_the_output_on_drawn_tasks(domain, text):
+    assert_switch_point_keeps_the_output(ground_task(domain, parse_problem(text, domain)))
+
+
 def atom_levels(task):
     """`relaxed_levels`, keyed by atom and by action, unreached ones left out."""
     fact_level, action_level = relaxed_levels(task)
@@ -181,11 +291,6 @@ def test_gripper_levels_match_definition(name, load):
                                    *relaxed_exploration(task.init, allowed))
 
 
-def task_id(case):
-    directory, name = case
-    return f"{directory.name}-{name}"
-
-
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
 def test_oracle_matches_definition(case, load):
     # a landmark is an init or goal fact, or one without whose achievers
@@ -204,6 +309,15 @@ def test_gripper_extracted_vertices_pass_the_oracle(name, load):
     task = load(GRIPPER, name)[2]
     lgg = extract_lgg(task)
     assert lgg.vertices > task.goal
+    for vertex in lgg.vertices:
+        assert is_landmark_oracle(task, vertex).is_landmark, vertex
+
+
+@pytest.mark.parametrize("name", COURIER_CORPUS)
+def test_courier_extracted_vertices_pass_the_oracle(name, load):
+    task = load(COURIER, name)[2]
+    lgg = extract_lgg(task)
+    assert lgg.vertices >= task.goal
     for vertex in lgg.vertices:
         assert is_landmark_oracle(task, vertex).is_landmark, vertex
 

@@ -11,7 +11,7 @@ from plgg.lgg import extract_lgg, oracle_landmarks
 from plgg.pddl import (Atom, ParseError, PddlError, Problem, domain_to_pddl, explore,
                        ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
 
-from conftest import ALL_TASKS, CORPUS, GRIPPER, GRIPPER_CORPUS
+from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
@@ -83,6 +83,15 @@ def test_gripper_grounding_matches_naive_oracle(name, load):
     domain, problem, task = load(GRIPPER, name)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(domain, problem)
     assert {a.name for a in task.actions} == {"drop", "move", "pick"}
+
+
+@pytest.mark.parametrize("name", COURIER_CORPUS)
+def test_courier_grounding_matches_naive_oracle(name, load):
+    domain, problem, task = load(COURIER, name)
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(domain, problem)
+    assert domain.predicates["aboard"].arity == 3
+    assert any(p.pred == "aboard" for a in task.actions if a.name == "ride" for p in a.pre)
+    assert any(f.pred == "aboard" for a in task.actions if a.name == "ride" for f in a.add)
 
 
 def assert_index_matches_scan(task):
