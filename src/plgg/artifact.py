@@ -4,16 +4,18 @@ Every artifact is one JSON object whose `vertices` key holds a sorted table
 of atoms `{pred: str, args: [str]}`; its other records point into that
 table by index.  Writers build the table with `atom_table` and serialize
 with `dumps`.  `read_artifact` parses a file against a schema of checks
-and raises `LggFormatError`, with a JSON pointer, at the first violation.
+and raises `LggFormatError`, with a JSON pointer, at the first violation;
+`read_file` adds the file's path to that error.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .pddl import Atom, PddlError
+from .pddl import Atom, PddlError, read_text
 
 
 class LggFormatError(PddlError):
@@ -117,3 +119,13 @@ def read_artifact(text: str, **fields: Check) -> dict:
             raise LggFormatError(f"expected an object with key {key!r}", "/")
     atoms = [Atom(pred, args) for pred, args in _atoms(payload["vertices"], "/vertices", [])]
     return dict(vertices=atoms, **{k: c(payload[k], f"/{k}", atoms) for k, c in fields.items()})
+
+
+def read_file(path: str | Path, parse: Callable[[str], Any]) -> Any:
+    """`parse` the text of the file at `path`; a schema error names the file,
+    as `read_text` does for a decode error."""
+    try:
+        return parse(read_text(path))
+    except LggFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

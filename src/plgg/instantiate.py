@@ -24,7 +24,8 @@ A ground landmark looks its equivalents up in the buckets of its own
 objects, from the fewest variables upward, since a node's distance to a
 ground landmark is its variable count; the first count with a match holds
 the closest equivalents, and the `top_n` best ranked of them supply its
-bindings.  A landmark with variables scans its predicate's whole group.
+bindings.  Every landmark searched is ground: `combine` harvests only
+the task's facts.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import artifact
-from .pddl import Atom, GroundTask, is_variable, read_text
+from .pddl import Atom, GroundTask, is_variable
 from .plog import PLog, LiftedEdge, lift_atom
 
 logger = logging.getLogger(__name__)
@@ -134,9 +135,7 @@ def _shape(atom: Atom) -> tuple:
 
 
 def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
-              var_source: VarSource | None, store: VarConstraintStore | None) -> PLgg:
-    store = store if store is not None else VarConstraintStore()
-    source = var_source if var_source is not None else VarSource()
+              source: VarSource, store: VarConstraintStore) -> PLgg:
     backward = side == SIDE_GOAL
     index = _edges_from(plog, backward)
     blocked = task.init if backward else task.goal
@@ -171,23 +170,23 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
     return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
 
 
-def generate_plgg_goal(plog: PLog, task: GroundTask, *,
-                       var_source: VarSource | None = None,
-                       store: VarConstraintStore | None = None) -> PLgg:
+def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource,
+                       store: VarConstraintStore) -> PLgg:
     """Grow the goal-side graph backward through learned in-edges.
 
     Each dequeued atom with at least one object that is not an init fact is
     expanded: every learned edge into its lifted form is freshly renamed,
     its destination unified with the atom, and the resulting predecessor
     inserted (and queued, if it mentions any object).  An atom is expanded
-    at most once up to variable renaming.
+    at most once up to variable renaming.  Fresh names come from
+    `var_source` and constraints go to `store`; `combine` needs both sides
+    to share them.
     """
     return _generate(plog, task, task.goal, SIDE_GOAL, var_source, store)
 
 
-def generate_plgg_init(plog: PLog, task: GroundTask, *,
-                       var_source: VarSource | None = None,
-                       store: VarConstraintStore | None = None) -> PLgg:
+def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource,
+                       store: VarConstraintStore) -> PLgg:
     """Mirror of the goal side: forward from init along learned out-edges."""
     return _generate(plog, task, task.init, SIDE_INIT, var_source, store)
 
@@ -222,11 +221,6 @@ def equivalent_atoms(a: Atom, b: Atom, store: VarConstraintStore) -> bool:
     return all(equivalent_params(x, y, store) for x, y in zip(a.args, b.args))
 
 
-def param_distance(a: Atom, b: Atom) -> int:
-    """Number of positions where exactly one of the two atoms has a variable."""
-    return sum(1 for x, y in zip(a.args, b.args) if is_variable(x) != is_variable(y))
-
-
 def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     best: dict[Atom, float] = {}
     for node, neighbours in plgg.nodes.items():
@@ -236,32 +230,24 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
-@dataclass
-class RankedNodes:
-    """One pass's lifted nodes, ranked by higher best incident probability,
-    then lexicographically.
-
-    `groups` lists each (predicate, arity) group in rank order.  `buckets`
-    files each node as (rank, node), in rank order, under (predicate,
-    arity, object positions, objects at those positions).
-    """
-
-    groups: dict[tuple[str, int], list[Atom]]
-    buckets: dict[tuple, list[tuple[int, Atom]]]
+# (predicate, arity, object positions, objects there) -> [(rank, node)], in rank order
+Buckets = dict[tuple, list[tuple[int, Atom]]]
 
 
-def rank_lifted_nodes(plgg: PLgg) -> RankedNodes:
-    """Rank and bucket the graph's lifted nodes once for a pass."""
+def rank_lifted_nodes(plgg: PLgg) -> Buckets:
+    """Rank the graph's lifted nodes once for a pass, by higher best
+    incident probability, then lexicographically, and file each node with
+    its rank under its predicate, arity, object positions and the objects
+    at those positions."""
     best = _best_incident_prob(plgg)
     lifted = [node for node in plgg.nodes if not node.is_ground]
     lifted.sort(key=lambda n: (-best.get(n, 0.0), n.pred, n.args))
-    ranked = RankedNodes(groups={}, buckets={})
+    buckets: Buckets = {}
     for rank, node in enumerate(lifted):
-        ranked.groups.setdefault((node.pred, node.arity), []).append(node)
         fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
         key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
-        ranked.buckets.setdefault(key, []).append((rank, node))
-    return ranked
+        buckets.setdefault(key, []).append((rank, node))
+    return buckets
 
 
 _Pattern = tuple[tuple[int, ...], tuple[int, ...]]
@@ -277,49 +263,37 @@ def _object_patterns(arity: int) -> tuple[tuple[_Pattern, ...], ...]:
                  for count in range(1, arity + 1))
 
 
-def _closest_to_ground(ranked: RankedNodes, lm: Atom, store: VarConstraintStore,
-                       top_n: int) -> list[Atom]:
-    """The `top_n` best ranked nodes equivalent to the ground `lm` at the
-    fewest variables, read from the buckets of `lm`'s own objects."""
+def search_best_equiv(buckets: Buckets, lm: Atom,
+                      store: VarConstraintStore, top_n: int = 1) -> dict[str, str]:
+    """Variable bindings harvested from the closest equivalents of the
+    ground landmark `lm`.
+
+    `buckets` is the pass's `rank_lifted_nodes` index.  A lifted node is
+    as far from `lm` as it has variable positions, so the buckets of
+    `lm`'s own objects are read from the fewest variables upward, skipping
+    nodes whose constraints forbid `lm`'s object at a variable position;
+    the first count with a match holds the closest equivalents.  The
+    `top_n` best ranked of them contribute bindings position by position,
+    and a variable bound once is never rebound.
+    """
+    if not lm.is_ground:
+        raise ValueError(f"equivalence search needs a ground landmark, not {lm}")
     args = lm.args
     forbidden = store.forbidden_objects
+    chosen: list[tuple[int, Atom]] = []
     for level in _object_patterns(len(args)):
-        found: list[tuple[int, Atom]] = []
         for fixed, open_ in level:
-            members = ranked.buckets.get(
-                (lm.pred, len(args), fixed, tuple(args[i] for i in fixed)), ())
-            found += islice((entry for entry in members
-                             if all(args[i] not in forbidden(entry[1].args[i]) for i in open_)),
-                            top_n)
-        if found:
-            found.sort()
-            return [node for _, node in found[:top_n]]
-    return []
-
-
-def search_best_equiv(ranked: RankedNodes, lm: Atom,
-                      store: VarConstraintStore, top_n: int = 1) -> dict[str, str]:
-    """Variable bindings harvested from the closest equivalents of `lm`.
-
-    `ranked` is the pass's `rank_lifted_nodes` view.  Among lifted nodes
-    equivalent to `lm` only those at minimum `param_distance` compete; the
-    `top_n` best ranked of them contribute bindings position by position,
-    and a variable bound once is never rebound.  A ground `lm` reads them
-    from the buckets of its own objects; any other scans its group.
-    """
-    if lm.is_ground:
-        chosen = _closest_to_ground(ranked, lm, store, top_n)
-    else:
-        found = [(param_distance(node, lm), node)
-                 for node in ranked.groups.get((lm.pred, lm.arity), ())
-                 if equivalent_atoms(node, lm, store)]
-        dmin = min((distance for distance, _ in found), default=None)
-        chosen = [node for distance, node in found if distance == dmin][:top_n]
+            members = buckets.get((lm.pred, len(args), fixed, tuple(args[i] for i in fixed)), ())
+            chosen += islice((entry for entry in members
+                              if all(args[i] not in forbidden(entry[1].args[i]) for i in open_)),
+                             top_n)
+        if chosen:
+            break
     bindings: dict[str, str] = {}
-    for node in chosen:
-        for cand_param, lm_param in zip(node.args, lm.args):
-            if is_variable(cand_param) and not is_variable(lm_param):
-                bindings.setdefault(cand_param, lm_param)
+    for _, node in sorted(chosen)[:top_n]:
+        for var, obj in zip(node.args, args):
+            if is_variable(var):
+                bindings.setdefault(var, obj)
     return bindings
 
 
@@ -353,12 +327,12 @@ def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
 
 def instantiation(plgg: PLgg, lms: Iterable[Atom], top_n: int = 1) -> PLgg:
     """One instantiation pass: rank the lifted nodes once, harvest bindings
-    from every known landmark against that ranking, first binding per
-    variable wins, then rewrite the graph once."""
-    ranked = rank_lifted_nodes(plgg)
+    from every ground landmark in `lms` against that ranking, first binding
+    per variable wins, then rewrite the graph once."""
+    buckets = rank_lifted_nodes(plgg)
     var_inst: dict[str, str] = {}
     for lm in sorted(lms):
-        for var, obj in search_best_equiv(ranked, lm, plgg.store, top_n).items():
+        for var, obj in search_best_equiv(buckets, lm, plgg.store, top_n).items():
             var_inst.setdefault(var, obj)
     return apply_instantiation(plgg, var_inst)
 
@@ -491,13 +465,14 @@ def plgg_to_json(plgg: PLgg) -> str:
 
 
 def plgg_from_json(text: str) -> PLgg:
-    """Read a p-LGG; each vertex's `grounded` flag is ignored, since the
-    atom's arguments already say whether it is ground."""
+    """Read a p-LGG; each edge appears once, and each vertex's `grounded`
+    flag is ignored, since the atom's arguments already say whether it is
+    ground."""
     data = artifact.read_artifact(
         text, domain=artifact.string,
         side=artifact.one_of(SIDE_GOAL, SIDE_INIT, SIDE_COMBINED),
         edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
-                                "mu": artifact.probability}))
+                                "mu": artifact.probability}, unique=("src", "dst")))
     nodes: dict[Atom, dict[Atom, float]] = {a: {} for a in data["vertices"]}
     for src, dst, mu in data["edges"]:
         node, neighbour = (src, dst) if data["side"] == SIDE_INIT else (dst, src)
@@ -511,7 +486,7 @@ def write_plgg(plgg: PLgg, path: str | Path) -> None:
 
 
 def read_plgg(path: str | Path) -> PLgg:
-    return plgg_from_json(read_text(path))
+    return artifact.read_file(path, plgg_from_json)
 
 
 def plgg_to_dot(plgg: PLgg) -> str:

@@ -27,8 +27,8 @@ from operator import or_
 from pathlib import Path
 
 from . import artifact
-from .artifact import LggFormatError  # noqa: F401  re-exported for callers
-from .pddl import Atom, GroundTask, PddlError, read_text
+from .artifact import LggFormatError
+from .pddl import Atom, GroundTask, PddlError
 
 logger = logging.getLogger(__name__)
 
@@ -231,10 +231,14 @@ def lgg_to_json(lgg: LGG) -> str:
 
 
 def lgg_from_json(text: str) -> LGG:
-    """Read a landmark graph; an edge is a [src, dst] pair of vertex indices."""
+    """Read a landmark graph; an edge is a [src, dst] pair of vertex indices.
+    Every landmark is a ground fact."""
     data = artifact.read_artifact(
         text, order_type=artifact.one_of(ORDER_TYPE), task=artifact.string,
         edges=artifact.records({0: artifact.vertex, 1: artifact.vertex}))
+    for i, vertex in enumerate(data["vertices"]):
+        if not vertex.is_ground:
+            raise LggFormatError(f"landmark {vertex} is not ground", f"/vertices/{i}")
     return LGG(task=data["task"], vertices=frozenset(data["vertices"]),
                edges=frozenset(data["edges"]))
 
@@ -244,4 +248,4 @@ def write_lgg(lgg: LGG, path: str | Path) -> None:
 
 
 def read_lgg(path: str | Path) -> LGG:
-    return lgg_from_json(read_text(path))
+    return artifact.read_file(path, lgg_from_json)

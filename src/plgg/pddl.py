@@ -9,8 +9,7 @@ Identifiers are case-insensitive and normalised to lower case.
 the fact table, each kept action's name, args and fact ids, per fact its
 consumers and achievers, and the levels of grounding's own exploration
 `explore`, the counter-based one of FF, which the landmark oracle reruns.
-The task's `GroundAction`s are a view built from the index on first read;
-`relaxed_exploration` runs `explore` over atoms and actions.
+The task's `GroundAction`s are a view built from the index on first read.
 """
 
 from __future__ import annotations
@@ -558,53 +557,19 @@ def parse_problem(text: str, domain: Domain) -> Problem:
 # --- printing ---------------------------------------------------------------
 
 
-def _typed_list_str(pairs: Iterable[tuple[str, str]]) -> str:
-    chunks = []
-    for name, typ in pairs:
-        chunks.append(f"{name} - {typ}")
-    return " ".join(chunks)
-
-
-def _atom_str(atom: Atom) -> str:
-    return "(" + " ".join((atom.pred,) + atom.args) + ")"
-
-
-def _conj_str(atoms: Iterable[Atom], negated: Iterable[Atom] = ()) -> str:
-    parts = [_atom_str(a) for a in sorted(atoms)]
-    parts += [f"(not {_atom_str(a)})" for a in sorted(negated)]
-    return "(and " + " ".join(parts) + ")"
-
-
-def domain_to_pddl(domain: Domain) -> str:
-    """Render a domain back to PDDL text that re-parses to an equal model."""
-    lines = [f"(define (domain {domain.name})",
-             "  (:requirements :strips :typing)"]
-    declared = [(t, p) for t, p in sorted(domain.types.items()) if p is not None]
-    if declared:
-        lines.append("  (:types " + _typed_list_str(declared) + ")")
-    if domain.constants:
-        lines.append("  (:constants " + _typed_list_str(sorted(domain.constants.items())) + ")")
-    preds = []
-    for p in sorted(domain.predicates.values(), key=lambda p: p.name):
-        args = _typed_list_str((f"?x{i}", t) for i, t in enumerate(p.param_types))
-        preds.append(f"({p.name}{' ' + args if args else ''})")
-    lines.append("  (:predicates " + " ".join(preds) + ")")
-    for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
-        lines.append(f"  (:action {schema.name}")
-        lines.append("    :parameters (" + _typed_list_str(schema.params) + ")")
-        lines.append("    :precondition " + _conj_str(schema.pre))
-        lines.append("    :effect " + _conj_str(schema.add, schema.delete) + ")")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+def _atoms_str(atoms: Iterable[Atom]) -> str:
+    return " ".join("(" + " ".join((a.pred,) + a.args) + ")" for a in sorted(atoms))
 
 
 def problem_to_pddl(problem: Problem) -> str:
+    """Render a problem back to PDDL text that re-parses to an equal model."""
     lines = [f"(define (problem {problem.name})",
              f"  (:domain {problem.domain_name})"]
     if problem.objects:
-        lines.append("  (:objects " + _typed_list_str(sorted(problem.objects.items())) + ")")
-    lines.append("  (:init " + " ".join(_atom_str(a) for a in sorted(problem.init)) + ")")
-    lines.append("  (:goal " + _conj_str(problem.goal) + ")")
+        objects = " ".join(f"{name} - {typ}" for name, typ in sorted(problem.objects.items()))
+        lines.append(f"  (:objects {objects})")
+    lines.append(f"  (:init {_atoms_str(problem.init)})")
+    lines.append(f"  (:goal (and {_atoms_str(problem.goal)}))")
     lines.append(")")
     return "\n".join(lines) + "\n"
 
@@ -666,25 +631,6 @@ def _by_fact(n_facts: int, tables: Iterable[Iterable[int]]) -> list[list[int]]:
         for f in facts:
             out[f].append(a)
     return out
-
-
-def reached(items: Iterable, levels: Iterable[int]) -> dict:
-    """`explore`'s levels keyed by the items they number, unreached ones left out."""
-    return {item: level for item, level in zip(items, levels) if level >= 0}
-
-
-def relaxed_exploration(init: Iterable[Atom], actions: Iterable[GroundAction]
-                        ) -> tuple[dict[Atom, int], dict[GroundAction, int]]:
-    """`explore` over atoms and actions: the first level at which each fact
-    holds / each action applies when deletes are ignored.  Facts and
-    actions missing from the result are unreachable."""
-    actions = list(actions)
-    ids: dict[Atom, int] = {}
-    init_ids = [ids.setdefault(f, len(ids)) for f in init]
-    pre = [[ids.setdefault(p, len(ids)) for p in a.pre] for a in actions]
-    add = [[ids.setdefault(f, len(ids)) for f in a.add] for a in actions]
-    fact_level, action_level = explore(init_ids, pre, add, _by_fact(len(ids), pre))
-    return reached(ids, fact_level), reached(actions, action_level)
 
 
 def ground_task(domain: Domain, problem: Problem) -> GroundTask:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import artifact
-from .pddl import Atom, read_text
+from .pddl import Atom
 from .lgg import LGG
 
 
@@ -149,7 +149,7 @@ def write_plog(plog: PLog, path: str | Path) -> None:
 
 
 def read_plog(path: str | Path) -> PLog:
-    return plog_from_json(read_text(path))
+    return artifact.read_file(path, plog_from_json)
 
 
 def plog_to_dot(plog: PLog) -> str:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from plgg.pddl import ground_task, parse_domain, parse_problem
+from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
 from plgg.plog import learn_plog
 
@@ -66,3 +66,33 @@ def plog(train_lggs, domain):
 @pytest.fixture(scope="session")
 def corpus_names():
     return CORPUS
+
+
+# --- reference helpers ------------------------------------------------------
+
+
+def param_distance(a, b):
+    """Number of positions where exactly one of the two atoms has a variable."""
+    return sum(1 for x, y in zip(a.args, b.args) if is_variable(x) != is_variable(y))
+
+
+def reached(items, levels):
+    """`explore`'s levels keyed by the items they number, unreached ones left out."""
+    return {item: level for item, level in zip(items, levels) if level >= 0}
+
+
+def relaxed_exploration(init, actions):
+    """`explore` over atoms and `GroundAction`s: the first level at which
+    each fact holds / each action applies when deletes are ignored.  Facts
+    and actions missing from the result are unreachable."""
+    actions = list(actions)
+    ids = {}
+    init_ids = [ids.setdefault(f, len(ids)) for f in init]
+    pre = [[ids.setdefault(p, len(ids)) for p in a.pre] for a in actions]
+    add = [[ids.setdefault(f, len(ids)) for f in a.add] for a in actions]
+    consumers = [[] for _ in ids]
+    for a, facts in enumerate(pre):
+        for f in facts:
+            consumers[f].append(a)
+    fact_level, action_level = explore(init_ids, pre, add, consumers)
+    return reached(ids, fact_level), reached(actions, action_level)

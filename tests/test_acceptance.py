@@ -14,10 +14,12 @@ from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
 from plgg.instantiate import (PLgg, VarConstraintStore, equivalent_atoms, extract_result,
-                              instantiate_task, param_distance, rank_lifted_nodes,
-                              search_best_equiv, update_distinct_consts)
+                              instantiate_task, rank_lifted_nodes, search_best_equiv,
+                              update_distinct_consts)
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
+
+from conftest import param_distance
 
 TRAIN = ("p01", "p02", "p03", "p04")
 

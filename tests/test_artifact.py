@@ -76,6 +76,12 @@ def _duplicate_first(key):
     return lambda payload: {**payload, key: payload[key][:1] + payload[key]}
 
 
+def _repeat_first_edge(mu):
+    """The first edge listed again after itself, with another `mu`."""
+    return lambda payload: {**payload, "edges": payload["edges"][:1]
+                            + [{**payload["edges"][0], "mu": mu}] + payload["edges"][1:]}
+
+
 # Malformed files, each with the pointer of its first violation.
 MALFORMED = [
     pytest.param("plog", _set(("edges", 0, "n"), -3), "/edges/0/n", id="plog-negative-n"),
@@ -88,11 +94,14 @@ MALFORMED = [
     pytest.param("plog", _duplicate_first("edges"), "/edges/1", id="plog-duplicate-edge"),
     pytest.param("plog", _duplicate_first("log_counts"), "/log_counts/1",
                  id="plog-duplicate-log-count"),
+    pytest.param("lgg", _set(("vertices", 0, "args"), ["?x"]), "/vertices/0",
+                 id="lgg-lifted-vertex"),
     pytest.param("plgg", _set(("edges", 0, "src"), -1), "/edges/0/src", id="plgg-negative-index"),
     pytest.param("plgg", _set(("edges", 0, "mu"), 7), "/edges/0/mu", id="plgg-mu-above-one"),
     pytest.param("plgg", _set(("vertices", 0, "args"), [1]), "/vertices/0/args",
                  id="plgg-integer-arg"),
     pytest.param("plgg", _set(("domain",), None), "/domain", id="plgg-domain-not-string"),
+    pytest.param("plgg", _repeat_first_edge(0.9), "/edges/1", id="plgg-duplicate-edge"),
 ]
 
 

@@ -228,13 +228,21 @@ def test_malformed_artifact_exits_2_with_message(command, learned, bench_dir, pa
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["extract", "learn", "instantiate"])
-@pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+# (what is wrong with the input file, the command that reads it); only
+# `learn` and `instantiate` read artifacts, which have a schema
+UNREADABLE = [(unreadable, command) for unreadable in ("directory", "non-utf8")
+              for command in ("extract", "learn", "instantiate")]
+UNREADABLE += [("schema", "learn"), ("schema", "instantiate")]
+
+
+@pytest.mark.parametrize("unreadable,command", UNREADABLE)
 def test_unreadable_input_exits_2_with_message(command, unreadable, learned, bench_dir,
                                                paths, tmp_path, capsys):
     bad = tmp_path / "bad"
     if unreadable == "directory":
         bad.mkdir()
+    elif unreadable == "schema":
+        bad.write_text(json.dumps({"vertices": [], "edges": [[0, 0]]}))
     else:
         bad.write_bytes(b"\xff\xfe(define \xc3")
     domain = str(bench_dir / "domain.pddl")

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plgg import lgg as lgg_module
-from plgg.pddl import (Atom, GroundAction, ground_task, parse_problem, reached,
-                       relaxed_exploration)
+from plgg.pddl import Atom, GroundAction, ground_task, parse_problem
 from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extract_lgg,
                       is_landmark_oracle, landmark_labels, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
 
-from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
+from conftest import (ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS,
+                      reached, relaxed_exploration)
 
 
 def atom(s):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
-from plgg.pddl import (Atom, ParseError, PddlError, Problem, domain_to_pddl, explore,
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, explore,
                        ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
 
 from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
@@ -260,8 +260,6 @@ def test_facts_cover_goal_and_deletes(make_task):
 
 
 def test_roundtrip_through_printer(domain, bench_dir):
-    redomain = parse_domain(domain_to_pddl(domain))
-    assert redomain == domain
     problem = parse_problem((bench_dir / "p05.pddl").read_text(), domain)
     reproblem = parse_problem(problem_to_pddl(problem), domain)
     assert reproblem == problem
