@@ -5,17 +5,16 @@ of atoms `{pred: str, args: [str]}`; its other records point into that
 table by index.  Writers build the table with `atom_table` and serialize
 with `dumps`.  `read_artifact` parses a file against a schema of checks
 and raises `LggFormatError`, with a JSON pointer, at the first violation;
-`read_file` adds the file's path to that error.
+`plgg.pddl.read_file` adds the file's path to that error.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .pddl import Atom, PddlError, read_text
+from .pddl import Atom, PddlError
 
 
 class LggFormatError(PddlError):
@@ -117,15 +116,5 @@ def read_artifact(text: str, **fields: Check) -> dict:
     for key in ("vertices", *fields):
         if not isinstance(payload, dict) or key not in payload:
             raise LggFormatError(f"expected an object with key {key!r}", "/")
-    atoms = [Atom(pred, args) for pred, args in _atoms(payload["vertices"], "/vertices", [])]
+    atoms = list(map(Atom._make, _atoms(payload["vertices"], "/vertices", [])))
     return dict(vertices=atoms, **{k: c(payload[k], f"/{k}", atoms) for k, c in fields.items()})
-
-
-def read_file(path: str | Path, parse: Callable[[str], Any]) -> Any:
-    """`parse` the text of the file at `path`; a schema error names the file,
-    as `read_text` does for a decode error."""
-    try:
-        return parse(read_text(path))
-    except LggFormatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from .experiment import (ExperimentConfig, check_distinct_stems, check_ranges,
@@ -23,7 +24,7 @@ from .experiment import (ExperimentConfig, check_distinct_stems, check_ranges,
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
                           write_plgg)
 from .lgg import extract_lgg, lgg_to_json, read_lgg
-from .pddl import PddlError, ground_task, parse_domain, parse_problem, read_text
+from .pddl import PddlError, ground_task, parse_domain, parse_problem, read_file
 from .plog import VocabularyError, learn_plog, plog_to_dot, read_plog, write_plog
 
 EXIT_OK = 0
@@ -41,25 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_domain(path: str):
-    return parse_domain(read_text(path))
-
-
-def _load_task(domain, path: str):
-    problem = parse_problem(read_text(path), domain)
-    return ground_task(domain, problem)
-
-
 def cmd_extract(args) -> int:
     try:
         check_distinct_stems(args.problems)
     except ValueError as exc:
         print(f"plgg extract: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    domain = _load_domain(args.domain)
+    domain = read_file(args.domain, parse_domain)
     outputs = []
     for path in args.problems:
-        task = _load_task(domain, path)
+        task = ground_task(domain, read_file(path, partial(parse_problem, domain=domain)))
         lgg = extract_lgg(task)
         outputs.append((Path(args.out) / f"{Path(path).stem}.lgg.json", lgg_to_json(lgg)))
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -113,9 +105,9 @@ def cmd_instantiate(args) -> int:
         print(f"plgg instantiate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     plog = read_plog(args.plog)
-    domain = _load_domain(args.domain)
+    domain = read_file(args.domain, parse_domain)
     _check_vocabulary(plog, domain)
-    task = _load_task(domain, args.problem)
+    task = ground_task(domain, read_file(args.problem, partial(parse_problem, domain=domain)))
     start = time.perf_counter()
     plgg = instantiate_task(plog, task, top_n=args.top_n)
     seconds = time.perf_counter() - start

@@ -23,12 +23,13 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
 from .metrics import align_columns, compare, mean_reports, render_table, report_to_dict
-from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_text
+from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_file
 from .plog import learn_plog
 
 
@@ -82,7 +83,7 @@ class _Corpus:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.domain = parse_domain(read_text(config.domain_path))
+        self.domain = read_file(config.domain_path, parse_domain)
         self.paths = sorted(config.problem_paths)
         self._tasks: dict[str, GroundTask] = {}
         self._native: dict[str, tuple[LGG, float]] = {}
@@ -91,7 +92,7 @@ class _Corpus:
 
     def task(self, path: str) -> GroundTask:
         if path not in self._tasks:
-            problem = parse_problem(read_text(path), self.domain)
+            problem = read_file(path, partial(parse_problem, domain=self.domain))
             self._tasks[path] = ground_task(self.domain, problem)
         return self._tasks[path]
 

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import artifact
-from .pddl import Atom, GroundTask, is_variable
+from .pddl import Atom, GroundTask, is_variable, read_file
 from .plog import PLog, LiftedEdge, lift_atom
 
 logger = logging.getLogger(__name__)
@@ -241,7 +241,7 @@ def rank_lifted_nodes(plgg: PLgg) -> Buckets:
     at those positions."""
     best = _best_incident_prob(plgg)
     lifted = [node for node in plgg.nodes if not node.is_ground]
-    lifted.sort(key=lambda n: (-best.get(n, 0.0), n.pred, n.args))
+    lifted.sort(key=lambda n: (-best.get(n, 0.0), n))
     buckets: Buckets = {}
     for rank, node in enumerate(lifted):
         fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
@@ -486,7 +486,7 @@ def write_plgg(plgg: PLgg, path: str | Path) -> None:
 
 
 def read_plgg(path: str | Path) -> PLgg:
-    return artifact.read_file(path, plgg_from_json)
+    return read_file(path, plgg_from_json)
 
 
 def plgg_to_dot(plgg: PLgg) -> str:

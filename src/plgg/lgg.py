@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError
-from .pddl import Atom, GroundTask, PddlError
+from .pddl import Atom, GroundTask, PddlError, read_file
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
     if atom in task.init or atom in task.goal:
         return LandmarkVerdict(atom, True, "in-init-or-goal")
     index = task.index
-    fact_level, _ = index.levels(banned=index.achievers[index.fact_id(atom)])
+    fact_level, _ = index.levels(banned=index.achievers[index.ids[atom]])
     if all(fact_level[g] >= 0 for g in index.goal):
         return LandmarkVerdict(atom, False, "achievable-without")
     return LandmarkVerdict(atom, True, "goal-unreachable-without")
@@ -142,7 +142,7 @@ def _landmark_bits(task: GroundTask) -> int:
 def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:
     """Every fact the oracle accepts, read from one `landmark_labels` pass."""
     bits, ids = _landmark_bits(task), task.index.ids
-    return frozenset(f for f in task.facts if bits >> ids[f.pred, f.args] & 1)
+    return frozenset(f for f in task.facts if bits >> ids[f] & 1)
 
 
 def extract_lgg(task: GroundTask) -> LGG:
@@ -157,7 +157,7 @@ def extract_lgg(task: GroundTask) -> LGG:
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
-    missing = sorted(g for g in task.goal if fact_level[index.fact_id(g)] < 0)
+    missing = sorted(g for g in task.goal if fact_level[index.ids[g]] < 0)
     if missing:
         raise UnsolvableTaskError(
             f"task {task.name} is unsolvable: goal atom {missing[0]} is "
@@ -176,7 +176,7 @@ def extract_lgg(task: GroundTask) -> LGG:
             else:
                 if landmark_bits is None:
                     landmark_bits = _landmark_bits(task)
-                verdict_cache[atom] = bool(landmark_bits >> index.fact_id(atom) & 1)
+                verdict_cache[atom] = bool(landmark_bits >> index.ids[atom] & 1)
         return verdict_cache[atom]
 
     queue = deque(sorted(task.goal))
@@ -185,7 +185,7 @@ def extract_lgg(task: GroundTask) -> LGG:
         lm = queue.popleft()
         if lm in task.init:
             continue
-        f = index.fact_id(lm)
+        f = index.ids[lm]
         first_achievers = [a for a in index.achievers[f] if action_level[a] < fact_level[f]]
         if not first_achievers:
             continue
@@ -248,4 +248,4 @@ def write_lgg(lgg: LGG, path: str | Path) -> None:
 
 
 def read_lgg(path: str | Path) -> LGG:
-    return artifact.read_file(path, lgg_from_json)
+    return read_file(path, lgg_from_json)

@@ -6,7 +6,8 @@ positive atoms, and effects are conjunctions of positive and negated atoms.
 Identifiers are case-insensitive and normalised to lower case.
 
 `ground_task` grounds column by column and leaves a `TaskIndex` on the task:
-the fact table, each kept action's name, args and fact ids, per fact its
+the fact table and the fact ids, keyed by the atom itself (an `Atom` is a
+named tuple), each kept action's name, args and fact ids, per fact its
 consumers and achievers, and the levels of grounding's own exploration
 `explore`, the counter-based one of FF, which the landmark oracle reruns.
 The task's `GroundAction`s are a view built from the index on first read.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 ROOT_TYPE = "object"
 SUPPORTED_REQUIREMENTS = frozenset({":strips", ":typing"})
@@ -47,17 +48,29 @@ def read_text(path: str | Path) -> str:
         raise PddlError(f"{path}: {exc}") from exc
 
 
+def read_file(path: str | Path, parse: Callable[[str], Any]) -> Any:
+    """`parse` the text of the file at `path`.  A `PddlError` from `parse`,
+    such as a parse or schema error, names the file, as `read_text`'s
+    decode error does."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except PddlError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def is_variable(symbol: str) -> bool:
     """Parameters beginning with ``?`` denote variables, anything else objects."""
     return symbol.startswith("?")
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     """A predicate applied to a tuple of parameter symbols.
 
     The same class covers lifted and ground atoms; an atom is ground when
-    none of its arguments is a ``?``-variable.
+    none of its arguments is a ``?``-variable.  It equals, hashes and sorts
+    as the tuple ``(pred, args)``, so an atom is its own key.
     """
 
     pred: str
@@ -160,8 +173,8 @@ class TaskIndex:
     restricted to the kept actions: unreached candidates never fire.
     """
 
-    atoms: tuple[Atom, ...]                        # fact id -> atom
-    ids: dict[tuple[str, tuple[str, ...]], int]    # (pred, args) -> fact id
+    atoms: tuple[Atom, ...]          # fact id -> atom
+    ids: dict[Atom, int]             # atom -> fact id; an atom is its own key
     init: tuple[int, ...]
     goal: tuple[int, ...]
     pre: list[tuple[int, ...]]       # action id -> its distinct precondition ids
@@ -173,9 +186,6 @@ class TaskIndex:
     delete: list[tuple[int, ...]]    # action id -> its delete ids
     fact_level: list[int]            # fact id -> relaxed level, -1 if unreached
     action_level: list[int]          # action id -> relaxed level
-
-    def fact_id(self, atom: Atom) -> int:
-        return self.ids[atom.pred, atom.args]
 
     def levels(self, banned: Iterable[int] = ()) -> tuple[list[int], list[int]]:
         """`explore` from the task's init, never applying the `banned` actions."""
@@ -461,33 +471,35 @@ def _atom_from_form(form: _SList) -> Atom:
 
 
 def _parse_conjunction(form, allow_not: bool, check):
-    """Flatten an atom / (not atom) / (and ...) form.
+    """Flatten an atom / (not atom) / (and ...) form, nested to any depth.
 
     Returns plain atoms when `allow_not` is false, (atom, positive) pairs
-    otherwise.
+    otherwise, in left-to-right order; an explicit stack stands in for
+    recursion, so the first error is the leftmost one.
     """
-    if form is None:
-        return []
-    if not isinstance(form, _SList) or not form:
-        line, col = (form.line, form.col) if isinstance(form, _SList) else (None, None)
-        raise ParseError("expected an atom, (not ...), or (and ...)", line, col)
-    head = _form_name(form)
     out = []
-    if head == "and":
-        for sub in form[1:]:
-            out.extend(_parse_conjunction(sub, allow_not, check))
-        return out
-    if head == "not":
-        if not allow_not:
-            raise ParseError("negations are not allowed here", form.line, form.col)
-        if len(form) != 2 or not isinstance(form[1], _SList):
-            raise ParseError("(not ...) must wrap a single atom", form.line, form.col)
-        atom = _atom_from_form(form[1])
-        check(atom, form.line, form.col)
-        return [(atom, False)]
-    atom = _atom_from_form(form)
-    check(atom, form.line, form.col)
-    return [(atom, True)] if allow_not else [atom]
+    stack = [] if form is None else [form]
+    while stack:
+        form = stack.pop()
+        if not isinstance(form, _SList) or not form:
+            line, col = (form.line, form.col) if isinstance(form, _SList) else (None, None)
+            raise ParseError("expected an atom, (not ...), or (and ...)", line, col)
+        head = _form_name(form)
+        if head == "and":
+            stack.extend(reversed(form[1:]))
+        elif head == "not":
+            if not allow_not:
+                raise ParseError("negations are not allowed here", form.line, form.col)
+            if len(form) != 2 or not isinstance(form[1], _SList):
+                raise ParseError("(not ...) must wrap a single atom", form.line, form.col)
+            atom = _atom_from_form(form[1])
+            check(atom, form.line, form.col)
+            out.append((atom, False))
+        else:
+            atom = _atom_from_form(form)
+            check(atom, form.line, form.col)
+            out.append((atom, True) if allow_not else atom)
+    return out
 
 
 # --- problem parsing --------------------------------------------------------
@@ -643,15 +655,14 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
 
     Grounding runs column by column: each schema atom projects every
     substitution onto its parameter slots, interns each distinct projection
-    once by its (pred, args) key and maps the projections back to a column
-    of fact ids.  Init and goal atoms keep the problem's objects.  The
-    candidates are explored by id, and the task's `index` holds the kept
-    actions' tables and their levels only.
+    once by its (pred, args) key, equal to its atom, and maps the
+    projections back to a column of fact ids.  The task's atoms are the
+    fact table's.  The candidates are explored by id, and the task's
+    `index` holds the kept actions' tables and their levels only.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
-    given = {(a.pred, a.args): a for a in itertools.chain(problem.init, problem.goal)}
-    ids = {key: i for i, key in enumerate(given)}
+    ids = {a: i for i, a in enumerate(dict.fromkeys(itertools.chain(problem.init, problem.goal)))}
 
     def column(atom: Atom, slot: dict[str, int], combos: list) -> list[int]:
         projections = (list(zip(*(map(itemgetter(slot[v]), combos) for v in atom.args)))
@@ -681,14 +692,14 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                 part_rows = map(tuple, map(dict.fromkeys, part_rows))
             table.extend(itertools.compress(part_rows, ok))
 
-    init = tuple(ids[a.pred, a.args] for a in problem.init)
-    goal = tuple(ids[a.pred, a.args] for a in problem.goal)
+    init = tuple(map(ids.__getitem__, problem.init))
+    goal = tuple(map(ids.__getitem__, problem.goal))
     fact_level, action_level = explore(init, pres, adds, _by_fact(len(ids), pres))
     kept = [level >= 0 for level in action_level]
     pre, add, delete, names, combos, action_level = (
         list(itertools.compress(table, kept))
         for table in (pres, adds, deletes, names, combos, action_level))
-    atoms = tuple(given.get(key) or Atom(*key) for key in ids)
+    atoms = tuple(map(Atom._make, ids))
     fact_ids = {f for f, level in enumerate(fact_level) if level >= 0}
     fact_ids.update(goal)
     for row in delete:
@@ -699,8 +710,8 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                       fact_level=fact_level, action_level=action_level)
     return GroundTask(name=problem.name,
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),
-                      init=problem.init,
-                      goal=problem.goal,
+                      init=frozenset(map(atoms.__getitem__, init)),
+                      goal=frozenset(map(atoms.__getitem__, goal)),
                       objects=objects,
                       domain=domain,
                       index=index)

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import artifact
-from .pddl import Atom
+from .pddl import Atom, read_file
 from .lgg import LGG
 
 
@@ -23,8 +23,7 @@ class VocabularyError(Exception):
     """Lifted inputs disagree on predicates or carry inconsistent counts."""
 
 
-@dataclass(frozen=True, order=True)
-class LiftedEdge:
+class LiftedEdge(NamedTuple):
     """A lifted ordering src -> dst; variable names are shared across both
     atoms, numbered by first occurrence scanning dst's params then src's."""
 
@@ -149,7 +148,7 @@ def write_plog(plog: PLog, path: str | Path) -> None:
 
 
 def read_plog(path: str | Path) -> PLog:
-    return artifact.read_file(path, plog_from_json)
+    return read_file(path, plog_from_json)
 
 
 def plog_to_dot(plog: PLog) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 from plgg.cli import EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
 from plgg.experiment import ExperimentConfig
+from plgg.pddl import parse_problem
 
 
 @pytest.fixture()
@@ -229,10 +230,12 @@ def test_malformed_artifact_exits_2_with_message(command, learned, bench_dir, pa
 
 
 # (what is wrong with the input file, the command that reads it); only
-# `learn` and `instantiate` read artifacts, which have a schema
+# `learn` and `instantiate` read artifacts, which have a schema, and a
+# malformed problem is read by `extract` and `evaluate`
 UNREADABLE = [(unreadable, command) for unreadable in ("directory", "non-utf8")
               for command in ("extract", "learn", "instantiate")]
 UNREADABLE += [("schema", "learn"), ("schema", "instantiate")]
+UNREADABLE += [("pddl", "extract"), ("pddl", "evaluate")]
 
 
 @pytest.mark.parametrize("unreadable,command", UNREADABLE)
@@ -243,18 +246,39 @@ def test_unreadable_input_exits_2_with_message(command, unreadable, learned, ben
         bad.mkdir()
     elif unreadable == "schema":
         bad.write_text(json.dumps({"vertices": [], "edges": [[0, 0]]}))
+    elif unreadable == "pddl":
+        bad.write_text((bench_dir / "p02.pddl").read_text().replace("(:init", "(:init (foo)"))
     else:
         bad.write_bytes(b"\xff\xfe(define \xc3")
     domain = str(bench_dir / "domain.pddl")
-    argv = {"extract": ["extract", str(bad), paths("p01"), "--out", str(tmp_path / "out")],
+    # the domain is the bad file, except that a malformed problem follows a good domain
+    inputs = [domain, paths("p01"), str(bad)] if unreadable == "pddl" else [str(bad), paths("p01")]
+    argv = {"extract": ["extract", *inputs, "--out", str(tmp_path / "out")],
+            "evaluate": ["evaluate", *inputs, *map(paths, ("p03", "p04", "p05")),
+                         "--train", "4", "--test", "1", "--reps", "1"],
             "learn": ["learn", str(bad), "--out", str(tmp_path / "out.json")],
             "instantiate": ["instantiate", str(bad), domain, paths("p06")]}[command]
     capsys.readouterr()
     assert main(argv) == EXIT_TASK
     err = capsys.readouterr().err
     assert err.startswith(f"plgg {command}: error: ") and err.count("\n") == 1
-    assert str(bad) in err
+    assert err.count(str(bad)) == 1
+    if unreadable == "pddl":
+        assert err.endswith(f": error: {bad}: unknown predicate foo in :init (line 4, column 10)\n")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_goal_reads_as_the_flat_goal(bench_dir, domain, tmp_path):
+    text = (bench_dir / "p01.pddl").read_text()
+    nested = "(on b c)"
+    for _ in range(5000):
+        nested = f"(and {nested})"
+    deep = tmp_path / "deep.pddl"
+    deep.write_text(text.replace("(and (on a b))", f"(and (on a b) {nested})"))
+    flat = parse_problem(text.replace("(and (on a b))", "(and (on a b) (on b c))"), domain)
+    assert parse_problem(deep.read_text(), domain) == flat
+    assert main(["extract", str(bench_dir / "domain.pddl"), str(deep),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_evaluate_small_protocol(bench_dir, paths, capsys):

@@ -10,6 +10,7 @@ from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
 from plgg.pddl import (Atom, ParseError, PddlError, Problem, explore,
                        ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
+from plgg.plog import LiftedEdge
 
 from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
@@ -29,6 +30,23 @@ def test_atom_helpers():
     assert not a.is_ground
     assert a.substitute({"?x0": "b"}) == Atom("on", ("a", "b"))
     assert Atom("handempty", ()).is_ground
+
+
+def test_atom_and_lifted_edge_are_their_own_keys():
+    """An atom equals, hashes and sorts as its (pred, args) tuple and a
+    lifted edge as its (src, dst) pair, so each is its own key."""
+    atoms = [Atom("on", ("b", "a")), Atom("clear", ("a",)), Atom("handempty"),
+             Atom("on", ("a", "?x0")), Atom("on", ("a", "b"))]
+    keys = [(a.pred, a.args) for a in atoms]
+    assert atoms == keys and list(map(hash, atoms)) == list(map(hash, keys))
+    assert [{key: i for i, key in enumerate(keys)}[a] for a in atoms] == list(range(len(atoms)))
+    assert sorted(atoms) == sorted(keys)
+    assert repr(atoms[0]) == "Atom(pred='on', args=('b', 'a'))" and str(atoms[2]) == "handempty()"
+    edges = [LiftedEdge(atoms[i], atoms[j]) for i, j in ((0, 1), (1, 0), (4, 3), (3, 3))]
+    pairs = [(e.src, e.dst) for e in edges]
+    assert edges == pairs and list(map(hash, edges)) == list(map(hash, pairs))
+    assert sorted(edges) == sorted(pairs)
+    assert repr(edges[0]).startswith("LiftedEdge(src=Atom(pred='on', ")
 
 
 # --- independent grounding oracle ---------------------------------------------
@@ -100,13 +118,13 @@ def assert_index_matches_scan(task):
     index = task.index
     assert list(task.actions) == sorted(task.actions)
     for f, atom in enumerate(index.atoms):
-        assert index.fact_id(atom) == f
+        assert index.ids[atom] == f
     table = {atom: atom for atom in index.atoms}
-    for atom in task.facts | task.init | task.goal:
+    for atom in itertools.chain(task.facts, task.init, task.goal):
         assert table[atom] is atom
     for a, action in enumerate(task.actions):
-        assert sorted(index.pre[a]) == sorted({index.fact_id(p) for p in action.pre})
-        assert sorted(index.add[a]) == sorted({index.fact_id(f) for f in action.add})
+        assert sorted(index.pre[a]) == sorted({index.ids[p] for p in action.pre})
+        assert sorted(index.add[a]) == sorted({index.ids[f] for f in action.add})
         for atom in action.pre | action.add | action.delete:
             assert table[atom] is atom
     for f, atom in enumerate(index.atoms):
@@ -117,7 +135,7 @@ def assert_index_matches_scan(task):
     assert {index.atoms[f] for f in index.init} == task.init
     assert {index.atoms[f] for f in index.goal} == task.goal
     for a, action in enumerate(task.actions):
-        assert sorted(index.delete[a]) == sorted({index.fact_id(d) for d in action.delete})
+        assert sorted(index.delete[a]) == sorted({index.ids[d] for d in action.delete})
         schema = task.domain.schemas[action.name]
         binding = {v: obj for (v, _), obj in zip(schema.params, action.args)}
         for part in ("pre", "add", "delete"):
@@ -302,6 +320,9 @@ EXACT_MESSAGES = [
      "unknown predicate foo in :goal (line 1, column 79)"),
     ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init (on a)) (:goal (and)))",
      "arity mismatch for on in :init: expected 2, got 1 (line 1, column 71)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) "
+     "(:goal (and (and (clear a) (foo a)) (bar a))))",
+     "unknown predicate foo in :goal (line 1, column 99)"),
 ]
 
 
