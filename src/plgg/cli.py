@@ -5,12 +5,14 @@ landmark graph files, `learn` merges those into a probabilistic lifted
 ordering graph, `instantiate` applies a learned graph to a new task, and
 `evaluate` runs the full split/score protocol.  Exit codes: 0 on success,
 1 for usage or configuration errors, 2 for task-level failures (unreadable
-input, bad PDDL, unsolvable task, vocabulary mismatch).
+input, bad PDDL, unsolvable task, vocabulary mismatch).  Log records at or
+above `--log-level` go to standard error as `plgg: warning: ...` lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 import time
@@ -31,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TASK = 2
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; this front end reserves 2 for
@@ -40,6 +44,29 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record as one `plgg: level: message` line to whatever
+    `sys.stderr` is when the record arrives."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            print(f"plgg: {record.levelname.lower()}: {record.getMessage()}", file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+_HANDLER = _StderrHandler()
+
+
+def _configure_logging(level: str) -> None:
+    """Let the `plgg` loggers' records at `level` and above through, to one
+    stderr handler however many times this runs in a process."""
+    logger = logging.getLogger("plgg")
+    logger.setLevel(level.upper())
+    if _HANDLER not in logger.handlers:
+        logger.addHandler(_HANDLER)
 
 
 def cmd_extract(args) -> int:
@@ -157,21 +184,26 @@ def cmd_evaluate(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="plgg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least severe log record to print (default: warning)")
 
-    p = sub.add_parser("extract", parents=[], help="extract landmark graphs from tasks")
+    p = sub.add_parser("extract", parents=[common], help="extract landmark graphs from tasks")
     p.add_argument("domain")
     p.add_argument("problems", nargs="+")
     p.add_argument("--out", required=True, help="output directory for .lgg.json files")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("learn", help="learn a lifted ordering graph from landmark graphs")
+    p = sub.add_parser("learn", parents=[common],
+                       help="learn a lifted ordering graph from landmark graphs")
     p.add_argument("lggs", nargs="+", help="landmark graph JSON files")
     p.add_argument("--out", required=True, help="output p-LOG JSON file")
     p.add_argument("--domain", default=None, help="domain name stamped into the output")
     p.add_argument("--dot", action="store_true", help="also write a Graphviz file")
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("instantiate", help="instantiate a learned graph for one task")
+    p = sub.add_parser("instantiate", parents=[common],
+                       help="instantiate a learned graph for one task")
     p.add_argument("plog")
     p.add_argument("domain")
     p.add_argument("problem")
@@ -181,7 +213,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dot", action="store_true", help="also write a Graphviz file")
     p.set_defaults(func=cmd_instantiate)
 
-    p = sub.add_parser("evaluate", help="run the train/test scoring protocol")
+    p = sub.add_parser("evaluate", parents=[common], help="run the train/test scoring protocol")
     p.add_argument("domain")
     p.add_argument("problems", nargs="+")
     p.add_argument("--train", type=int, default=4)
@@ -203,6 +235,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except (PddlError, VocabularyError, OSError) as exc:

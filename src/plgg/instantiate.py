@@ -16,16 +16,23 @@ Each side expands an atom at most once up to variable renaming: a renamed
 copy of an expanded atom still gets its node and its edge, but is not
 expanded again, so cycles in the learned graph end.
 
-The graph a pass works on does not change until the pass rewrites it, so
-each pass ranks its lifted nodes once, by best incident probability, and
-files them in buckets keyed by predicate, arity, object positions and the
-objects at those positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.
-A ground landmark looks its equivalents up in the buckets of its own
-objects, from the fewest variables upward, since a node's distance to a
-ground landmark is its variable count; the first count with a match holds
-the closest equivalents, and the `top_n` best ranked of them supply its
-bindings.  Every landmark searched is ground: `combine` harvests only
-the task's facts.
+Each learned edge is compiled once per side into the neighbour it gives
+an expanded atom, so an expansion renames and substitutes nothing.
+
+Passes only add nodes and raise edge probabilities, so `combine` keeps
+each side's state across its passes instead of deriving it again: one copy
+of the side that every rewrite changes in place, each node's best incident
+probability, the lifted nodes in rank order with their bucket keys, and
+the nodes that no harvest has read yet.  Each pass re-sorts the nearly
+sorted kept order with the nodes the last rewrite added, and files the
+lifted nodes in buckets keyed by predicate, arity, object positions and
+the objects at those positions: `on(?x3, b)` sits in
+`("on", 2, (1,), ("b",))`.  A ground landmark looks its equivalents up in
+the buckets of its own objects, from the fewest variables upward, since a
+node's distance to a ground landmark is its variable count; the first
+count with a match holds the closest equivalents, and the `top_n` best
+ranked of them supply its bindings.  Every landmark searched is ground:
+`combine` harvests only the task's facts.
 """
 
 from __future__ import annotations
@@ -78,15 +85,6 @@ class VarSource:
         return name
 
 
-def fresh_variables(edge: LiftedEdge, source: VarSource) -> LiftedEdge:
-    """Rename the edge's variables to fresh ones, keeping co-references."""
-    mapping: dict[str, str] = {}
-    for p in edge.dst.args + edge.src.args:
-        if is_variable(p) and p not in mapping:
-            mapping[p] = source.fresh()
-    return LiftedEdge(src=edge.src.substitute(mapping), dst=edge.dst.substitute(mapping))
-
-
 def update_distinct_consts(store: VarConstraintStore, pred: Atom, lm: Atom) -> None:
     """Record that `pred`'s open variables differ from everything in `lm`.
 
@@ -117,13 +115,47 @@ class PLgg:
     domain: str = ""
 
 
-def _edges_from(plog: PLog, backward: bool) -> dict[Atom, list[tuple[LiftedEdge, float]]]:
-    """Learned edges keyed by the lifted atom an expansion starts from: the
-    destination when growing backward, the source when growing forward."""
-    index: dict[Atom, list[tuple[LiftedEdge, float]]] = {}
+# The neighbour's predicate, the number of fresh names an expansion draws,
+# the neighbour's own constants, and where each neighbour argument comes from
+_Template = tuple[str, int, tuple[str, ...], tuple[int, ...]]
+
+
+def _compile(edge: LiftedEdge, backward: bool) -> _Template:
+    """Compile `edge` for expansions from its destination (backward) or its
+    source, the start atom.  An expansion draws one fresh name per variable
+    of the edge, in order of first appearance in the destination's
+    arguments then the source's, as renaming the edge would.  A neighbour
+    argument that the start atom also holds takes the expanded atom's
+    argument at the start's last such position, any other variable its
+    fresh name, and any other constant itself."""
+    start, neighbour = (edge.dst, edge.src) if backward else (edge.src, edge.dst)
+    names = list(dict.fromkeys(p for p in edge.dst.args + edge.src.args if is_variable(p)))
+    at = {p: i for i, p in enumerate(start.args)}
+    consts = tuple(dict.fromkeys(p for p in neighbour.args if p not in at and not is_variable(p)))
+    offset = len(start.args) + len(names)
+    where = tuple(at[p] if p in at
+                  else len(start.args) + names.index(p) if is_variable(p)
+                  else offset + consts.index(p)
+                  for p in neighbour.args)
+    return neighbour.pred, len(names), consts, where
+
+
+def _expand(template: _Template, lm: Atom, source: VarSource) -> Atom:
+    """The neighbour that a compiled edge gives the expanded atom `lm`."""
+    pred, fresh, consts, where = template
+    values = lm.args + tuple(source.fresh() for _ in range(fresh)) + consts
+    return Atom(pred, tuple(map(values.__getitem__, where)))
+
+
+def _edges_from(plog: PLog, backward: bool) -> dict[Atom, list[tuple[_Template, float]]]:
+    """Learned edges, compiled, with their probabilities, keyed by the
+    lifted atom an expansion starts from: the destination when growing
+    backward, the source when growing forward."""
+    index: dict[Atom, list[tuple[_Template, float]]] = {}
     for edge in sorted(plog.probs):
         start = edge.dst if backward else edge.src
-        index.setdefault(lift_atom(start), []).append((edge, plog.probs[edge]))
+        index.setdefault(lift_atom(start), []).append((_compile(edge, backward),
+                                                       plog.probs[edge]))
     return index
 
 
@@ -156,11 +188,8 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
         entries = index.get(lift_atom(lm), ())
         if not entries and lm in seed_set:
             logger.warning("no learned orderings touch %s; keeping it isolated", lm)
-        for edge, mu in entries:
-            renamed = fresh_variables(edge, source)
-            anchor = renamed.dst if backward else renamed.src
-            binding = dict(zip(anchor.args, lm.args))
-            neighbour = (renamed.src if backward else renamed.dst).substitute(binding)
+        for template, mu in entries:
+            neighbour = _expand(template, lm, source)
             update_distinct_consts(store, neighbour, lm)
             nodes.setdefault(neighbour, {})
             current = nodes[lm].get(neighbour)
@@ -230,23 +259,51 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
+class SideState:
+    """One side's working graph for the length of one `combine` call:
+    `plgg`, a copy of the side that the rewrites change in place; `best`,
+    each node's best incident probability; `lifted`, the lifted nodes in
+    the order they joined; `order`, the ranked ones among them in rank
+    order, with their bucket `keys`; and `unharvested`, the nodes that no
+    harvest has read yet."""
+
+    def __init__(self, plgg: PLgg):
+        self.plgg = PLgg(nodes={node: dict(neighbours) for node, neighbours in plgg.nodes.items()},
+                         side=plgg.side, store=plgg.store, domain=plgg.domain)
+        self.best = _best_incident_prob(self.plgg)
+        self.lifted = [node for node in self.plgg.nodes if not node.is_ground]
+        self.order: list[Atom] = []
+        self.keys: dict[Atom, tuple] = {}
+        self.unharvested = list(self.plgg.nodes)
+
+    def harvest(self, facts: frozenset[Atom]) -> set[Atom]:
+        """The task facts among the nodes added since the last harvest."""
+        found = {node for node in self.unharvested if node in facts}
+        self.unharvested = []
+        return found
+
+
 # (predicate, arity, object positions, objects there) -> [(rank, node)], in rank order
 Buckets = dict[tuple, list[tuple[int, Atom]]]
 
 
-def rank_lifted_nodes(plgg: PLgg) -> Buckets:
-    """Rank the graph's lifted nodes once for a pass, by higher best
-    incident probability, then lexicographically, and file each node with
-    its rank under its predicate, arity, object positions and the objects
-    at those positions."""
-    best = _best_incident_prob(plgg)
-    lifted = [node for node in plgg.nodes if not node.is_ground]
-    lifted.sort(key=lambda n: (-best.get(n, 0.0), n))
-    buckets: Buckets = {}
-    for rank, node in enumerate(lifted):
+def rank_lifted_nodes(state: SideState) -> Buckets:
+    """Rank the side's lifted nodes for a pass, by higher best incident
+    probability, then lexicographically, and file each node with its rank
+    under its predicate, arity, object positions and the objects at those
+    positions.  The kept order is re-sorted, which is cheap since only the
+    nodes whose best probability rose move, and the nodes the last rewrite
+    added join it with their keys."""
+    order, keys = state.order, state.keys
+    for node in state.lifted[len(order):]:
         fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-        key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
-        buckets.setdefault(key, []).append((rank, node))
+        keys[node] = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
+        order.append(node)
+    best = state.best
+    order.sort(key=lambda n: (-best.get(n, 0.0), n))
+    buckets: Buckets = {}
+    for rank, node in enumerate(order):
+        buckets.setdefault(keys[node], []).append((rank, node))
     return buckets
 
 
@@ -297,77 +354,95 @@ def search_best_equiv(buckets: Buckets, lm: Atom,
     return bindings
 
 
-def apply_instantiation(plgg: PLgg, bindings: Mapping[str, str]) -> PLgg:
-    """Rewrite every lifted node under `bindings`.
+def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
+    """Rewrite every lifted node of the side under `bindings`, which map
+    variables to objects, in place.
 
     A node changed by the rewrite acquires (or extends) a copy of its
     neighbour set, itself rewritten under the same bindings; the lifted
-    original stays.  Bindings that hit a forbidden object are dropped.
+    original stays.  Bindings that hit a forbidden object are dropped.  A
+    rewritten node has no bound variable left, so no node that this
+    rewrite changes is rewritten again; the best incident probabilities of
+    both ends of every edge it adds or raises are raised with it.
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
-        if obj in plgg.store.forbidden_objects(var):
+        if obj in state.plgg.store.forbidden_objects(var):
             logger.warning("binding %s -> %s violates a distinct-value constraint; skipped",
                            var, obj)
             continue
         safe[var] = obj
-    nodes = {node: dict(neighbours) for node, neighbours in plgg.nodes.items()}
-    for lifted, neighbours in plgg.nodes.items():
-        if lifted.is_ground:
+    nodes, best = state.plgg.nodes, state.best
+    added: list[Atom] = []
+    for lifted in state.lifted:
+        if safe.keys().isdisjoint(lifted.args):
             continue
         inst = lifted.substitute(safe)
         if inst == lifted:
             continue
-        bucket = nodes.setdefault(inst, {})
-        for neighbour, mu in neighbours.items():
+        bucket = nodes.get(inst)
+        if bucket is None:
+            bucket = nodes[inst] = {}
+            added.append(inst)
+        for neighbour, mu in nodes[lifted].items():
             rewritten = neighbour.substitute(safe)
-            bucket[rewritten] = max(mu, bucket.get(rewritten, 0.0))
-    return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
+            mu = max(mu, bucket.get(rewritten, 0.0))
+            bucket[rewritten] = mu
+            best[inst] = max(best.get(inst, 0.0), mu)
+            best[rewritten] = max(best.get(rewritten, 0.0), mu)
+    state.unharvested += added
+    state.lifted += [node for node in added if not node.is_ground]
 
 
-def instantiation(plgg: PLgg, lms: Iterable[Atom], top_n: int = 1) -> PLgg:
+def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None:
     """One instantiation pass: rank the lifted nodes once, harvest bindings
     from every ground landmark in `lms` against that ranking, first binding
-    per variable wins, then rewrite the graph once."""
-    buckets = rank_lifted_nodes(plgg)
+    per variable wins, then rewrite the side once."""
+    buckets = rank_lifted_nodes(state)
     var_inst: dict[str, str] = {}
     for lm in sorted(lms):
-        for var, obj in search_best_equiv(buckets, lm, plgg.store, top_n).items():
+        for var, obj in search_best_equiv(buckets, lm, state.plgg.store, top_n).items():
             var_inst.setdefault(var, obj)
-    return apply_instantiation(plgg, var_inst)
+    apply_instantiation(state, var_inst)
 
 
 def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, *,
             iteration_log: list | None = None) -> PLgg:
     """Alternate instantiation between the two sides until a fixpoint.
 
-    Both sides must share one constraint store.  Each round instantiates
+    Both sides must share one constraint store; neither is changed, since
+    the passes rewrite a `SideState` copy of each.  Each round instantiates
     the init side from the goal side's ground landmarks, then the goal side
-    from the init side's; a side's ground landmarks are its fully ground
-    nodes that are facts of the task (anything else is an ungroundable
-    artifact and is not harvested).  The loop stops when a full round adds
-    no new ground landmark.  The returned graph is the predecessor-oriented
-    union of both sides.
+    from the init side's; a side's ground landmarks are its nodes that are
+    facts of the task (anything else is an ungroundable artifact and is not
+    harvested), read as they are added.  The loop stops when a full round
+    adds no new ground landmark.  The returned graph is the
+    predecessor-oriented union of both sides.
     """
     if goal_side.store is not init_side.store:
         raise ValueError("the goal and init sides must share one constraint store")
+    goal, init = SideState(goal_side), SideState(init_side)
     lms_init = set(task.init)
     lms_goal = set(task.goal)
     known = lms_init | lms_goal
     if iteration_log is not None:
         iteration_log.append(frozenset(known))
     while True:
-        init_side = instantiation(init_side, lms_goal, top_n)
-        lms_init |= {n for n in init_side.nodes if n.is_ground and n in task.facts}
-        goal_side = instantiation(goal_side, lms_init, top_n)
-        lms_goal |= {n for n in goal_side.nodes if n.is_ground and n in task.facts}
+        instantiation(init, lms_goal, top_n)
+        lms_init |= init.harvest(task.facts)
+        instantiation(goal, lms_init, top_n)
+        lms_goal |= goal.harvest(task.facts)
         grown = known | lms_init | lms_goal
         if iteration_log is not None:
             iteration_log.append(frozenset(grown))
         if grown == known:
             break
         known = grown
+    return _union(goal.plgg, init.plgg)
 
+
+def _union(goal_side: PLgg, init_side: PLgg) -> PLgg:
+    """The predecessor-oriented union of a goal and an init side."""
     nodes: dict[Atom, dict[Atom, float]] = {}
 
     def ensure(atom: Atom) -> dict[Atom, float]:

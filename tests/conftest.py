@@ -1,10 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+import plgg.instantiate as instantiate
+from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob, _union,
+                              generate_plgg_goal, generate_plgg_init)
 from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
-from plgg.plog import learn_plog
+from plgg.plog import LiftedEdge, learn_plog
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "blocksworld"
 TRAIN = ("p01", "p02", "p03", "p04")
@@ -96,3 +100,115 @@ def relaxed_exploration(init, actions):
             consumers[f].append(a)
     fact_level, action_level = explore(init_ids, pre, add, consumers)
     return reached(ids, fact_level), reached(actions, action_level)
+
+
+@st.composite
+def blocksworld_problems(draw):
+    """PDDL text of a blocksworld task over 3-9 blocks: random initial
+    towers, and either every `on` atom of random goal towers or one atom."""
+    blocks = [f"b{i}" for i in range(draw(st.integers(3, 9)))]
+
+    def towers():
+        order = draw(st.permutations(blocks))
+        # at most len - 2 cuts leave one tower of two blocks or more
+        cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1), max_size=len(order) - 2)))
+        return [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(order)])]
+
+    init = ["(handempty)"]
+    for tower in towers():
+        init += [f"(ontable {tower[0]})", f"(clear {tower[-1]})"]
+        init += [f"(on {upper} {lower})" for lower, upper in zip(tower, tower[1:])]
+    if draw(st.booleans()):
+        goal = [f"(on {upper} {lower})" for tower in towers()
+                for lower, upper in zip(tower, tower[1:])]
+    else:
+        x, y = draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=2, unique=True))
+        goal = [draw(st.sampled_from([f"(on {x} {y})", f"(ontable {x})", f"(clear {x})",
+                                      f"(holding {x})", "(handempty)"]))]
+    return (f"(define (problem drawn) (:domain blocksworld) "
+            f"(:objects {' '.join(blocks)} - block) (:init {' '.join(init)}) "
+            f"(:goal (and {' '.join(goal)})))")
+
+
+# --- reference instantiation ------------------------------------------------
+# Instantiation as it was before each side kept its state across passes:
+# every pass ranks the whole side again and rewrites a copy of it.  The
+# equivalence search and the dropped-binding warning are the module's, so
+# that tests can count both versions' calls alike.
+
+
+def fresh_variables(edge, source):
+    """Rename the edge's variables to fresh ones, keeping co-references."""
+    mapping = {}
+    for p in edge.dst.args + edge.src.args:
+        if is_variable(p) and p not in mapping:
+            mapping[p] = source.fresh()
+    return LiftedEdge(src=edge.src.substitute(mapping), dst=edge.dst.substitute(mapping))
+
+
+def reference_rank(plgg):
+    best = _best_incident_prob(plgg)
+    lifted = sorted((node for node in plgg.nodes if not node.is_ground),
+                    key=lambda n: (-best.get(n, 0.0), n))
+    buckets = {}
+    for rank, node in enumerate(lifted):
+        fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+        key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
+        buckets.setdefault(key, []).append((rank, node))
+    return buckets
+
+
+def reference_rewrite(plgg, bindings):
+    safe = {}
+    for var, obj in sorted(bindings.items()):
+        if obj in plgg.store.forbidden_objects(var):
+            instantiate.logger.warning(
+                "binding %s -> %s violates a distinct-value constraint; skipped", var, obj)
+            continue
+        safe[var] = obj
+    nodes = {node: dict(neighbours) for node, neighbours in plgg.nodes.items()}
+    for lifted, neighbours in plgg.nodes.items():
+        if lifted.is_ground:
+            continue
+        inst = lifted.substitute(safe)
+        if inst == lifted:
+            continue
+        bucket = nodes.setdefault(inst, {})
+        for neighbour, mu in neighbours.items():
+            rewritten = neighbour.substitute(safe)
+            bucket[rewritten] = max(mu, bucket.get(rewritten, 0.0))
+    return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
+
+
+def reference_instantiation(plgg, lms, top_n=1):
+    buckets = reference_rank(plgg)
+    var_inst = {}
+    for lm in sorted(lms):
+        for var, obj in instantiate.search_best_equiv(buckets, lm, plgg.store, top_n).items():
+            var_inst.setdefault(var, obj)
+    return reference_rewrite(plgg, var_inst)
+
+
+def reference_combine(goal_side, init_side, task, top_n=1, iteration_log=None):
+    lms_init, lms_goal = set(task.init), set(task.goal)
+    known = lms_init | lms_goal
+    if iteration_log is not None:
+        iteration_log.append(frozenset(known))
+    while True:
+        init_side = reference_instantiation(init_side, lms_goal, top_n)
+        lms_init |= {n for n in init_side.nodes if n.is_ground and n in task.facts}
+        goal_side = reference_instantiation(goal_side, lms_init, top_n)
+        lms_goal |= {n for n in goal_side.nodes if n.is_ground and n in task.facts}
+        grown = known | lms_init | lms_goal
+        if iteration_log is not None:
+            iteration_log.append(frozenset(grown))
+        if grown == known:
+            return _union(goal_side, init_side)
+        known = grown
+
+
+def reference_instantiate_task(plog, task, top_n=1):
+    source, store = VarSource(), VarConstraintStore()
+    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
+    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
+    return reference_combine(goal_side, init_side, task, top_n)

@@ -1,10 +1,11 @@
 """End-to-end command line flows, exit codes, and artifact determinism."""
 
 import json
+import logging
 
 import pytest
 
-from plgg.cli import EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
+from plgg.cli import _HANDLER, EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
 from plgg.experiment import ExperimentConfig
 from plgg.pddl import parse_problem
 
@@ -355,3 +356,61 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == EXIT_USAGE
+
+
+@pytest.fixture()
+def plgg_logger():
+    """The `plgg` logger, with the level and handlers it had restored after
+    the test, since `main` configures it for the whole process."""
+    logger = logging.getLogger("plgg")
+    level, handlers = logger.level, list(logger.handlers)
+    yield logger
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+
+
+@pytest.fixture()
+def unlearned_goal(tmp_path):
+    # no ordering learned from p01-p04 ends in ontable(?x0), so the goal
+    # side warns about ontable(a)
+    path = tmp_path / "odd.pddl"
+    path.write_text("(define (problem odd) (:domain blocksworld) "
+                    "(:objects a b - block) "
+                    "(:init (on a b) (ontable b) (clear a) (handempty)) "
+                    "(:goal (and (ontable a))))")
+    return str(path)
+
+
+@pytest.mark.parametrize("level,printed", [([], True), (["--log-level", "warning"], True),
+                                           (["--log-level", "error"], False)])
+def test_log_level_sets_which_warnings_print(level, printed, learned, bench_dir, unlearned_goal,
+                                             tmp_path, capsys, plgg_logger):
+    code = main(["instantiate", str(learned), str(bench_dir / "domain.pddl"), unlearned_goal,
+                 "--out", str(tmp_path / "odd.plgg.json"), *level])
+    assert code == EXIT_OK
+    line = "plgg: warning: no learned orderings touch ontable(a); keeping it isolated\n"
+    assert (line in capsys.readouterr().err) == printed
+
+
+def test_repeated_main_calls_keep_one_log_handler(learned, bench_dir, unlearned_goal, tmp_path,
+                                                  capsys, plgg_logger):
+    argv = ["instantiate", str(learned), str(bench_dir / "domain.pddl"), unlearned_goal,
+            "--out", str(tmp_path / "odd.plgg.json")]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert plgg_logger.handlers.count(_HANDLER) == 1
+    assert capsys.readouterr().err.count("plgg: warning: ") == 2
+
+
+def test_default_log_level_lets_warnings_reach_other_handlers(learned, bench_dir, unlearned_goal,
+                                                              tmp_path, capsys, plgg_logger):
+    # a handler of the caller's, such as the benchmark's log counter, sees
+    # every warning that the command line prints
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    plgg_logger.addHandler(handler)
+    assert main(["instantiate", str(learned), str(bench_dir / "domain.pddl"), unlearned_goal,
+                 "--out", str(tmp_path / "odd.plgg.json")]) == EXIT_OK
+    assert [r.getMessage() for r in records] == \
+        ["no learned orderings touch ontable(a); keeping it isolated"]

@@ -1,23 +1,29 @@
 """Generation, equivalence search, fixpoint combination, and extraction of
 task-specific probabilistic landmark graphs."""
 
+import copy
+import logging
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plgg.instantiate as instantiate_module
 from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
-from plgg.pddl import Atom, is_variable
+from plgg.pddl import Atom, ground_task, is_variable, parse_problem
 from plgg.plog import LiftedEdge, learn_plog, plog_from_json, plog_to_json
-from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob, _shape,
-                              apply_instantiation,
+from plgg.instantiate import (PLgg, SideState, VarConstraintStore, VarSource, _best_incident_prob,
+                              _compile, _expand, _shape, apply_instantiation,
                               combine, equivalent_atoms, equivalent_params, extract_result,
-                              fresh_variables, generate_plgg_goal, generate_plgg_init,
+                              generate_plgg_goal, generate_plgg_init,
                               instantiate_task, instantiation, plgg_from_json, plgg_to_dot,
                               plgg_to_json, rank_lifted_nodes, search_best_equiv,
                               update_distinct_consts)
 
-from conftest import COURIER, COURIER_CORPUS, GRIPPER, param_distance
+import conftest
+from conftest import (CORPUS, COURIER, COURIER_CORPUS, GRIPPER, TRAIN, blocksworld_problems,
+                      fresh_variables, param_distance, reference_instantiate_task)
 
 
 def sides(plog, task):
@@ -26,6 +32,13 @@ def sides(plog, task):
     source, store = VarSource(), VarConstraintStore()
     return (generate_plgg_goal(plog, task, var_source=source, store=store),
             generate_plgg_init(plog, task, var_source=source, store=store))
+
+
+def rewrite(plgg, bindings):
+    """The graph that `apply_instantiation` makes of a `SideState` of `plgg`."""
+    state = SideState(plgg)
+    apply_instantiation(state, bindings)
+    return state.plgg
 
 
 # --- constraint bookkeeping -----------------------------------------------------
@@ -57,6 +70,29 @@ def test_fresh_variables_keep_coreferences():
     assert renamed.dst.args[0] != renamed.dst.args[1]
     again = fresh_variables(edge, source)
     assert set(again.dst.args).isdisjoint(set(renamed.dst.args))
+
+
+EDGE_PARAMS = st.sampled_from(["?x0", "?x1", "?x2", "?x3", "a", "b"])
+EDGE_ATOMS = st.builds(Atom, st.sampled_from(["p", "q"]),
+                       st.integers(0, 3).flatmap(lambda n: st.tuples(*[EDGE_PARAMS] * n)))
+
+
+@given(st.builds(LiftedEdge, EDGE_ATOMS, EDGE_ATOMS), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_edge_matches_renaming_and_substitution(edge, backward, data):
+    # variables shared, repeated or missing on either side, and constants,
+    # which a p-LOG read from a file may carry
+    start = edge.dst if backward else edge.src
+    lm = Atom(start.pred, data.draw(st.tuples(*[st.sampled_from(["a", "b", "c", "?x7"])]
+                                              * start.arity)))
+    renaming, compiled = VarSource(), VarSource()
+    for source in (renaming, compiled):
+        source.fresh()
+    renamed = fresh_variables(edge, renaming)
+    anchor, other = (renamed.dst, renamed.src) if backward else (renamed.src, renamed.dst)
+    expected = other.substitute(dict(zip(anchor.args, lm.args)))
+    assert _expand(_compile(edge, backward), lm, compiled) == expected
+    assert compiled.fresh() == renaming.fresh()
 
 
 # --- equivalence ----------------------------------------------------------------
@@ -118,7 +154,7 @@ def test_candidate_distances_match_worked_example():
 
 def test_top_n_binding_selection():
     plgg = spec_candidates_graph()
-    ranked = rank_lifted_nodes(plgg)
+    ranked = rank_lifted_nodes(SideState(plgg))
     lm = Atom("p", ("a", "b", "c"))
     assert search_best_equiv(ranked, lm, plgg.store, top_n=1) == {"?x4": "b"}
     assert search_best_equiv(ranked, lm, plgg.store, top_n=2) == {"?x4": "b", "?x5": "c"}
@@ -126,17 +162,19 @@ def test_top_n_binding_selection():
 
 def test_search_best_equiv_without_candidates():
     plgg = PLgg(nodes={}, side="goal", store=VarConstraintStore())
-    assert search_best_equiv(rank_lifted_nodes(plgg), Atom("p", ("a",)), plgg.store) == {}
+    assert search_best_equiv(rank_lifted_nodes(SideState(plgg)), Atom("p", ("a",)),
+                             plgg.store) == {}
 
 
 def test_search_best_equiv_rejects_a_lifted_landmark():
     plgg = spec_candidates_graph()
     with pytest.raises(ValueError, match="ground landmark"):
-        search_best_equiv(rank_lifted_nodes(plgg), Atom("p", ("a", "?x9", "c")), plgg.store)
+        search_best_equiv(rank_lifted_nodes(SideState(plgg)), Atom("p", ("a", "?x9", "c")),
+                          plgg.store)
 
 
 def test_buckets_file_nodes_by_object_positions():
-    buckets = rank_lifted_nodes(spec_candidates_graph())
+    buckets = rank_lifted_nodes(SideState(spec_candidates_graph()))
     assert buckets[("p", 3, (0,), ("a",))] == [(2, Atom("p", ("a", "?x0", "?x1")))]
     assert buckets[("p", 3, (), ())] == [(1, Atom("p", ("?x6", "?x7", "?x8")))]
     assert buckets[("p", 3, (0, 2), ("a", "c"))] == [(3, Atom("p", ("a", "?x4", "c")))]
@@ -189,7 +227,7 @@ def graphs_and_landmarks(draw):
 @settings(max_examples=300, deadline=None)
 def test_ranked_pass_matches_full_scan(case):
     plgg, lms = case
-    ranked = rank_lifted_nodes(plgg)
+    ranked = rank_lifted_nodes(SideState(plgg))
     for top_n in (1, 2, 3):
         expected = {}
         for lm in sorted(lms):
@@ -197,7 +235,9 @@ def test_ranked_pass_matches_full_scan(case):
             assert search_best_equiv(ranked, lm, plgg.store, top_n) == found
             for var, obj in found.items():
                 expected.setdefault(var, obj)
-        assert instantiation(plgg, lms, top_n).nodes == apply_instantiation(plgg, expected).nodes
+        state = SideState(plgg)
+        instantiation(state, lms, top_n)
+        assert state.plgg.nodes == rewrite(plgg, expected).nodes
 
 
 OBJECTS = st.sampled_from("abc")
@@ -240,7 +280,7 @@ def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
     # ground landmarks of arity up to 3, repeated node variables, a
     # constraint store that forbids objects, and ties across buckets
     plgg, lms = case
-    ranked = rank_lifted_nodes(plgg)
+    ranked = rank_lifted_nodes(SideState(plgg))
     for top_n in (1, 2, 3, 5):
         for lm in lms:
             assert search_best_equiv(ranked, lm, plgg.store, top_n) == \
@@ -249,10 +289,10 @@ def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
 
 def test_first_binding_wins_across_landmarks():
     nodes = {Atom("q", ("?x0",)): {Atom("r", ()): 1.0}, Atom("r", ()): {}}
-    plgg = PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
-    out = instantiation(plgg, [Atom("q", ("a",)), Atom("q", ("b",))])
-    assert Atom("q", ("a",)) in out.nodes
-    assert Atom("q", ("b",)) not in out.nodes
+    state = SideState(PLgg(nodes=nodes, side="goal", store=VarConstraintStore()))
+    instantiation(state, [Atom("q", ("a",)), Atom("q", ("b",))])
+    assert Atom("q", ("a",)) in state.plgg.nodes
+    assert Atom("q", ("b",)) not in state.plgg.nodes
 
 
 # --- rewriting ------------------------------------------------------------------
@@ -263,7 +303,7 @@ def test_apply_instantiation_copies_edges():
     lifted = Atom("on", ("b", "?x0"))
     nodes = {lifted: {Atom("clear", ("?x0",)): 0.7}, Atom("clear", ("?x0",)): {}}
     plgg = PLgg(nodes=nodes, side="goal", store=store)
-    out = apply_instantiation(plgg, {"?x0": "a"})
+    out = rewrite(plgg, {"?x0": "a"})
     assert out.nodes[Atom("on", ("b", "a"))] == {Atom("clear", ("a",)): 0.7}
     assert lifted in out.nodes  # the lifted original survives
 
@@ -271,7 +311,7 @@ def test_apply_instantiation_copies_edges():
 def test_apply_instantiation_noop_binding():
     store = VarConstraintStore()
     plgg = PLgg(nodes={Atom("clear", ("a",)): {}}, side="goal", store=store)
-    out = apply_instantiation(plgg, {"?x9": "b"})
+    out = rewrite(plgg, {"?x9": "b"})
     assert out.nodes == plgg.nodes
 
 
@@ -280,7 +320,7 @@ def test_apply_instantiation_respects_constraints(caplog):
     update_distinct_consts(store, Atom("on", ("b", "?x0")), Atom("clear", ("a",)))
     plgg = PLgg(nodes={Atom("on", ("b", "?x0")): {}}, side="goal", store=store)
     with caplog.at_level("WARNING"):
-        out = apply_instantiation(plgg, {"?x0": "a"})
+        out = rewrite(plgg, {"?x0": "a"})
     assert Atom("on", ("b", "a")) not in out.nodes
     assert any("constraint" in record.message for record in caplog.records)
 
@@ -289,7 +329,7 @@ def test_partial_binding_leaves_disjunctive_node():
     store = VarConstraintStore()
     node = Atom("p", ("?x0", "?x1", "c"))
     plgg = PLgg(nodes={node: {}}, side="goal", store=store)
-    out = apply_instantiation(plgg, {"?x0": "a"})
+    out = rewrite(plgg, {"?x0": "a"})
     assert Atom("p", ("a", "?x1", "c")) in out.nodes
 
 
@@ -449,6 +489,134 @@ def test_combine_keeps_the_shared_store(plog, make_task):
     combined = combine(goal_side, init_side, task)
     assert combined.store is store
     assert combined.nodes == instantiate_task(plog, task).nodes
+
+
+# --- kept side state against the rebuild-per-pass reference --------------------
+
+DROPPED_BINDING = "binding %s -> %s violates a distinct-value constraint; skipped"
+
+
+class _DropCounter(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += record.msg == DROPPED_BINDING
+
+
+def counted(run):
+    """`run()`'s result, and how many passes, equivalence searches and
+    dropped bindings it made, whichever version of the passes it runs."""
+    counts = Counter()
+
+    def count(mp, module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        mp.setattr(module, name, wrapper)
+
+    drops = _DropCounter()
+    logger = logging.getLogger("plgg")
+    logger.addHandler(drops)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            count(mp, instantiate_module, "instantiation", "passes")
+            count(mp, conftest, "reference_instantiation", "passes")
+            count(mp, instantiate_module, "search_best_equiv", "searches")
+            result = run()
+    finally:
+        logger.removeHandler(drops)
+    counts["dropped"] = drops.count
+    return result, counts
+
+
+# (domain directory, training stems, held-out stem) of every learn-to-instantiate
+# chain: the blocksworld p-LOG on each held-out task, and one chain each for
+# gripper and courier, whose rewrites add lifted nodes
+CHAINS = ([(conftest.BENCH, TRAIN, name) for name in CORPUS if name not in TRAIN]
+          + [(GRIPPER, ("p01", "p05", "p06"), "p02"), (COURIER, ("p01", "p03", "p05"), "p04")])
+
+
+def chain_id(chain):
+    directory, _, name = chain
+    return f"{directory.name}-{name}"
+
+
+@pytest.fixture(scope="module")
+def learned(load):
+    """(domain directory, training stems) -> the p-LOG learned from them."""
+    cache = {}
+
+    def build(directory, train):
+        if (directory, train) not in cache:
+            lggs = [extract_lgg(load(directory, name)[2]) for name in train]
+            cache[directory, train] = learn_plog(lggs, domain=load(directory, train[0])[0].name)
+        return cache[directory, train]
+
+    return build
+
+
+def assert_matches_reference(plog, task):
+    for top_n in (1, 2, 3):
+        kept, kept_calls = counted(lambda: instantiate_task(plog, task, top_n))
+        rebuilt, rebuilt_calls = counted(lambda: reference_instantiate_task(plog, task, top_n))
+        assert plgg_to_json(kept) == plgg_to_json(rebuilt), top_n
+        assert kept_calls == rebuilt_calls, top_n
+        assert kept_calls["passes"] >= 2 and kept_calls["searches"] > 0
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
+def test_kept_state_matches_the_rebuilding_reference(chain, learned, load):
+    directory, train, name = chain
+    assert_matches_reference(learned(directory, train), load(directory, name)[2])
+
+
+@given(blocksworld_problems())
+@settings(max_examples=40, deadline=None)
+def test_kept_state_matches_the_rebuilding_reference_on_drawn_tasks(plog, domain, text):
+    assert_matches_reference(plog, ground_task(domain, parse_problem(text, domain)))
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
+def test_kept_state_invariants_hold_after_every_pass(chain, learned, load, monkeypatch):
+    directory, train, name = chain
+    plog, task = learned(directory, train), load(directory, name)[2]
+    goal_side, init_side = sides(plog, task)
+    given_sides = copy.deepcopy((goal_side.nodes, init_side.nodes))
+    rank, one_pass = rank_lifted_nodes, instantiation
+    seen = Counter()
+
+    def checked_rank(state):
+        buckets = rank(state)
+        best = _best_incident_prob(state.plgg)
+        assert state.best == best
+        lifted = [node for node in state.plgg.nodes if not node.is_ground]
+        assert state.order == sorted(lifted, key=lambda n: (-best.get(n, 0.0), n))
+        assert buckets == conftest.reference_rank(state.plgg)
+        seen["ranked"] += 1
+        return buckets
+
+    def checked_pass(state, lms, top_n=1):
+        before = len(state.lifted)
+        one_pass(state, lms, top_n)
+        assert state.best == _best_incident_prob(state.plgg)
+        assert state.lifted == [node for node in state.plgg.nodes if not node.is_ground]
+        seen["passes"] += 1
+        seen["new lifted"] += len(state.lifted) - before
+
+    monkeypatch.setattr(instantiate_module, "rank_lifted_nodes", checked_rank)
+    monkeypatch.setattr(instantiate_module, "instantiation", checked_pass)
+    combined = combine(goal_side, init_side, task)
+    assert seen["ranked"] == seen["passes"] >= 2
+    assert (goal_side.nodes, init_side.nodes) == given_sides
+    assert combined.nodes == instantiate_task(plog, task).nodes
+    if directory == COURIER:
+        # the branch where a rewrite adds a lifted node, which blocksworld never takes
+        assert seen["new lifted"] > 0
 
 
 def test_combined_union_is_predecessor_oriented(plog, make_task):

@@ -13,7 +13,7 @@ from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extr
                       oracle_landmarks, relaxed_levels)
 
 from conftest import (ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS,
-                      reached, relaxed_exploration)
+                      blocksworld_problems, reached, relaxed_exploration)
 
 
 def atom(s):
@@ -119,34 +119,6 @@ def test_unsolvable_task_raises(domain):
 
 def brute_force_landmarks(task):
     return frozenset(f for f in task.facts if is_landmark_oracle(task, f).is_landmark)
-
-
-@st.composite
-def blocksworld_problems(draw):
-    """PDDL text of a blocksworld task over 3-9 blocks: random initial
-    towers, and either every `on` atom of random goal towers or one atom."""
-    blocks = [f"b{i}" for i in range(draw(st.integers(3, 9)))]
-
-    def towers():
-        order = draw(st.permutations(blocks))
-        # at most len - 2 cuts leave one tower of two blocks or more
-        cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1), max_size=len(order) - 2)))
-        return [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(order)])]
-
-    init = ["(handempty)"]
-    for tower in towers():
-        init += [f"(ontable {tower[0]})", f"(clear {tower[-1]})"]
-        init += [f"(on {upper} {lower})" for lower, upper in zip(tower, tower[1:])]
-    if draw(st.booleans()):
-        goal = [f"(on {upper} {lower})" for tower in towers()
-                for lower, upper in zip(tower, tower[1:])]
-    else:
-        x, y = draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=2, unique=True))
-        goal = [draw(st.sampled_from([f"(on {x} {y})", f"(ontable {x})", f"(clear {x})",
-                                      f"(holding {x})", "(handempty)"]))]
-    return (f"(define (problem drawn) (:domain blocksworld) "
-            f"(:objects {' '.join(blocks)} - block) (:init {' '.join(init)}) "
-            f"(:goal (and {' '.join(goal)})))")
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)

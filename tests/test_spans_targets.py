@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from plgg.instantiate import PLgg, VarConstraintStore, apply_instantiation, update_distinct_consts
+from plgg.instantiate import (PLgg, SideState, VarConstraintStore, apply_instantiation,
+                              update_distinct_consts)
 from plgg.pddl import Atom
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,13 +42,13 @@ def test_dropped_binding_warning_matches_the_counted_message(spans):
     store = VarConstraintStore()
     lifted = Atom("on", ("b", "?x0"))
     update_distinct_consts(store, lifted, Atom("clear", ("a",)))
-    plgg = PLgg(nodes={lifted: {}}, side="goal", store=store)
+    state = SideState(PLgg(nodes={lifted: {}}, side="goal", store=store))
     counter = spans.LogCounter()
     logger = logging.getLogger("plgg")
     logger.addHandler(counter)
     try:
-        out = apply_instantiation(plgg, {"?x0": "a"})
+        apply_instantiation(state, {"?x0": "a"})
     finally:
         logger.removeHandler(counter)
-    assert Atom("on", ("b", "a")) not in out.nodes
+    assert Atom("on", ("b", "a")) not in state.plgg.nodes
     assert counter.counts == {spans.DROPPED_BINDING: 1}
