@@ -5,8 +5,11 @@ landmark graph files, `learn` merges those into a probabilistic lifted
 ordering graph, `instantiate` applies a learned graph to a new task, and
 `evaluate` runs the full split/score protocol.  Exit codes: 0 on success,
 1 for usage or configuration errors, 2 for task-level failures (unreadable
-input, bad PDDL, unsolvable task, vocabulary mismatch).  Log records at or
-above `--log-level` go to standard error as `plgg: warning: ...` lines.
+input, bad PDDL, unsolvable task, vocabulary mismatch).  Commands raise
+their errors, a `ConfigError` for bad options, and `main` alone prints each
+as one `plgg <command>: error: ...` line; argparse's own usage errors also
+exit 1.  Log records at or above `--log-level` go to standard error as
+`plgg: warning: ...` lines.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
-from .experiment import (ExperimentConfig, check_distinct_stems, check_ranges,
+from .experiment import (ConfigError, ExperimentConfig, check_distinct_stems, check_ranges,
                          render_oracle_report, render_score_report, render_timing_report,
                          result_to_json, run_experiment)
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
@@ -70,11 +73,7 @@ def _configure_logging(level: str) -> None:
 
 
 def cmd_extract(args) -> int:
-    try:
-        check_distinct_stems(args.problems)
-    except ValueError as exc:
-        print(f"plgg extract: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    check_distinct_stems(args.problems)
     domain = read_file(args.domain, parse_domain)
     outputs = []
     for path in args.problems:
@@ -124,13 +123,8 @@ def _check_vocabulary(plog, domain) -> None:
 
 def cmd_instantiate(args) -> int:
     if args.dot and not args.out:
-        print("plgg instantiate: error: --dot needs --out", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        check_ranges(args.top_n, args.threshold)
-    except ValueError as exc:
-        print(f"plgg instantiate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--dot needs --out")
+    check_ranges(args.top_n, args.threshold)
     plog = read_plog(args.plog)
     domain = read_file(args.domain, parse_domain)
     _check_vocabulary(plog, domain)
@@ -163,12 +157,7 @@ def cmd_evaluate(args) -> int:
         top_n=args.top_n, threshold=args.threshold,
         reference_dir=args.reference_dir,
         oracle_baseline=not args.no_oracle)
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"plgg evaluate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_experiment(config)
+    report = run_experiment(config)  # validates the config before it reads a file
     if args.json:
         print(result_to_json(report), end="")
     else:
@@ -238,9 +227,9 @@ def main(argv=None) -> int:
     _configure_logging(args.log_level)
     try:
         return args.func(args)
-    except (PddlError, VocabularyError, OSError) as exc:
+    except (ConfigError, PddlError, VocabularyError, OSError) as exc:
         print(f"plgg {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_TASK
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_TASK
 
 
 if __name__ == "__main__":

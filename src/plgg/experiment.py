@@ -33,22 +33,27 @@ from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_fil
 from .plog import learn_plog
 
 
+class ConfigError(ValueError):
+    """An option or a set of inputs that no run accepts: a usage error,
+    which the command line reports with exit code 1."""
+
+
 def check_ranges(top_n: int, threshold: float) -> None:
     """Reject a `top_n` below 1 and a `threshold` outside [0, 1], NaN included."""
     if top_n < 1:
-        raise ValueError(f"top_n must be at least 1, got {top_n}")
+        raise ConfigError(f"top_n must be at least 1, got {top_n}")
     if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
 
 
 def check_distinct_stems(problem_paths: list[str]) -> None:
     """Stems name the tasks and their output files, so a repeated one
-    raises `ValueError`."""
+    raises `ConfigError`."""
     stems = Counter(Path(p).stem for p in problem_paths)
     for stem, count in sorted(stems.items()):
         if count > 1:
-            raise ValueError(f"problem stem {stem!r} is given {count} times; "
-                             "stems name the tasks and must be distinct")
+            raise ConfigError(f"problem stem {stem!r} is given {count} times; "
+                              "stems name the tasks and must be distinct")
 
 
 @dataclass
@@ -67,13 +72,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         check_distinct_stems(self.problem_paths)
         if self.train_count < 1 or self.test_count < 1:
-            raise ValueError("train and test splits must each hold at least one task")
+            raise ConfigError("train and test splits must each hold at least one task")
         if self.train_count + self.test_count > len(self.problem_paths):
-            raise ValueError(
+            raise ConfigError(
                 f"split needs {self.train_count}+{self.test_count} problems "
                 f"but only {len(self.problem_paths)} were given")
         if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+            raise ConfigError("repetitions must be at least 1")
         check_ranges(self.top_n, self.threshold)
 
 

@@ -3,7 +3,10 @@
 The fragment accepted here is deliberately small: ``:strips`` and ``:typing``
 are the only requirements honoured, preconditions are conjunctions of
 positive atoms, and effects are conjunctions of positive and negated atoms.
-Identifiers are case-insensitive and normalised to lower case.
+Identifiers are case-insensitive and normalised to lower case.  Domain and
+problem files share one ``define`` reader; malformed text raises
+`ParseError` at the token or form it is about, and its message ends with
+that line and column.
 
 `ground_task` grounds column by column and leaves a `TaskIndex` on the task:
 the fact table and the fact ids, keyed by the atom itself (an `Atom` is a
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -32,11 +35,15 @@ class PddlError(Exception):
 
 
 class ParseError(PddlError):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        location = f" (line {line}, column {column})" if line is not None else ""
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.column = column
+    """Malformed PDDL.  `at` is the token or form the error is about; its
+    line and column end the message and stay on `line` and `column`."""
+
+    def __init__(self, message: str, at: _Tok | _SList | None = None):
+        self.line = self.column = None
+        if at is not None:
+            self.line, self.column = at.line, at.col
+            message = f"{message} (line {at.line}, column {at.col})"
+        super().__init__(message)
 
 
 def read_text(path: str | Path) -> str:
@@ -243,9 +250,7 @@ def _tokenize(text: str) -> Iterator[_Tok]:
 
 def _read_sexprs(text: str) -> list:
     stack: list[list] = [[]]
-    last: _Tok | None = None
     for tok in _tokenize(text):
-        last = tok
         if tok.text == "(":
             node = _SList()
             node.line, node.col = tok.line, tok.col
@@ -253,13 +258,12 @@ def _read_sexprs(text: str) -> list:
             stack.append(node)
         elif tok.text == ")":
             if len(stack) == 1:
-                raise ParseError("unbalanced ')'", tok.line, tok.col)
+                raise ParseError("unbalanced ')'", tok)
             stack.pop()
         else:
             stack[-1].append(tok)
-    if len(stack) != 1:
-        where = (last.line, last.col) if last else (1, 1)
-        raise ParseError("unbalanced '(': input ended inside a form", *where)
+    if len(stack) != 1:  # an open paren was read, so `tok` is bound
+        raise ParseError("unbalanced '(': input ended inside a form", tok)
     return stack[0]
 
 
@@ -271,8 +275,7 @@ def _form_name(node) -> str:
 
 def _expect_symbol(node, what: str) -> _Tok:
     if not isinstance(node, _Tok):
-        line, col = (node.line, node.col) if isinstance(node, _SList) else (None, None)
-        raise ParseError(f"expected {what}, found a parenthesised form", line, col)
+        raise ParseError(f"expected {what}, found a parenthesised form", node)
     return node
 
 
@@ -290,9 +293,9 @@ def _parse_typed_list(items: list, what: str, known_types: dict[str, str | None]
             try:
                 type_tok = _expect_symbol(next(it), "a type name")
             except StopIteration:
-                raise ParseError(f"dangling '-' in {what} list", tok.line, tok.col) from None
+                raise ParseError(f"dangling '-' in {what} list", tok) from None
             if known_types is not None and type_tok.text not in known_types:
-                raise ParseError(f"unknown type {type_tok.text}", type_tok.line, type_tok.col)
+                raise ParseError(f"unknown type {type_tok.text}", type_tok)
             for p in pending:
                 pairs.append((p.text, type_tok.text, p))
             pending = []
@@ -307,18 +310,38 @@ def _check_requirements(section: _SList) -> None:
     for req in section[1:]:
         tok = _expect_symbol(req, "a requirement flag")
         if tok.text not in SUPPORTED_REQUIREMENTS:
-            raise ParseError(f"unsupported requirement {tok.text}", tok.line, tok.col)
+            raise ParseError(f"unsupported requirement {tok.text}", tok)
 
 
 def _check_declared(atom: Atom, predicates: Mapping[str, Predicate], where: str,
-                    line, col) -> None:
+                    form: _SList) -> None:
     """The atom's predicate is declared, with the atom's arity."""
     decl = predicates.get(atom.pred)
     if decl is None:
-        raise ParseError(f"unknown predicate {atom.pred} in {where}", line, col)
+        raise ParseError(f"unknown predicate {atom.pred} in {where}", form)
     if decl.arity != atom.arity:
         raise ParseError(f"arity mismatch for {atom.pred} in {where}: "
-                         f"expected {decl.arity}, got {atom.arity}", line, col)
+                         f"expected {decl.arity}, got {atom.arity}", form)
+
+
+def _read_define(text: str, kind: str) -> tuple[str, list]:
+    """The name and the sections of the one ``(define (<kind> <name>) ...)``
+    form of a domain or problem text."""
+    forms = _read_sexprs(text)
+    if len(forms) != 1 or _form_name(forms[0]) != "define":
+        raise ParseError(f"expected a single (define ({kind} ...) ...) form")
+    define = forms[0]
+    if len(define) < 2 or _form_name(define[1]) != kind or len(define[1]) != 2:
+        raise ParseError(f"expected ({kind} <name>) after define", define)
+    return _expect_symbol(define[1][1], f"a {kind} name").text, define[2:]
+
+
+def _unsupported_section(section, kind: str) -> ParseError:
+    """The error for a section of a `kind` file that no branch reads."""
+    name = section.text if isinstance(section, _Tok) else _form_name(section)
+    if not name:
+        return ParseError(f"expected a {kind} section, found a form without a name", section)
+    return ParseError(f"unsupported {kind} section {name}", section)
 
 
 # --- domain parsing ---------------------------------------------------------
@@ -331,20 +354,11 @@ def parse_domain(text: str) -> Domain:
     predicates, unbound variables, and contradictory (add and delete the
     same atom) effects.
     """
-    forms = _read_sexprs(text)
-    if len(forms) != 1 or _form_name(forms[0]) != "define":
-        raise ParseError("expected a single (define (domain ...) ...) form")
-    define = forms[0]
-    if len(define) < 2 or _form_name(define[1]) != "domain" or len(define[1]) != 2:
-        raise ParseError("expected (domain <name>) after define", define.line, define.col)
-    name = _expect_symbol(define[1][1], "a domain name").text
-
+    name, sections = _read_define(text, "domain")
     types: dict[str, str | None] = {ROOT_TYPE: None}
     predicates: dict[str, Predicate] = {}
     schemas: dict[str, ActionSchema] = {}
     constants: dict[str, str] = {}
-
-    sections = define[2:]
     for section in sections:
         kind = _form_name(section)
         if kind == ":requirements":
@@ -354,46 +368,41 @@ def parse_domain(text: str) -> Domain:
             for tname, parent, tok in declared:
                 if tname == ROOT_TYPE:
                     if parent != ROOT_TYPE:
-                        raise ParseError("the root type cannot be re-parented", tok.line, tok.col)
+                        raise ParseError("the root type cannot be re-parented", tok)
                     continue
                 previous = types.get(tname)
                 if previous is not None and previous != parent:
-                    raise ParseError(f"type {tname} declared twice with different parents",
-                                     tok.line, tok.col)
+                    raise ParseError(f"type {tname} declared twice with different parents", tok)
                 types[tname] = parent
             for tname, parent, tok in declared:
                 if parent != ROOT_TYPE and parent not in types:
-                    raise ParseError(f"unknown parent type {parent}", tok.line, tok.col)
+                    raise ParseError(f"unknown parent type {parent}", tok)
             _check_type_forest(types, section)
         elif kind == ":constants":
             for cname, ctype, tok in _parse_typed_list(section[1:], "constant", types):
                 if cname in constants:
-                    raise ParseError(f"constant {cname} declared twice", tok.line, tok.col)
+                    raise ParseError(f"constant {cname} declared twice", tok)
                 constants[cname] = ctype
         elif kind == ":predicates":
             for decl in section[1:]:
                 if not isinstance(decl, _SList) or not decl:
                     raise ParseError("expected a (name ?arg - type ...) predicate declaration",
-                                     section.line, section.col)
+                                     section)
                 pname = _expect_symbol(decl[0], "a predicate name").text
                 if pname in predicates:
-                    raise ParseError(f"predicate {pname} declared twice", decl.line, decl.col)
+                    raise ParseError(f"predicate {pname} declared twice", decl)
                 params = _parse_typed_list(decl[1:], "parameter", types)
                 for vname, _, tok in params:
                     if not is_variable(vname):
-                        raise ParseError(f"predicate parameter {vname} must be a ?variable",
-                                         tok.line, tok.col)
+                        raise ParseError(f"predicate parameter {vname} must be a ?variable", tok)
                 predicates[pname] = Predicate(pname, tuple(t for _, t, _ in params))
         elif kind == ":action":
             schema = _parse_action(section, types, predicates)
             if schema.name in schemas:
-                raise ParseError(f"action {schema.name} declared twice", section.line, section.col)
+                raise ParseError(f"action {schema.name} declared twice", section)
             schemas[schema.name] = schema
-        elif kind in ("domain",):
-            continue
         else:
-            line, col = (section.line, section.col) if isinstance(section, _SList) else (None, None)
-            raise ParseError(f"unsupported domain section {kind or section!r}", line, col)
+            raise _unsupported_section(section, "domain")
 
     return Domain(name=name, types=types, predicates=predicates,
                   schemas=schemas, constants=constants)
@@ -405,8 +414,7 @@ def _check_type_forest(types: dict[str, str | None], section: _SList) -> None:
         cur: str | None = tname
         while cur is not None:
             if cur in seen:
-                raise ParseError(f"type hierarchy contains a cycle through {tname}",
-                                 section.line, section.col)
+                raise ParseError(f"type hierarchy contains a cycle through {tname}", section)
             seen.add(cur)
             cur = types.get(cur)
 
@@ -414,53 +422,51 @@ def _check_type_forest(types: dict[str, str | None], section: _SList) -> None:
 def _parse_action(section: _SList, types, predicates) -> ActionSchema:
     items = list(section[1:])
     if not items:
-        raise ParseError("action without a name", section.line, section.col)
+        raise ParseError("action without a name", section)
     name = _expect_symbol(items[0], "an action name").text
     fields: dict[str, object] = {}
     i = 1
     while i < len(items):
         key = _expect_symbol(items[i], "an action keyword").text
         if key not in (":parameters", ":precondition", ":effect"):
-            raise ParseError(f"unsupported action section {key}", items[i].line, items[i].col)
+            raise ParseError(f"unsupported action section {key}", items[i])
         if i + 1 >= len(items):
-            raise ParseError(f"{key} without a body", items[i].line, items[i].col)
+            raise ParseError(f"{key} without a body", items[i])
         fields[key] = items[i + 1]
         i += 2
 
     raw_params = fields.get(":parameters")
     if raw_params is None or not isinstance(raw_params, _SList):
-        raise ParseError(f"action {name} needs a :parameters list", section.line, section.col)
+        raise ParseError(f"action {name} needs a :parameters list", section)
     params: list[tuple[str, str]] = []
     for vname, vtype, tok in _parse_typed_list(list(raw_params), "parameter", types):
         if not is_variable(vname):
-            raise ParseError(f"action parameter {vname} must be a ?variable", tok.line, tok.col)
+            raise ParseError(f"action parameter {vname} must be a ?variable", tok)
         if any(v == vname for v, _ in params):
-            raise ParseError(f"parameter {vname} declared twice in action {name}",
-                             tok.line, tok.col)
+            raise ParseError(f"parameter {vname} declared twice in action {name}", tok)
         params.append((vname, vtype))
     param_vars = {v for v, _ in params}
 
-    def check_atom(atom: Atom, part: str, line, col) -> None:
+    def check_atom(atom: Atom, form: _SList, part: str) -> None:
         where = f"{part} of action {name}"
-        _check_declared(atom, predicates, where, line, col)
+        _check_declared(atom, predicates, where, form)
         for a in atom.args:
             if is_variable(a) and a not in param_vars:
-                raise ParseError(f"unbound variable {a} in {where}", line, col)
+                raise ParseError(f"unbound variable {a} in {where}", form)
             if not is_variable(a):
-                raise ParseError(f"constant {a} in {where} is not supported", line, col)
+                raise ParseError(f"constant {a} in {where} is not supported", form)
 
     pre = frozenset(_parse_conjunction(fields.get(":precondition"), allow_not=False,
-                                       check=lambda a, l, c: check_atom(a, "precondition", l, c)))
+                                       check=partial(check_atom, part="precondition")))
     if ":effect" not in fields:
-        raise ParseError(f"action {name} has no :effect", section.line, section.col)
+        raise ParseError(f"action {name} has no :effect", section)
     literals = _parse_conjunction(fields[":effect"], allow_not=True,
-                                  check=lambda a, l, c: check_atom(a, "effect", l, c))
+                                  check=partial(check_atom, part="effect"))
     add = frozenset(a for a, positive in literals if positive)
     delete = frozenset(a for a, positive in literals if not positive)
     if add & delete:
         clash = sorted(add & delete)[0]
-        raise ParseError(f"action {name} both adds and deletes {clash}",
-                         section.line, section.col)
+        raise ParseError(f"action {name} both adds and deletes {clash}", section)
     return ActionSchema(name=name, params=tuple(params), pre=pre, add=add, delete=delete)
 
 
@@ -482,22 +488,21 @@ def _parse_conjunction(form, allow_not: bool, check):
     while stack:
         form = stack.pop()
         if not isinstance(form, _SList) or not form:
-            line, col = (form.line, form.col) if isinstance(form, _SList) else (None, None)
-            raise ParseError("expected an atom, (not ...), or (and ...)", line, col)
+            raise ParseError("expected an atom, (not ...), or (and ...)", form)
         head = _form_name(form)
         if head == "and":
             stack.extend(reversed(form[1:]))
         elif head == "not":
             if not allow_not:
-                raise ParseError("negations are not allowed here", form.line, form.col)
-            if len(form) != 2 or not isinstance(form[1], _SList):
-                raise ParseError("(not ...) must wrap a single atom", form.line, form.col)
+                raise ParseError("negations are not allowed here", form)
+            if len(form) != 2 or not isinstance(form[1], _SList) or not form[1]:
+                raise ParseError("(not ...) must wrap a single atom", form)
             atom = _atom_from_form(form[1])
-            check(atom, form.line, form.col)
+            check(atom, form)
             out.append((atom, False))
         else:
             atom = _atom_from_form(form)
-            check(atom, form.line, form.col)
+            check(atom, form)
             out.append((atom, True) if allow_not else atom)
     return out
 
@@ -507,58 +512,52 @@ def _parse_conjunction(form, allow_not: bool, check):
 
 def parse_problem(text: str, domain: Domain) -> Problem:
     """Parse PDDL problem text against an already-parsed domain."""
-    forms = _read_sexprs(text)
-    if len(forms) != 1 or _form_name(forms[0]) != "define":
-        raise ParseError("expected a single (define (problem ...) ...) form")
-    define = forms[0]
-    if len(define) < 2 or _form_name(define[1]) != "problem" or len(define[1]) != 2:
-        raise ParseError("expected (problem <name>) after define", define.line, define.col)
-    name = _expect_symbol(define[1][1], "a problem name").text
-
+    name, sections = _read_define(text, "problem")
     objects: dict[str, str] = {}
     init: set[Atom] = set()
     goal: set[Atom] = set()
     domain_name = ""
 
-    def check_ground_atom(atom: Atom, where: str, line, col) -> None:
-        _check_declared(atom, domain.predicates, where, line, col)
+    def check_ground_atom(atom: Atom, form: _SList, where: str) -> None:
+        _check_declared(atom, domain.predicates, where, form)
         for a in atom.args:
             if is_variable(a):
-                raise ParseError(f"variable {a} is not allowed in {where}", line, col)
+                raise ParseError(f"variable {a} is not allowed in {where}", form)
             otype = objects.get(a, domain.constants.get(a))
             if otype is None:
-                raise ParseError(f"unknown object {a} in {where}", line, col)
+                raise ParseError(f"unknown object {a} in {where}", form)
 
-    for section in define[2:]:
+    for section in sections:
         kind = _form_name(section)
         if kind == ":domain":
+            if len(section) != 2:
+                raise ParseError(":domain takes exactly one name", section)
             domain_name = _expect_symbol(section[1], "a domain name").text
             if domain_name != domain.name:
                 raise ParseError(f"problem declares domain {domain_name}, "
-                                 f"expected {domain.name}", section.line, section.col)
+                                 f"expected {domain.name}", section)
         elif kind == ":requirements":
             _check_requirements(section)
         elif kind == ":objects":
             for oname, otype, tok in _parse_typed_list(section[1:], "object", domain.types):
                 if oname in objects or oname in domain.constants:
-                    raise ParseError(f"object {oname} declared twice", tok.line, tok.col)
+                    raise ParseError(f"object {oname} declared twice", tok)
                 objects[oname] = otype
         elif kind == ":init":
             for form in section[1:]:
                 if not isinstance(form, _SList) or not form:
-                    raise ParseError("expected an atom in :init", section.line, section.col)
+                    raise ParseError("expected an atom in :init", section)
                 atom = _atom_from_form(form)
-                check_ground_atom(atom, ":init", form.line, form.col)
+                check_ground_atom(atom, form, ":init")
                 init.add(atom)
         elif kind == ":goal":
             if len(section) != 2:
-                raise ParseError(":goal takes exactly one formula", section.line, section.col)
+                raise ParseError(":goal takes exactly one formula", section)
             got = _parse_conjunction(section[1], allow_not=False,
-                                     check=lambda a, l, c: check_ground_atom(a, ":goal", l, c))
+                                     check=partial(check_ground_atom, where=":goal"))
             goal.update(got)
         else:
-            line, col = (section.line, section.col) if isinstance(section, _SList) else (None, None)
-            raise ParseError(f"unsupported problem section {kind or section!r}", line, col)
+            raise _unsupported_section(section, "problem")
 
     if not domain_name:
         raise ParseError("problem is missing its (:domain ...) section")

@@ -175,10 +175,8 @@ def test_instantiate_undeclared_edge_atom_exits_2(learned, bench_dir, paths, tmp
 
 
 def test_instantiate_dot_requires_out(learned, bench_dir, paths, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["instantiate", str(learned), str(bench_dir / "domain.pddl"),
-              paths("p06"), "--dot"])
-    assert err.value.code == EXIT_USAGE
+    assert main(["instantiate", str(learned), str(bench_dir / "domain.pddl"),
+                 paths("p06"), "--dot"]) == EXIT_USAGE
     assert "plgg instantiate: error: --dot needs --out" in capsys.readouterr().err
 
 
@@ -236,7 +234,13 @@ def test_malformed_artifact_exits_2_with_message(command, learned, bench_dir, pa
 UNREADABLE = [(unreadable, command) for unreadable in ("directory", "non-utf8")
               for command in ("extract", "learn", "instantiate")]
 UNREADABLE += [("schema", "learn"), ("schema", "instantiate")]
-UNREADABLE += [("pddl", "extract"), ("pddl", "evaluate")]
+# a malformed problem: p02 with one edit, and the message that names it
+BAD_PDDL = {"pddl": (("(:init", "(:init (foo)"),
+                     "unknown predicate foo in :init (line 4, column 10)"),
+            "pddl-nameless-domain": (("(:domain blocksworld)", "(:domain)"),
+                                     ":domain takes exactly one name (line 2, column 3)")}
+UNREADABLE += [(unreadable, command) for unreadable in BAD_PDDL
+               for command in ("extract", "evaluate")]
 
 
 @pytest.mark.parametrize("unreadable,command", UNREADABLE)
@@ -247,13 +251,14 @@ def test_unreadable_input_exits_2_with_message(command, unreadable, learned, ben
         bad.mkdir()
     elif unreadable == "schema":
         bad.write_text(json.dumps({"vertices": [], "edges": [[0, 0]]}))
-    elif unreadable == "pddl":
-        bad.write_text((bench_dir / "p02.pddl").read_text().replace("(:init", "(:init (foo)"))
+    elif unreadable in BAD_PDDL:
+        bad.write_text((bench_dir / "p02.pddl").read_text().replace(*BAD_PDDL[unreadable][0]))
     else:
         bad.write_bytes(b"\xff\xfe(define \xc3")
     domain = str(bench_dir / "domain.pddl")
     # the domain is the bad file, except that a malformed problem follows a good domain
-    inputs = [domain, paths("p01"), str(bad)] if unreadable == "pddl" else [str(bad), paths("p01")]
+    inputs = ([domain, paths("p01"), str(bad)] if unreadable in BAD_PDDL
+              else [str(bad), paths("p01")])
     argv = {"extract": ["extract", *inputs, "--out", str(tmp_path / "out")],
             "evaluate": ["evaluate", *inputs, *map(paths, ("p03", "p04", "p05")),
                          "--train", "4", "--test", "1", "--reps", "1"],
@@ -264,8 +269,8 @@ def test_unreadable_input_exits_2_with_message(command, unreadable, learned, ben
     err = capsys.readouterr().err
     assert err.startswith(f"plgg {command}: error: ") and err.count("\n") == 1
     assert err.count(str(bad)) == 1
-    if unreadable == "pddl":
-        assert err.endswith(f": error: {bad}: unknown predicate foo in :init (line 4, column 10)\n")
+    if unreadable in BAD_PDDL:
+        assert err.endswith(f": error: {bad}: {BAD_PDDL[unreadable][1]}\n")
     assert "Traceback" not in err
 
 

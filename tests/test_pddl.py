@@ -4,15 +4,16 @@ re-grounding oracle that enumerates substitutions from scratch."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
-from plgg.pddl import (Atom, ParseError, PddlError, Problem, explore,
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, _tokenize, explore,
                        ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
 from plgg.plog import LiftedEdge
 
-from conftest import ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS
+from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
+                      GRIPPER_CORPUS)
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
@@ -312,6 +313,8 @@ EXACT_MESSAGES = [
      "unbound variable ?y in effect of action a (line 1, column 77)"),
     (ACTION.format(":effect (not (p b))"),
      "constant b in effect of action a is not supported (line 1, column 77)"),
+    (ACTION.format(":effect (not ())"),
+     "(not ...) must wrap a single atom (line 1, column 77)"),
     ("(define (domain d) (:requirements :strips :adl))",
      "unsupported requirement :adl (line 1, column 43)"),
     ("(define (problem p) (:domain blocksworld) (:requirements :strips :fluents))",
@@ -323,6 +326,19 @@ EXACT_MESSAGES = [
     ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) "
      "(:goal (and (and (clear a) (foo a)) (bar a))))",
      "unknown predicate foo in :goal (line 1, column 99)"),
+    ("(define (problem p) (:domain) (:objects a - block) (:init) (:goal (and)))",
+     ":domain takes exactly one name (line 1, column 21)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) (:goal foo))",
+     "expected an atom, (not ...), or (and ...) (line 1, column 79)"),
+    # a stray header, a bare symbol and a form without a name are no sections
+    ("(define (domain d) (:predicates (p ?x)) (domain e))",
+     "unsupported domain section domain (line 1, column 41)"),
+    ("(define (problem p) :domain blocksworld (:init) (:goal (and)))",
+     "unsupported problem section :domain (line 1, column 21)"),
+    ("(define (domain d) ((:types a)))",
+     "expected a domain section, found a form without a name (line 1, column 20)"),
+    ("(define (problem p) (:domain blocksworld) () (:init) (:goal (and)))",
+     "expected a problem section, found a form without a name (line 1, column 43)"),
 ]
 
 
@@ -371,7 +387,46 @@ def test_read_text_names_undecodable_file(tmp_path):
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_domain("(define (domain d)\n  (:predicates (p x)))")
-    assert err.value.line == 2
+    assert (err.value.line, err.value.column) == (2, 19)
+
+
+# (domain file, file) for every shipped domain and problem file
+SHIPPED = [(directory / "domain.pddl", path) for directory in (BENCH, GRIPPER, COURIER)
+           for path in sorted(directory.glob("*.pddl"))]
+SHIPPED_TOKENS = {path: [tok.text for tok in _tokenize(path.read_text())] for _, path in SHIPPED}
+SHIPPED_DOMAINS = {domain: parse_domain(domain.read_text()) for domain, _ in SHIPPED}
+# (op, position, pick): delete, insert or replace the token at `position`,
+# modulo the token count; the new token is the file's `pick`-th distinct one
+TOKEN_EDITS = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")),
+                                 st.integers(0, 9999), st.integers(0, 9999)),
+                       min_size=1, max_size=3)
+NAMELESS_DOMAIN = SHIPPED_TOKENS[BENCH / "p01.pddl"].index(":domain") + 1
+
+
+@given(st.sampled_from(SHIPPED), TOKEN_EDITS)
+@example((BENCH / "domain.pddl", BENCH / "p01.pddl"), [("delete", NAMELESS_DOMAIN, 0)])
+@settings(max_examples=400, deadline=None)
+def test_token_edits_parse_or_raise_a_pddl_error(case, edits):
+    domain_path, path = case
+    tokens = list(SHIPPED_TOKENS[path])
+    vocabulary = sorted(set(tokens))
+    for op, position, pick in edits:
+        if op == "delete":
+            del tokens[position % len(tokens)]
+        elif op == "insert":
+            tokens.insert(position % (len(tokens) + 1), vocabulary[pick % len(vocabulary)])
+        else:
+            tokens[position % len(tokens)] = vocabulary[pick % len(vocabulary)]
+    text = " ".join(tokens)
+    try:
+        if path == domain_path:
+            parse_domain(text)
+        else:
+            parse_problem(text, SHIPPED_DOMAINS[domain_path])
+    except PddlError as exc:
+        # a parse error names its position unless it is about the file as a whole
+        assert getattr(exc, "line", None) is not None or str(exc).startswith(
+            ("expected a single (define", "problem is missing its (:domain"))
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=4))
