@@ -14,8 +14,7 @@ from .plog import (PLog, VocabularyError, learn_plog, lift_atom, lift_edge,
 from .instantiate import (PLgg, PlggContent, VarConstraintStore, combine,
                           extract_result, generate_plgg_goal, generate_plgg_init,
                           instantiate_task, read_plgg, write_plgg)
-from .metrics import (MetricReport, alpha_prf, compare, likelihood_atom,
-                      likelihood_edge)
+from .metrics import alpha_prf, compare, likelihood_atom, likelihood_edge
 from .experiment import ExperimentConfig, run_experiment
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "PLgg", "PlggContent", "VarConstraintStore", "combine", "extract_result",
     "generate_plgg_goal", "generate_plgg_init", "instantiate_task", "read_plgg",
     "write_plgg",
-    "MetricReport", "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",
+    "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",
     "ExperimentConfig", "run_experiment",
 ]
 

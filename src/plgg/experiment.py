@@ -12,13 +12,13 @@ native extractor.
 
 `run_experiment` returns both as one JSON-ready dict: `overall` means,
 `oracle_recall` rows and the `repetitions`, each with its split, timings,
-`means` and per-task `report` dicts.  `result_to_json` prints that dict, and
+`means` and per-task `report` dicts, each task's exactly as
+`plgg.metrics.compare` returned it.  `result_to_json` prints that dict, and
 the three text renderers read it.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from collections import Counter
@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+from .artifact import dumps
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
-from .metrics import align_columns, compare, mean_reports, render_table, report_to_dict
+from .metrics import align_columns, compare, mean_reports, render_table
 from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_file
 from .plog import learn_plog
 
@@ -165,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 native_recall = len(native & oracle) / len(oracle)
             tasks.append({"task": Path(path).stem,
                           "instantiate_seconds": seconds,
-                          "report": report_to_dict(compare(reference, content)),
+                          "report": compare(reference, content),
                           "plgg_oracle_recall": plgg_recall,
                           "native_oracle_recall": native_recall})
         repetitions.append({"index": rep, "seed": rep_seed,
@@ -190,7 +191,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def result_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dumps(report)
 
 
 def render_score_report(report: dict) -> str:

@@ -7,6 +7,11 @@ missed is compared against the equivalent lifted extras, every lifted
 candidate earns a likelihood that shrinks with its number of open
 variables, and the averaged credit is folded into alpha-precision and
 alpha-recall.
+
+`compare` returns the scores in the one layout that `plgg evaluate --json`
+prints per task: `{"landmarks": facet, "orderings": facet}`, where each
+facet maps `precision`, `recall`, `f1`, `alpha`, `alpha_precision`,
+`alpha_recall`, `alpha_f1`, `hits`, `misses` and `extras` to a number.
 """
 
 from __future__ import annotations
@@ -82,26 +87,8 @@ def alpha_prf(prf: PRF, alpha: float) -> PRF:
 # --- reports --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FacetScores:
-    """Scores for one facet (landmarks or orderings) of a prediction."""
-
-    classical: PRF
-    alpha: float
-    alpha_classical: PRF
-    hits: int
-    misses: int
-    extras: int
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    landmarks: FacetScores
-    orderings: FacetScores
-
-
 def _score_facet(reference: set, grounded: set, lifted: set,
-                 equivalent: Callable, likelihood: Callable) -> FacetScores:
+                 equivalent: Callable, likelihood: Callable) -> dict:
     """Score one facet: classical scores over the ground predictions, and
     the averaged partial credit of the lifted ones.
 
@@ -119,41 +106,28 @@ def _score_facet(reference: set, grounded: set, lifted: set,
         if values:
             total += sum(values) / len(values)
     alpha = total / len(missed) if missed else 0.0
-    return FacetScores(classical=prf, alpha=alpha, alpha_classical=alpha_prf(prf, alpha),
-                       hits=hits, misses=len(reference) - hits,
-                       extras=len(grounded) - hits)
+    folded = alpha_prf(prf, alpha)
+    return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1,
+            "alpha": alpha, "alpha_precision": folded.precision,
+            "alpha_recall": folded.recall, "alpha_f1": folded.f1,
+            "hits": hits, "misses": len(reference) - hits, "extras": len(grounded) - hits}
 
 
-def compare(reference: LGG, content: PlggContent) -> MetricReport:
-    """Score one prediction against one reference graph."""
+def compare(reference: LGG, content: PlggContent) -> dict:
+    """Score one prediction against one reference graph: the per-task
+    `report` of `plgg evaluate --json`, `{"landmarks": ..., "orderings": ...}`."""
     grounded_edges = set(content.orderings_grounded())
-    return MetricReport(
-        landmarks=_score_facet(set(reference.vertices), content.landmarks_grounded,
-                               content.landmarks_lifted, _atom_equivalent, likelihood_atom),
-        orderings=_score_facet(set(reference.edges), grounded_edges,
-                               content.orderings.keys() - grounded_edges,
-                               _edge_equivalent, likelihood_edge))
-
-
-def report_to_dict(report: MetricReport) -> dict:
-    def facet(f: FacetScores) -> dict:
-        return {
-            "precision": f.classical.precision,
-            "recall": f.classical.recall,
-            "f1": f.classical.f1,
-            "alpha": f.alpha,
-            "alpha_precision": f.alpha_classical.precision,
-            "alpha_recall": f.alpha_classical.recall,
-            "alpha_f1": f.alpha_classical.f1,
-            "hits": f.hits,
-            "misses": f.misses,
-            "extras": f.extras,
-        }
-    return {"landmarks": facet(report.landmarks), "orderings": facet(report.orderings)}
+    return {
+        "landmarks": _score_facet(set(reference.vertices), content.landmarks_grounded,
+                                  content.landmarks_lifted, _atom_equivalent, likelihood_atom),
+        "orderings": _score_facet(set(reference.edges), grounded_edges,
+                                  content.orderings.keys() - grounded_edges,
+                                  _edge_equivalent, likelihood_edge),
+    }
 
 
 def mean_reports(reports: Iterable[dict]) -> dict:
-    """Field-wise means over `report_to_dict` outputs, in the same shape."""
+    """Field-wise means over `compare` reports, in the same shape."""
     dicts = list(reports)
     if not dicts:
         raise ValueError("no reports to average")

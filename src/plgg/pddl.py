@@ -329,7 +329,9 @@ def _read_define(text: str, kind: str) -> tuple[str, list]:
     form of a domain or problem text."""
     forms = _read_sexprs(text)
     if len(forms) != 1 or _form_name(forms[0]) != "define":
-        raise ParseError(f"expected a single (define ({kind} ...) ...) form")
+        # point at the first form past a leading define; text with no form has no position
+        stray = forms[1 if _form_name(forms[0]) == "define" else 0] if forms else None
+        raise ParseError(f"expected a single (define ({kind} ...) ...) form", stray)
     define = forms[0]
     if len(define) < 2 or _form_name(define[1]) != kind or len(define[1]) != 2:
         raise ParseError(f"expected ({kind} <name>) after define", define)
@@ -387,7 +389,7 @@ def parse_domain(text: str) -> Domain:
             for decl in section[1:]:
                 if not isinstance(decl, _SList) or not decl:
                     raise ParseError("expected a (name ?arg - type ...) predicate declaration",
-                                     section)
+                                     decl)
                 pname = _expect_symbol(decl[0], "a predicate name").text
                 if pname in predicates:
                     raise ParseError(f"predicate {pname} declared twice", decl)
@@ -546,7 +548,7 @@ def parse_problem(text: str, domain: Domain) -> Problem:
         elif kind == ":init":
             for form in section[1:]:
                 if not isinstance(form, _SList) or not form:
-                    raise ParseError("expected an atom in :init", section)
+                    raise ParseError("expected an atom in :init", form)
                 atom = _atom_from_form(form)
                 check_ground_atom(atom, form, ":init")
                 init.add(atom)

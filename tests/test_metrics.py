@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plgg.pddl import Atom
-from plgg.lgg import LGG
-from plgg.instantiate import PlggContent
+from plgg.lgg import LGG, extract_lgg
+from plgg.instantiate import PlggContent, extract_result, instantiate_task
+from plgg.experiment import ExperimentConfig, run_experiment
+from plgg.plog import learn_plog
 from plgg.metrics import (PRF, alpha_prf, compare, likelihood_atom, likelihood_edge,
-                          mean_reports, render_table, report_to_dict)
+                          mean_reports, render_table)
 
 
 def content(grounded=(), lifted=(), orderings=None):
@@ -22,12 +24,17 @@ ON_BX = Atom("on", ("b", "?x0"))
 
 def alphas(reference, predicted):
     report = compare(reference, predicted)
-    return report.landmarks.alpha, report.orderings.alpha
+    return report["landmarks"]["alpha"], report["orderings"]["alpha"]
+
+
+def scores(facet, prefix=""):
+    """A facet's precision, recall and F1 (or their `alpha_` twins) as a `PRF`."""
+    return PRF(*(facet[prefix + key] for key in ("precision", "recall", "f1")))
 
 
 def classical(reference, predicted):
     report = compare(reference, predicted)
-    return report.landmarks.classical, report.orderings.classical
+    return scores(report["landmarks"]), scores(report["orderings"])
 
 
 # --- likelihoods ----------------------------------------------------------------
@@ -159,15 +166,14 @@ def test_alpha_prf_monotone_and_degenerate(p, r, alpha):
 
 
 def test_grounded_only_prediction_degenerates_to_classical(make_task, plog):
-    from plgg.lgg import extract_lgg
     task = make_task("p05")
     ref = extract_lgg(task)
     predicted = content(grounded=list(ref.vertices)[:3],
                         orderings={e: 1.0 for e in list(ref.edges)[:2]})
     report = compare(ref, predicted)
-    assert report.landmarks.alpha == 0.0 and report.orderings.alpha == 0.0
-    assert report.landmarks.alpha_classical == report.landmarks.classical
-    assert report.orderings.alpha_classical == report.orderings.classical
+    for facet in ("landmarks", "orderings"):
+        assert report[facet]["alpha"] == 0.0
+        assert scores(report[facet], "alpha_") == scores(report[facet])
 
 
 # --- reporting ---------------------------------------------------------------------
@@ -177,8 +183,7 @@ def test_report_round_numbers():
     ref = reference_graph()
     predicted = content(grounded=[Atom("on", ("c", "d")), Atom("ontable", ("d",))],
                         lifted=[ON_BX, Atom("ontable", ("?x0",))])
-    report = compare(ref, predicted)
-    d = report_to_dict(report)
+    d = compare(ref, predicted)
     assert d["landmarks"]["precision"] == 1.0
     assert d["landmarks"]["recall"] == 0.5
     assert d["landmarks"]["alpha"] == 0.5
@@ -189,3 +194,25 @@ def test_report_round_numbers():
     assert "demo" in table and "0.750" in table
     means = mean_reports([d, d])
     assert means["landmarks"]["alpha_recall"] == 0.75
+
+
+FACET_KEYS = {"precision", "recall", "f1", "alpha", "alpha_precision", "alpha_recall",
+              "alpha_f1", "hits", "misses", "extras"}
+
+
+def test_compare_returns_the_json_task_report(bench_dir, domain, make_task):
+    # the library's scores and the per-task `report` of `evaluate --json` are one layout
+    config = ExperimentConfig(domain_path=str(bench_dir / "domain.pddl"),
+                              problem_paths=[str(p) for p in sorted(bench_dir.glob("p*.pddl"))],
+                              test_count=2, repetitions=1, oracle_baseline=False)
+    rep = run_experiment(config)["repetitions"][0]
+    plog = learn_plog([extract_lgg(make_task(name)) for name in rep["train"]],
+                      domain=domain.name)
+    for task in rep["tasks"]:
+        ground = make_task(task["task"])
+        predicted = extract_result(instantiate_task(plog, ground, top_n=config.top_n),
+                                   threshold=config.threshold)
+        report = compare(extract_lgg(ground), predicted)
+        assert task["report"] == report
+        assert list(report) == ["landmarks", "orderings"]
+        assert all(set(facet) == FACET_KEYS for facet in report.values())

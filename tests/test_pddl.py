@@ -339,6 +339,19 @@ EXACT_MESSAGES = [
      "expected a domain section, found a form without a name (line 1, column 20)"),
     ("(define (problem p) (:domain blocksworld) () (:init) (:goal (and)))",
      "expected a problem section, found a form without a name (line 1, column 43)"),
+    # a bad item of a section points at the item, not at the section
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init (clear a) foo) "
+     "(:goal (and)))",
+     "expected an atom in :init (line 1, column 81)"),
+    ("(define (domain d) (:predicates (p ?x) q))",
+     "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
+    ("(define (domain d) (:predicates (p ?x) ()))",
+     "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
+    # a text that is not one define points at its first other form, if it has one
+    ("(define (domain d)) (foo)",
+     "expected a single (define (domain ...) ...) form (line 1, column 21)"),
+    ("(foo)", "expected a single (define (domain ...) ...) form (line 1, column 1)"),
+    ("; no form at all", "expected a single (define (domain ...) ...) form"),
 ]
 
 
@@ -424,9 +437,10 @@ def test_token_edits_parse_or_raise_a_pddl_error(case, edits):
         else:
             parse_problem(text, SHIPPED_DOMAINS[domain_path])
     except PddlError as exc:
-        # a parse error names its position unless it is about the file as a whole
+        # a parse error names its position unless it is about the file as a whole;
+        # an edited file always keeps a form to point at
         assert getattr(exc, "line", None) is not None or str(exc).startswith(
-            ("expected a single (define", "problem is missing its (:domain"))
+            "problem is missing its (:domain")
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=4))
