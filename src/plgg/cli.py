@@ -158,15 +158,17 @@ def cmd_evaluate(args) -> int:
         reference_dir=args.reference_dir,
         oracle_baseline=not args.no_oracle)
     report = run_experiment(config)  # validates the config before it reads a file
+    text = result_to_json(report) if args.json or args.out else None
     if args.json:
-        print(result_to_json(report), end="")
+        print(text, end="")
     else:
         print(render_score_report(report))
         print(render_oracle_report(report))
         print(render_timing_report(report), end="")
     if args.out:
-        Path(args.out).write_text(result_to_json(report))
-        print(f"wrote {args.out}")
+        Path(args.out).write_text(text)
+        # with --json, standard output holds the report and nothing else
+        print(f"wrote {args.out}", file=sys.stderr if args.json else sys.stdout)
     return EXIT_OK
 
 

@@ -657,30 +657,42 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     Grounding runs column by column: each schema atom projects every
     substitution onto its parameter slots, interns each distinct projection
     once by its (pred, args) key, equal to its atom, and maps the
-    projections back to a column of fact ids.  The task's atoms are the
-    fact table's.  The candidates are explored by id, and the task's
-    `index` holds the kept actions' tables and their levels only.
+    projections back to a column of fact ids.  A schema's substitutions are
+    the product of its parameter pools, so a column is computed once per
+    predicate, slots and pools and shared by every atom and schema that
+    asks for it again.  The task's atoms are the fact table's.  The
+    candidates are explored by id over their consumer table; when every
+    candidate is reached, the task's `index` keeps the candidate tables as
+    they are, and otherwise it holds the kept actions' tables, rebuilt.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
     ids = {a: i for i, a in enumerate(dict.fromkeys(itertools.chain(problem.init, problem.goal)))}
+    columns: dict[tuple, list[int]] = {}
 
-    def column(atom: Atom, slot: dict[str, int], combos: list) -> list[int]:
-        projections = (list(zip(*(map(itemgetter(slot[v]), combos) for v in atom.args)))
-                       if atom.args else [()] * len(combos))
-        fact = {p: ids.setdefault((atom.pred, p), len(ids)) for p in dict.fromkeys(projections)}
-        return list(map(fact.__getitem__, projections))
+    def column(atom: Atom, slot: dict[str, int], pools: tuple, combos: list) -> list[int]:
+        # all the pools order the rows, so they belong in the key with the slots
+        key = (atom.pred, tuple(slot[v] for v in atom.args), pools)
+        col = columns.get(key)
+        if col is None:
+            projections = (list(zip(*(map(itemgetter(slot[v]), combos) for v in atom.args)))
+                           if atom.args else [()] * len(combos))
+            fact = {p: ids.setdefault((atom.pred, p), len(ids))
+                    for p in dict.fromkeys(projections)}
+            col = columns[key] = list(map(fact.__getitem__, projections))
+        return col
 
     # Schemas in name order and substitutions drawn from sorted pools list
     # the candidates in (name, args) order, the order of `GroundAction`.
     names, combos, pres, adds, deletes = [], [], [], [], []
     for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
-        pools = [sorted(o for o, ot in objects.items() if domain.is_subtype(ot, ptype))
-                 for _, ptype in schema.params]
+        pools = tuple(tuple(sorted(o for o, ot in objects.items()
+                                   if domain.is_subtype(ot, ptype)))
+                      for _, ptype in schema.params)
         slot = {v: i for i, (v, _) in enumerate(schema.params)}
         s_combos = list(itertools.product(*pools))
         parts = [sorted(atoms) for atoms in (schema.pre, schema.add, schema.delete)]
-        cols = [[column(a, slot, s_combos) for a in part] for part in parts]
+        cols = [[column(a, slot, pools, s_combos) for a in part] for part in parts]
         clashes = [map(eq, add_col, del_col) for (a, add_col), (d, del_col)
                    in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
                    if a.pred == d.pred]
@@ -695,19 +707,22 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
 
     init = tuple(map(ids.__getitem__, problem.init))
     goal = tuple(map(ids.__getitem__, problem.goal))
-    fact_level, action_level = explore(init, pres, adds, _by_fact(len(ids), pres))
-    kept = [level >= 0 for level in action_level]
-    pre, add, delete, names, combos, action_level = (
-        list(itertools.compress(table, kept))
-        for table in (pres, adds, deletes, names, combos, action_level))
+    consumers = _by_fact(len(ids), pres)
+    fact_level, action_level = explore(init, pres, adds, consumers)
+    if -1 in action_level:  # drop the unreached candidates from every table
+        kept = [level >= 0 for level in action_level]
+        pres, adds, deletes, names, combos, action_level = (
+            list(itertools.compress(table, kept))
+            for table in (pres, adds, deletes, names, combos, action_level))
+        consumers = _by_fact(len(ids), pres)
     atoms = tuple(map(Atom._make, ids))
     fact_ids = {f for f, level in enumerate(fact_level) if level >= 0}
     fact_ids.update(goal)
-    for row in delete:
+    for row in deletes:
         fact_ids.update(row)
-    index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pre, add=add,
-                      consumers=_by_fact(len(atoms), pre), achievers=_by_fact(len(atoms), add),
-                      names=names, args=combos, delete=delete,
+    index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
+                      consumers=consumers, achievers=_by_fact(len(atoms), adds),
+                      names=names, args=combos, delete=deletes,
                       fact_level=fact_level, action_level=action_level)
     return GroundTask(name=problem.name,
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),

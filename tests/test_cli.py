@@ -312,6 +312,19 @@ def test_evaluate_json_deterministic_scores(bench_dir, paths, capsys):
     assert first["repetitions"][0]["test"] == second["repetitions"][0]["test"]
 
 
+def test_evaluate_json_with_out_prints_only_the_report(bench_dir, paths, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code = main(["evaluate", str(bench_dir / "domain.pddl")]
+                + [paths(n) for n in ["p01", "p02", "p03", "p04", "p05", "p06"]]
+                + ["--train", "4", "--test", "2", "--reps", "1", "--no-oracle",
+                   "--json", "--out", str(target)])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.out == target.read_text()
+    assert captured.err == f"wrote {target}\n"
+
+
 def test_evaluate_insufficient_problems(bench_dir, paths, capsys):
     code = main(["evaluate", str(bench_dir / "domain.pddl"), paths("p01"),
                  "--train", "4", "--test", "10"])

@@ -241,6 +241,23 @@ def test_grounding_edge_cases_match_the_naive_oracle(init, goal):
     assert_stored_levels_are_fresh(task.index)
 
 
+# A column is computed once per predicate, parameter slots and schema pools.
+# With every object a tool, mark's pools equal put's and take's, so their
+# p(?x)-shaped columns are shared; with any item, mark's first pool is smaller
+# and the columns must not be.
+@given(st.tuples(*[st.sampled_from(("item", "tool"))] * len(EDGE_OBJECTS)),
+       st.sets(st.sampled_from(EDGE_FACTS), max_size=4),
+       st.sets(st.sampled_from(EDGE_FACTS), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_grounding_shares_columns_only_between_equal_pools(types, init, goal):
+    objects = dict(zip(EDGE_OBJECTS, types))
+    problem = Problem("edges-3", "edges", objects, frozenset(init), frozenset(goal))
+    task = ground_task(EDGES, problem)
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
+    assert_index_matches_scan(task)
+    assert_stored_levels_are_fresh(task.index)
+
+
 def test_grounding_edge_cases_by_hand():
     init = {Atom("r", ("a", "a")), Atom("r", ("a", "c"))}
     task = ground_task(EDGES, Problem("edges-2", "edges", dict(EDGE_OBJECTS),
