@@ -96,15 +96,28 @@ def _mu_histogram(probs) -> str:
     return " ".join(parts) if parts else "empty"
 
 
+def _dot_path(args) -> Path | None:
+    """Where `--dot` writes its Graphviz file: beside `--out`, with the
+    suffix `.dot`, which must not make it `--out` itself."""
+    if not args.dot:
+        return None
+    if not args.out:
+        raise ConfigError("--dot needs --out")
+    dot_path = Path(args.out).with_suffix(".dot")
+    if dot_path == Path(args.out):
+        raise ConfigError(f"--dot would overwrite --out {args.out}; give --out another suffix")
+    return dot_path
+
+
 def cmd_learn(args) -> int:
+    dot_path = _dot_path(args)
     lggs = [read_lgg(path) for path in args.lggs]
     plog = learn_plog(lggs, domain=args.domain or "")
     write_plog(plog, args.out)
     print(f"wrote {args.out}")
     print(f"vertices: {len(plog.vertices)}  edges: {len(plog.probs)}  "
           f"mu histogram: {_mu_histogram(plog.probs.values())}")
-    if args.dot:
-        dot_path = Path(args.out).with_suffix(".dot")
+    if dot_path:
         dot_path.write_text(plog_to_dot(plog))
         print(f"wrote {dot_path}")
     return EXIT_OK
@@ -122,8 +135,7 @@ def _check_vocabulary(plog, domain) -> None:
 
 
 def cmd_instantiate(args) -> int:
-    if args.dot and not args.out:
-        raise ConfigError("--dot needs --out")
+    dot_path = _dot_path(args)
     check_ranges(args.top_n, args.threshold)
     plog = read_plog(args.plog)
     domain = read_file(args.domain, parse_domain)
@@ -140,8 +152,7 @@ def cmd_instantiate(args) -> int:
     if args.out:
         write_plgg(plgg, args.out)
         print(f"wrote {args.out}")
-        if args.dot:
-            dot_path = Path(args.out).with_suffix(".dot")
+        if dot_path:
             dot_path.write_text(plgg_to_dot(plgg))
             print(f"wrote {dot_path}")
     else:

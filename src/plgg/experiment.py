@@ -19,6 +19,7 @@ the three text renderers read it.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from collections import Counter
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .artifact import dumps
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
 from .metrics import align_columns, compare, mean_reports, render_table
@@ -191,7 +191,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def result_to_json(report: dict) -> str:
-    return dumps(report)
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def render_score_report(report: dict) -> str:

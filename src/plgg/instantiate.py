@@ -529,25 +529,25 @@ def _edge_table(plgg: PLgg) -> tuple[list[Atom], list[tuple[int, int, float]]]:
     return table, sorted((index[s], index[d], mu) for (s, d), mu in edges.items())
 
 
+# Each edge appears once.  A vertex's `grounded` flag is written but not
+# read, since the atom's arguments already say whether it is ground.
+SCHEMA = artifact.Schema(
+    vertices=artifact.atoms(grounded=artifact.flag),
+    domain=artifact.string, side=artifact.one_of(SIDE_GOAL, SIDE_INIT, SIDE_COMBINED),
+    edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
+                            "mu": artifact.probability}, unique=("src", "dst")))
+
+
 def plgg_to_json(plgg: PLgg) -> str:
     table, edges = _edge_table(plgg)
-    return artifact.dumps({
-        "domain": plgg.domain,
-        "side": plgg.side,
-        "vertices": [{**artifact.atom_payload(a), "grounded": a.is_ground} for a in table],
-        "edges": [{"src": s, "dst": d, "mu": mu} for s, d, mu in edges],
-    })
+    return artifact.write_artifact(
+        SCHEMA, domain=plgg.domain, side=plgg.side, edges=edges,
+        vertices=[(a.pred, a.args, a.is_ground) for a in table])
 
 
 def plgg_from_json(text: str) -> PLgg:
-    """Read a p-LGG; each edge appears once, and each vertex's `grounded`
-    flag is ignored, since the atom's arguments already say whether it is
-    ground."""
-    data = artifact.read_artifact(
-        text, domain=artifact.string,
-        side=artifact.one_of(SIDE_GOAL, SIDE_INIT, SIDE_COMBINED),
-        edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
-                                "mu": artifact.probability}, unique=("src", "dst")))
+    """Read a p-LGG."""
+    data = artifact.read_artifact(text, SCHEMA)
     nodes: dict[Atom, dict[Atom, float]] = {a: {} for a in data["vertices"]}
     for src, dst, mu in data["edges"]:
         node, neighbour = (src, dst) if data["side"] == SIDE_INIT else (dst, src)
@@ -570,7 +570,7 @@ def plgg_to_dot(plgg: PLgg) -> str:
     lines = ["digraph plgg {", "  rankdir=BT;"]
     for i, a in enumerate(table):
         style = " style=dashed" if not a.is_ground else ""
-        lines.append(f'  n{i} [label="{a}"{style}];')
+        lines.append(f'  n{i} [label={artifact.dot_label(str(a))}{style}];')
     for s, d, mu in edges:
         lines.append(f'  n{s} -> n{d} [label="{mu:.2f}"];')
     lines.append("}")

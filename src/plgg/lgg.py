@@ -220,22 +220,21 @@ def _has_cycle(lgg: LGG) -> bool:
 # --- serialization ----------------------------------------------------------
 
 
+# An edge is a [src, dst] pair of vertex indices.
+SCHEMA = artifact.Schema(order_type=artifact.one_of(ORDER_TYPE), task=artifact.string,
+                         edges=artifact.records({0: artifact.vertex, 1: artifact.vertex}))
+
+
 def lgg_to_json(lgg: LGG) -> str:
     table, index = artifact.atom_table(lgg.vertices)
-    return artifact.dumps({
-        "task": lgg.task,
-        "vertices": [artifact.atom_payload(v) for v in table],
-        "edges": sorted([index[s], index[d]] for s, d in lgg.edges),
-        "order_type": ORDER_TYPE,
-    })
+    return artifact.write_artifact(
+        SCHEMA, task=lgg.task, vertices=table, order_type=ORDER_TYPE,
+        edges=sorted((index[s], index[d]) for s, d in lgg.edges))
 
 
 def lgg_from_json(text: str) -> LGG:
-    """Read a landmark graph; an edge is a [src, dst] pair of vertex indices.
-    Every landmark is a ground fact."""
-    data = artifact.read_artifact(
-        text, order_type=artifact.one_of(ORDER_TYPE), task=artifact.string,
-        edges=artifact.records({0: artifact.vertex, 1: artifact.vertex}))
+    """Read a landmark graph.  Every landmark is a ground fact."""
+    data = artifact.read_artifact(text, SCHEMA)
     for i, vertex in enumerate(data["vertices"]):
         if not vertex.is_ground:
             raise LggFormatError(f"landmark {vertex} is not ground", f"/vertices/{i}")

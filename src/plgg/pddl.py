@@ -94,7 +94,7 @@ class Atom(NamedTuple):
 
     @property
     def is_ground(self) -> bool:
-        return not any(is_variable(a) for a in self.args)
+        return not any(map(is_variable, self.args))
 
     def params(self) -> frozenset[str]:
         return frozenset(self.args)

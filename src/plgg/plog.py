@@ -116,28 +116,29 @@ def learn_plog(lggs: Iterable[LGG], domain: str = "") -> PLog:
 # --- serialization ----------------------------------------------------------
 
 
+# Counts are positive, and each edge or root appears once.
+SCHEMA = artifact.Schema(
+    domain=artifact.string,
+    edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
+                            "n": artifact.positive_int, "mu": artifact.probability},
+                           unique=("src", "dst")),
+    log_counts=artifact.records({"vertex": artifact.vertex, "n_graph": artifact.positive_int},
+                                unique=("vertex",)))
+
+
 def plog_to_json(plog: PLog) -> str:
     table, index = artifact.atom_table(plog.atoms)
-    return artifact.dumps({
-        "domain": plog.domain,
-        "vertices": [artifact.atom_payload(a) for a in table],
-        "edges": [{"src": index[e.src], "dst": index[e.dst], "n": n, "mu": plog.probs[e]}
-                  for e, n in sorted(plog.edge_counts.items())],
-        "log_counts": [{"vertex": index[v], "n_graph": n}
-                       for v, n in sorted(plog.log_counts.items())],
-    })
+    return artifact.write_artifact(
+        SCHEMA, domain=plog.domain, vertices=table,
+        edges=[(index[e.src], index[e.dst], n, plog.probs[e])
+               for e, n in sorted(plog.edge_counts.items())],
+        log_counts=[(index[v], n) for v, n in sorted(plog.log_counts.items())])
 
 
 def plog_from_json(text: str) -> PLog:
-    """Read a p-LOG; counts are positive and each edge or root appears once.
-    Probabilities are recomputed from the counts, not taken from the file."""
-    data = artifact.read_artifact(
-        text, domain=artifact.string,
-        edges=artifact.records({"src": artifact.vertex, "dst": artifact.vertex,
-                                "n": artifact.positive_int, "mu": artifact.probability},
-                               unique=("src", "dst")),
-        log_counts=artifact.records({"vertex": artifact.vertex,
-                                     "n_graph": artifact.positive_int}, unique=("vertex",)))
+    """Read a p-LOG.  Probabilities are recomputed from the counts, not
+    taken from the file."""
+    data = artifact.read_artifact(text, SCHEMA)
     log_counts = Counter(dict(data["log_counts"]))
     edge_counts = Counter({LiftedEdge(src, dst): n for src, dst, n, _ in data["edges"]})
     return PLog(edge_counts, log_counts, data["domain"])
@@ -156,7 +157,7 @@ def plog_to_dot(plog: PLog) -> str:
     table, index = artifact.atom_table(plog.atoms)
     lines = ["digraph plog {", "  rankdir=BT;"]
     for a in table:
-        lines.append(f'  n{index[a]} [label="{a}" style=dashed];')
+        lines.append(f'  n{index[a]} [label={artifact.dot_label(str(a))} style=dashed];')
     for e, mu in sorted(plog.probs.items()):
         lines.append(f'  n{index[e.src]} -> n{index[e.dst]} [label="{mu:.2f}"];')
     lines.append("}")

@@ -1,16 +1,26 @@
 """The shared artifact codec: a malformed landmark graph, p-LOG or p-LGG
 file loads as a typed error with a JSON pointer, never as a crash or as a
-silently wrong graph."""
+silently wrong graph; every file is written in the bytes `json.dumps` gives
+its payload; and the Graphviz renderings quote every label."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.artifact import LggFormatError
-from plgg.instantiate import instantiate_task, plgg_from_json, plgg_to_json
-from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
-from plgg.plog import VocabularyError, plog_from_json, plog_to_json
+import plgg.instantiate as instantiate
+import plgg.lgg as lgg
+import plgg.plog as plog_module
+from plgg.artifact import LggFormatError, write_artifact
+from plgg.instantiate import (instantiate_task, plgg_from_json, plgg_to_dot, plgg_to_json,
+                              read_plgg, write_plgg)
+from plgg.lgg import LGG, extract_lgg, lgg_from_json, lgg_to_json
+from plgg.pddl import Atom, ground_task, parse_problem
+from plgg.plog import (VocabularyError, learn_plog, plog_from_json, plog_to_dot,
+                       plog_to_json)
+
+from conftest import BENCH, COURIER, COURIER_CORPUS, CORPUS, GRIPPER, GRIPPER_CORPUS
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +121,134 @@ def test_malformed_artifact_raises_format_error(artifact, kind, mutate, pointer)
     with pytest.raises(LggFormatError) as err:
         read(json.dumps(mutate(json.loads(text))))
     assert err.value.pointer == pointer
+
+
+# --- writing ------------------------------------------------------------------
+
+
+def canonical(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# Strings with escapes, control characters and non-ASCII text.
+TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\n\t\x1f\x7fé€\u2028😀'),
+               max_size=6)
+ARGS = st.lists(TEXT, max_size=3).map(tuple)  # 0-ary atoms included
+INDEX = st.integers(0, 10**6)
+COUNT = st.integers(1, 10**12)
+MU = st.sampled_from([1e-05, 0.1, 1 / 3, 1.0, 0, 1]) | st.floats(0, 1)
+
+
+def rows(*fields):
+    """A table of records; it may be empty."""
+    return st.lists(st.tuples(*fields), max_size=4)
+
+
+def payload_of(values, **tables):
+    """`values` as `json` sees them: each named table's rows as objects
+    with the given keys, or as arrays when no keys are given."""
+    return dict(values, **{name: [dict(zip(keys, row)) if keys else list(row)
+                                  for row in values[name]] for name, keys in tables.items()})
+
+
+def vertex_rows(*extra):
+    return rows(TEXT, ARGS, *extra)  # `json` writes a tuple of args as an array
+
+
+@st.composite
+def lgg_values(draw):
+    values = dict(task=draw(TEXT), order_type=draw(TEXT), vertices=draw(vertex_rows()),
+                  edges=draw(rows(INDEX, INDEX)))
+    return values, payload_of(values, vertices=("pred", "args"), edges=())
+
+
+@st.composite
+def plog_values(draw):
+    values = dict(domain=draw(TEXT), vertices=draw(vertex_rows()),
+                  edges=draw(rows(INDEX, INDEX, COUNT, MU)), log_counts=draw(rows(INDEX, COUNT)))
+    return values, payload_of(values, vertices=("pred", "args"),
+                              edges=("src", "dst", "n", "mu"), log_counts=("vertex", "n_graph"))
+
+
+@st.composite
+def plgg_values(draw):
+    values = dict(domain=draw(TEXT), side=draw(TEXT), vertices=draw(vertex_rows(st.booleans())),
+                  edges=draw(rows(INDEX, INDEX, MU)))
+    return values, payload_of(values, vertices=("pred", "args", "grounded"),
+                              edges=("src", "dst", "mu"))
+
+
+@pytest.mark.parametrize("schema,drawn", [
+    (lgg.SCHEMA, lgg_values()),
+    (plog_module.SCHEMA, plog_values()),
+    (instantiate.SCHEMA, plgg_values()),
+], ids=["lgg", "plog", "plgg"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_writer_matches_json_dumps(schema, drawn, data):
+    values, payload = data.draw(drawn)
+    assert write_artifact(schema, **values) == canonical(payload)
+
+
+@pytest.mark.parametrize("directory,names", [(BENCH, CORPUS), (GRIPPER, GRIPPER_CORPUS),
+                                             (COURIER, COURIER_CORPUS)],
+                         ids=["blocksworld", "gripper", "courier"])
+def test_fixture_artifacts_are_canonical(load, directory, names):
+    """Every landmark graph of a fixture domain, the p-LOG learned from all
+    of them, and that p-LOG instantiated on every task."""
+    tasks = [load(directory, name)[2] for name in names]
+    graphs = [extract_lgg(task) for task in tasks]
+    learned = learn_plog(graphs, domain=load(directory, names[0])[0].name)
+    texts = ([lgg_to_json(g) for g in graphs] + [plog_to_json(learned)]
+             + [plgg_to_json(instantiate_task(learned, task)) for task in tasks])
+    for text in texts:
+        assert text == canonical(json.loads(text))
+
+
+# --- Graphviz -----------------------------------------------------------------
+
+# A node or an edge statement, with its label as a DOT quoted string.
+DOT_STATEMENT = re.compile(r'  n\d+ (?:-> n\d+ )?\[label=("(?:[^"\\]|\\.)*")'
+                           r'(?: style=dashed)?\];')
+
+
+def dot_labels(dot: str) -> list[str]:
+    """The labels of every statement of `dot`, unquoted; fails on a line
+    that is not a statement with a well-formed quoted label."""
+    lines = dot.splitlines()
+    assert lines[0].startswith("digraph ") and lines[1] == "  rankdir=BT;" and lines[-1] == "}"
+    labels = []
+    for line in lines[2:-1]:
+        match = DOT_STATEMENT.fullmatch(line)
+        assert match, line
+        labels.append(re.sub(r"\\(.)", r"\1", match.group(1)[1:-1]))
+    return labels
+
+
+@pytest.fixture(scope="module")
+def quoted_task(domain):
+    """p06 with block b renamed x"y, which the tokenizer accepts as a name."""
+    text = re.sub(r"(?<=[\s(])b(?=[\s)])", 'x"y', (BENCH / "p06.pddl").read_text())
+    return ground_task(domain, parse_problem(text, domain))
+
+
+def test_plgg_dot_quotes_every_label(plog, quoted_task, tmp_path):
+    plgg = instantiate_task(plog, quoted_task)
+    labels = dot_labels(plgg_to_dot(plgg))
+    assert Atom("clear", ('x"y',)) in plgg.nodes
+    assert 'clear(x"y)' in labels
+    assert set(labels) >= {str(a) for a in plgg.nodes}
+    text = plgg_to_json(plgg)
+    assert text == canonical(json.loads(text))
+    write_plgg(plgg, tmp_path / "p06.plgg.json")
+    assert plgg_to_json(read_plgg(tmp_path / "p06.plgg.json")) == text
+
+
+def test_plog_dot_quotes_every_label():
+    quirky = Atom('on"\\', ("a", "b"))
+    learned = learn_plog([LGG(task="t", vertices=frozenset({quirky, Atom("clear", ("a",))}),
+                              edges=frozenset({(Atom("clear", ("a",)), quirky)}))],
+                         domain="d")
+    labels = dot_labels(plog_to_dot(learned))
+    assert {str(a) for a in learned.atoms} <= set(labels)
+    assert 'on"\\(?x0, ?x1)' in labels

@@ -180,6 +180,21 @@ def test_instantiate_dot_requires_out(learned, bench_dir, paths, capsys):
     assert "plgg instantiate: error: --dot needs --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["learn", "instantiate"])
+def test_dot_that_would_overwrite_out_exits_1(command, bench_dir, tmp_path, capsys):
+    # the inputs do not exist: the clash is reported before any is read
+    out = tmp_path / "g.dot"
+    inputs = ([str(tmp_path / "p01.lgg.json")] if command == "learn"
+              else [str(tmp_path / "plog.json"), str(bench_dir / "domain.pddl"),
+                    str(tmp_path / "p06.pddl")])
+    assert main([command, *inputs, "--out", str(out), "--dot"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (f"plgg {command}: error: --dot would overwrite --out {out}; "
+                            "give --out another suffix\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 OUT_OF_RANGE = [("top_n", "0"), ("top_n", "-3"), ("threshold", "7"),
                 ("threshold", "-0.5"), ("threshold", "nan")]
 
