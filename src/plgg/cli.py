@@ -145,10 +145,12 @@ def cmd_instantiate(args) -> int:
     plgg = instantiate_task(plog, task, top_n=args.top_n)
     seconds = time.perf_counter() - start
     content = extract_result(plgg, threshold=args.threshold)
+    # without --out, standard output holds the p-LGG and nothing else
     print(f"instantiated in {seconds * 1000:.0f} ms: "
           f"{len(content.landmarks_grounded)} grounded landmarks, "
           f"{len(content.landmarks_lifted)} lifted, "
-          f"{len(content.orderings)} orderings at threshold {args.threshold}")
+          f"{len(content.orderings)} orderings at threshold {args.threshold}",
+          file=sys.stdout if args.out else sys.stderr)
     if args.out:
         write_plgg(plgg, args.out)
         print(f"wrote {args.out}")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
-from .metrics import align_columns, compare, mean_reports, render_table
+from .metrics import _prf, align_columns, compare, mean_reports, render_table
 from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_file
 from .plog import learn_plog
 
@@ -162,8 +162,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             if config.oracle_baseline:
                 oracle = corpus.oracle(path)
                 native = set(corpus.native_lgg(path)[0].vertices)
-                plgg_recall = len(content.landmarks_grounded & oracle) / len(oracle)
-                native_recall = len(native & oracle) / len(oracle)
+                # an empty oracle set is recalled in full by a side that found nothing
+                plgg_recall, native_recall = (
+                    _prf(len(found & oracle), len(found), len(oracle)).recall
+                    for found in (content.landmarks_grounded, native))
             tasks.append({"task": Path(path).stem,
                           "instantiate_seconds": seconds,
                           "report": compare(reference, content),

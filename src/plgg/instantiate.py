@@ -22,17 +22,18 @@ an expanded atom, so an expansion renames and substitutes nothing.
 Passes only add nodes and raise edge probabilities, so `combine` keeps
 each side's state across its passes instead of deriving it again: one copy
 of the side that every rewrite changes in place, each node's best incident
-probability, the lifted nodes in rank order with their bucket keys, and
-the nodes that no harvest has read yet.  Each pass re-sorts the nearly
-sorted kept order with the nodes the last rewrite added, and files the
-lifted nodes in buckets keyed by predicate, arity, object positions and
-the objects at those positions: `on(?x3, b)` sits in
-`("on", 2, (1,), ("b",))`.  A ground landmark looks its equivalents up in
-the buckets of its own objects, from the fewest variables upward, since a
-node's distance to a ground landmark is its variable count; the first
-count with a match holds the closest equivalents, and the `top_n` best
-ranked of them supply its bindings.  Every landmark searched is ground:
-`combine` harvests only the task's facts.
+probability, the lifted nodes in buckets, and the nodes that no harvest
+has read yet.  A lifted node is filed once, when it joins the side, under
+its predicate, arity, object positions and the objects at those
+positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.  Each bucket is
+kept in rank order, by higher best incident probability, then
+lexicographically; every rewrite re-sorts the nearly sorted buckets.  A
+ground landmark looks its equivalents up in the buckets of its own
+objects, from the fewest variables upward, since a node's distance to a
+ground landmark is its variable count; the first count with a match holds
+the closest equivalents, and the `top_n` best ranked of them supply its
+bindings.  Every landmark searched is ground: `combine` harvests only the
+task's facts.
 """
 
 from __future__ import annotations
@@ -262,49 +263,41 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
 class SideState:
     """One side's working graph for the length of one `combine` call:
     `plgg`, a copy of the side that the rewrites change in place; `best`,
-    each node's best incident probability; `lifted`, the lifted nodes in
-    the order they joined; `order`, the ranked ones among them in rank
-    order, with their bucket `keys`; and `unharvested`, the nodes that no
-    harvest has read yet."""
+    each node's best incident probability; `buckets`, the lifted nodes,
+    each filed once under its predicate, arity, object positions and the
+    objects there, each bucket in `rank` order; and `unharvested`, the
+    nodes that no harvest has read yet."""
 
     def __init__(self, plgg: PLgg):
         self.plgg = PLgg(nodes={node: dict(neighbours) for node, neighbours in plgg.nodes.items()},
                          side=plgg.side, store=plgg.store, domain=plgg.domain)
         self.best = _best_incident_prob(self.plgg)
-        self.lifted = [node for node in self.plgg.nodes if not node.is_ground]
-        self.order: list[Atom] = []
-        self.keys: dict[Atom, tuple] = {}
-        self.unharvested = list(self.plgg.nodes)
+        self.buckets: dict[tuple, list[Atom]] = {}
+        self.unharvested: list[Atom] = []
+        self.admit(list(self.plgg.nodes))
+
+    def rank(self, node: Atom) -> tuple[float, Atom]:
+        """Higher best incident probability first, then lexicographically."""
+        return -self.best.get(node, 0.0), node
+
+    def admit(self, added: list[Atom]) -> None:
+        """Queue the nodes a rewrite added for the next harvest, file the
+        lifted ones, and re-sort every bucket, which is cheap since only the
+        nodes whose best probability rose move."""
+        self.unharvested += added
+        for node in added:
+            if not node.is_ground:
+                fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+                key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
+                self.buckets.setdefault(key, []).append(node)
+        for members in self.buckets.values():
+            members.sort(key=self.rank)
 
     def harvest(self, facts: frozenset[Atom]) -> set[Atom]:
         """The task facts among the nodes added since the last harvest."""
         found = {node for node in self.unharvested if node in facts}
         self.unharvested = []
         return found
-
-
-# (predicate, arity, object positions, objects there) -> [(rank, node)], in rank order
-Buckets = dict[tuple, list[tuple[int, Atom]]]
-
-
-def rank_lifted_nodes(state: SideState) -> Buckets:
-    """Rank the side's lifted nodes for a pass, by higher best incident
-    probability, then lexicographically, and file each node with its rank
-    under its predicate, arity, object positions and the objects at those
-    positions.  The kept order is re-sorted, which is cheap since only the
-    nodes whose best probability rose move, and the nodes the last rewrite
-    added join it with their keys."""
-    order, keys = state.order, state.keys
-    for node in state.lifted[len(order):]:
-        fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-        keys[node] = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
-        order.append(node)
-    best = state.best
-    order.sort(key=lambda n: (-best.get(n, 0.0), n))
-    buckets: Buckets = {}
-    for rank, node in enumerate(order):
-        buckets.setdefault(keys[node], []).append((rank, node))
-    return buckets
 
 
 _Pattern = tuple[tuple[int, ...], tuple[int, ...]]
@@ -320,34 +313,35 @@ def _object_patterns(arity: int) -> tuple[tuple[_Pattern, ...], ...]:
                  for count in range(1, arity + 1))
 
 
-def search_best_equiv(buckets: Buckets, lm: Atom,
-                      store: VarConstraintStore, top_n: int = 1) -> dict[str, str]:
+def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, str]:
     """Variable bindings harvested from the closest equivalents of the
-    ground landmark `lm`.
+    ground landmark `lm` among the side's lifted nodes.
 
-    `buckets` is the pass's `rank_lifted_nodes` index.  A lifted node is
-    as far from `lm` as it has variable positions, so the buckets of
-    `lm`'s own objects are read from the fewest variables upward, skipping
-    nodes whose constraints forbid `lm`'s object at a variable position;
-    the first count with a match holds the closest equivalents.  The
-    `top_n` best ranked of them contribute bindings position by position,
-    and a variable bound once is never rebound.
+    A lifted node is as far from `lm` as it has variable positions, so the
+    buckets of `lm`'s own objects are read from the fewest variables
+    upward, skipping nodes whose constraints forbid `lm`'s object at a
+    variable position; the first count with a match holds the closest
+    equivalents.  A bucket's first `top_n` allowed nodes are its best
+    ranked, and the `top_n` best ranked of those across the count's
+    buckets contribute bindings position by position; a variable bound
+    once is never rebound.
     """
     if not lm.is_ground:
         raise ValueError(f"equivalence search needs a ground landmark, not {lm}")
     args = lm.args
-    forbidden = store.forbidden_objects
-    chosen: list[tuple[int, Atom]] = []
+    forbidden = state.plgg.store.forbidden_objects
+    chosen: list[Atom] = []
     for level in _object_patterns(len(args)):
         for fixed, open_ in level:
-            members = buckets.get((lm.pred, len(args), fixed, tuple(args[i] for i in fixed)), ())
-            chosen += islice((entry for entry in members
-                              if all(args[i] not in forbidden(entry[1].args[i]) for i in open_)),
+            members = state.buckets.get((lm.pred, len(args), fixed, tuple(args[i] for i in fixed)),
+                                        ())
+            chosen += islice((node for node in members
+                              if all(args[i] not in forbidden(node.args[i]) for i in open_)),
                              top_n)
         if chosen:
             break
     bindings: dict[str, str] = {}
-    for _, node in sorted(chosen)[:top_n]:
+    for node in sorted(chosen, key=state.rank)[:top_n]:
         for var, obj in zip(node.args, args):
             if is_variable(var):
                 bindings.setdefault(var, obj)
@@ -362,8 +356,10 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
     neighbour set, itself rewritten under the same bindings; the lifted
     original stays.  Bindings that hit a forbidden object are dropped.  A
     rewritten node has no bound variable left, so no node that this
-    rewrite changes is rewritten again; the best incident probabilities of
-    both ends of every edge it adds or raises are raised with it.
+    rewrite changes is rewritten again, in whatever order the nodes are
+    rewritten; the best incident probabilities of both ends of every edge
+    it adds or raises are raised with it, and the side admits the nodes
+    it added.
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
@@ -374,34 +370,31 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
         safe[var] = obj
     nodes, best = state.plgg.nodes, state.best
     added: list[Atom] = []
-    for lifted in state.lifted:
-        if safe.keys().isdisjoint(lifted.args):
-            continue
-        inst = lifted.substitute(safe)
-        if inst == lifted:
-            continue
-        bucket = nodes.get(inst)
-        if bucket is None:
-            bucket = nodes[inst] = {}
-            added.append(inst)
-        for neighbour, mu in nodes[lifted].items():
-            rewritten = neighbour.substitute(safe)
-            mu = max(mu, bucket.get(rewritten, 0.0))
-            bucket[rewritten] = mu
-            best[inst] = max(best.get(inst, 0.0), mu)
-            best[rewritten] = max(best.get(rewritten, 0.0), mu)
-    state.unharvested += added
-    state.lifted += [node for node in added if not node.is_ground]
+    for members in state.buckets.values():
+        for lifted in members:
+            if safe.keys().isdisjoint(lifted.args):
+                continue
+            inst = lifted.substitute(safe)
+            bucket = nodes.get(inst)
+            if bucket is None:
+                bucket = nodes[inst] = {}
+                added.append(inst)
+            for neighbour, mu in nodes[lifted].items():
+                rewritten = neighbour.substitute(safe)
+                mu = max(mu, bucket.get(rewritten, 0.0))
+                bucket[rewritten] = mu
+                best[inst] = max(best.get(inst, 0.0), mu)
+                best[rewritten] = max(best.get(rewritten, 0.0), mu)
+    state.admit(added)
 
 
 def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None:
-    """One instantiation pass: rank the lifted nodes once, harvest bindings
-    from every ground landmark in `lms` against that ranking, first binding
-    per variable wins, then rewrite the side once."""
-    buckets = rank_lifted_nodes(state)
+    """One instantiation pass: harvest bindings from every ground landmark
+    in `lms` against the side's ranked buckets, first binding per variable
+    wins, then rewrite the side once."""
     var_inst: dict[str, str] = {}
     for lm in sorted(lms):
-        for var, obj in search_best_equiv(buckets, lm, state.plgg.store, top_n).items():
+        for var, obj in search_best_equiv(state, lm, top_n).items():
             var_inst.setdefault(var, obj)
     apply_instantiation(state, var_inst)
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import strategies as st
 
 import plgg.instantiate as instantiate
 from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob, _union,
-                              generate_plgg_goal, generate_plgg_init)
+                              equivalent_atoms, generate_plgg_goal, generate_plgg_init)
 from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
 from plgg.plog import LiftedEdge, learn_plog
@@ -147,6 +148,9 @@ def fresh_variables(edge, source):
 
 
 def reference_rank(plgg):
+    """The side's lifted nodes ranked from scratch, by higher best incident
+    probability, then lexicographically, each filed with its rank under its
+    predicate, arity, object positions and the objects there."""
     best = _best_incident_prob(plgg)
     lifted = sorted((node for node in plgg.nodes if not node.is_ground),
                     key=lambda n: (-best.get(n, 0.0), n))
@@ -180,11 +184,33 @@ def reference_rewrite(plgg, bindings):
     return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
 
 
+def reference_search(buckets, lm, store, top_n):
+    """Bindings from the `top_n` best ranked closest equivalents of the
+    ground landmark `lm`: every bucket of `lm`'s objects, read whole, from
+    the fewest variable positions upward."""
+    positions = range(lm.arity)
+    for count in range(1, lm.arity + 1):
+        found = sorted(entry for fixed in combinations(positions, lm.arity - count)
+                       for entry in buckets.get((lm.pred, lm.arity, fixed,
+                                                 tuple(lm.args[i] for i in fixed)), ())
+                       if equivalent_atoms(entry[1], lm, store))
+        if found:
+            break
+    else:
+        return {}
+    bindings = {}
+    for _, node in found[:top_n]:
+        for var, obj in zip(node.args, lm.args):
+            if is_variable(var):
+                bindings.setdefault(var, obj)
+    return bindings
+
+
 def reference_instantiation(plgg, lms, top_n=1):
     buckets = reference_rank(plgg)
     var_inst = {}
     for lm in sorted(lms):
-        for var, obj in instantiate.search_best_equiv(buckets, lm, plgg.store, top_n).items():
+        for var, obj in reference_search(buckets, lm, plgg.store, top_n).items():
             var_inst.setdefault(var, obj)
     return reference_rewrite(plgg, var_inst)
 

@@ -14,8 +14,8 @@ from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
 from plgg.instantiate import (PLgg, SideState, VarConstraintStore, equivalent_atoms,
-                              extract_result, instantiate_task, rank_lifted_nodes,
-                              search_best_equiv, update_distinct_consts)
+                              extract_result, instantiate_task, search_best_equiv,
+                              update_distinct_consts)
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
@@ -82,9 +82,9 @@ def test_criterion_03_equivalence_example():
     assert sorted(found.values()) == [1, 1, 2, 2, 3]
     closest = {node for node, distance in found.items() if distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
-    ranked = rank_lifted_nodes(SideState(plgg))
-    assert search_best_equiv(ranked, lm, plgg.store, top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(ranked, lm, plgg.store, top_n=2) == {"?x4": "b", "?x5": "c"}
+    state = SideState(plgg)
+    assert search_best_equiv(state, lm, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(state, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 @criterion(4, "distinct-value constraints: objects={a}, variables={?x0,?x1} exactly")

@@ -2,12 +2,15 @@
 
 import json
 import logging
+import re
 
 import pytest
 
 from plgg.cli import _HANDLER, EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
 from plgg.experiment import ExperimentConfig
+from plgg.instantiate import instantiate_task, plgg_from_json, plgg_to_json
 from plgg.pddl import parse_problem
+from plgg.plog import read_plog
 
 
 @pytest.fixture()
@@ -117,6 +120,18 @@ def test_instantiate_writes_graph_and_dot(learned, bench_dir, paths, tmp_path, c
     names = {(v["pred"], tuple(v["args"])) for v in payload["vertices"]}
     assert ("clear", ("b",)) in names
     assert ("on", ("a", "b")) in names
+
+
+def test_instantiate_without_out_prints_only_the_graph(learned, bench_dir, paths, make_task,
+                                                      capsys):
+    code = main(["instantiate", str(learned), str(bench_dir / "domain.pddl"), paths("p06")])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    graph = plgg_from_json(captured.out)
+    assert captured.out == plgg_to_json(graph)
+    assert captured.out == plgg_to_json(instantiate_task(read_plog(learned), make_task("p06")))
+    assert re.fullmatch(r"instantiated in \d+ ms: \d+ grounded landmarks, \d+ lifted, "
+                        r"\d+ orderings at threshold 0\.0\n", captured.err)
 
 
 def test_instantiate_goal_predecessor_edge(learned, bench_dir, paths, tmp_path):
@@ -338,6 +353,23 @@ def test_evaluate_json_with_out_prints_only_the_report(bench_dir, paths, tmp_pat
     json.loads(captured.out)
     assert captured.out == target.read_text()
     assert captured.err == f"wrote {target}\n"
+
+
+def test_evaluate_task_with_empty_oracle_set(bench_dir, tmp_path, capsys):
+    # no init fact and no goal: the oracle finds no landmark, and neither
+    # side finds a grounded one, so each recalls the empty set in full
+    (tmp_path / "p00.pddl").write_text("(define (problem p00) (:domain blocksworld) "
+                                       "(:objects a - block) (:init) (:goal (and)))")
+    for name in ("p01", "p02"):
+        (tmp_path / f"{name}.pddl").write_text((bench_dir / f"{name}.pddl").read_text())
+    # seed 0 shuffles the sorted p00, p01, p02 to p01, p02 | p00
+    code = main(["evaluate", str(bench_dir / "domain.pddl")]
+                + [str(tmp_path / f"{name}.pddl") for name in ("p00", "p01", "p02")]
+                + ["--train", "2", "--test", "1", "--reps", "1", "--json"])
+    assert code == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["oracle_recall"]
+    assert row["task"] == "p00"
+    assert row["plgg_recall"] == row["native_recall"] == 1.0
 
 
 def test_evaluate_insufficient_problems(bench_dir, paths, capsys):

@@ -18,7 +18,7 @@ from plgg.instantiate import (PLgg, SideState, VarConstraintStore, VarSource, _b
                               combine, equivalent_atoms, equivalent_params, extract_result,
                               generate_plgg_goal, generate_plgg_init,
                               instantiate_task, instantiation, plgg_from_json, plgg_to_dot,
-                              plgg_to_json, rank_lifted_nodes, search_best_equiv,
+                              plgg_to_json, search_best_equiv,
                               update_distinct_consts)
 
 import conftest
@@ -153,34 +153,65 @@ def test_candidate_distances_match_worked_example():
 
 
 def test_top_n_binding_selection():
-    plgg = spec_candidates_graph()
-    ranked = rank_lifted_nodes(SideState(plgg))
+    state = SideState(spec_candidates_graph())
     lm = Atom("p", ("a", "b", "c"))
-    assert search_best_equiv(ranked, lm, plgg.store, top_n=1) == {"?x4": "b"}
-    assert search_best_equiv(ranked, lm, plgg.store, top_n=2) == {"?x4": "b", "?x5": "c"}
+    assert search_best_equiv(state, lm, top_n=1) == {"?x4": "b"}
+    assert search_best_equiv(state, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 def test_search_best_equiv_without_candidates():
-    plgg = PLgg(nodes={}, side="goal", store=VarConstraintStore())
-    assert search_best_equiv(rank_lifted_nodes(SideState(plgg)), Atom("p", ("a",)),
-                             plgg.store) == {}
+    state = SideState(PLgg(nodes={}, side="goal", store=VarConstraintStore()))
+    assert search_best_equiv(state, Atom("p", ("a",))) == {}
 
 
 def test_search_best_equiv_rejects_a_lifted_landmark():
-    plgg = spec_candidates_graph()
+    state = SideState(spec_candidates_graph())
     with pytest.raises(ValueError, match="ground landmark"):
-        search_best_equiv(rank_lifted_nodes(SideState(plgg)), Atom("p", ("a", "?x9", "c")),
-                          plgg.store)
+        search_best_equiv(state, Atom("p", ("a", "?x9", "c")))
+
+
+def bucket_key(node):
+    """Predicate, arity, object positions and the objects there."""
+    fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+    return node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed)
+
+
+def assert_buckets_are_ranked(state):
+    """The buckets hold exactly the side's lifted nodes, each once under its
+    own key, and each bucket is in (-best, node) order."""
+    filed = [(key, node) for key, members in state.buckets.items() for node in members]
+    lifted = [node for node in state.plgg.nodes if not node.is_ground]
+    assert sorted(filed) == sorted((bucket_key(node), node) for node in lifted)
+    for members in state.buckets.values():
+        assert members == sorted(members, key=lambda n: (-state.best.get(n, 0.0), n))
 
 
 def test_buckets_file_nodes_by_object_positions():
-    buckets = rank_lifted_nodes(SideState(spec_candidates_graph()))
-    assert buckets[("p", 3, (0,), ("a",))] == [(2, Atom("p", ("a", "?x0", "?x1")))]
-    assert buckets[("p", 3, (), ())] == [(1, Atom("p", ("?x6", "?x7", "?x8")))]
-    assert buckets[("p", 3, (0, 2), ("a", "c"))] == [(3, Atom("p", ("a", "?x4", "c")))]
-    # every lifted node is filed once, in rank order across the buckets
-    ranks = sorted(rank for members in buckets.values() for rank, _ in members)
-    assert ranks == list(range(5))
+    state = SideState(spec_candidates_graph())
+    assert state.buckets[("p", 3, (0,), ("a",))] == [Atom("p", ("a", "?x0", "?x1"))]
+    assert state.buckets[("p", 3, (), ())] == [Atom("p", ("?x6", "?x7", "?x8"))]
+    assert state.buckets[("p", 3, (0, 2), ("a", "c"))] == [Atom("p", ("a", "?x4", "c"))]
+    assert len(state.buckets) == 5
+    assert_buckets_are_ranked(state)
+
+
+def test_rewrites_keep_every_bucket_ranked():
+    anchor, first, second = Atom("r", ()), Atom("p", ("a", "?x0")), Atom("p", ("a", "?x1"))
+    older = Atom("q", ("a", "?x6"))
+    nodes = {first: {anchor: 0.5}, second: {anchor: 0.25}, older: {anchor: 0.5},
+             Atom("q", ("?x4", "?x5")): {Atom("p", ("?x4", "?x1")): 0.9},
+             Atom("p", ("?x4", "?x1")): {}, anchor: {}}
+    state = SideState(PLgg(nodes=nodes, side="goal", store=VarConstraintStore()))
+    lm = Atom("p", ("a", "c"))
+    assert state.buckets[("p", 2, (0,), ("a",))] == [first, second]
+    assert search_best_equiv(state, lm) == {"?x0": "c"}
+    apply_instantiation(state, {"?x4": "a"})
+    # q(a, ?x5) joins q(a, ?x6)'s bucket ahead of it, and its edge to
+    # p(a, ?x1) raises that node past p(a, ?x0)
+    assert state.buckets[("p", 2, (0,), ("a",))] == [second, first]
+    assert state.buckets[("q", 2, (0,), ("a",))] == [Atom("q", ("a", "?x5")), older]
+    assert search_best_equiv(state, lm) == {"?x1": "c"}
+    assert_buckets_are_ranked(state)
 
 
 def full_scan_bindings(plgg, lm, top_n):
@@ -227,12 +258,12 @@ def graphs_and_landmarks(draw):
 @settings(max_examples=300, deadline=None)
 def test_ranked_pass_matches_full_scan(case):
     plgg, lms = case
-    ranked = rank_lifted_nodes(SideState(plgg))
+    searched = SideState(plgg)
     for top_n in (1, 2, 3):
         expected = {}
         for lm in sorted(lms):
             found = full_scan_bindings(plgg, lm, top_n)
-            assert search_best_equiv(ranked, lm, plgg.store, top_n) == found
+            assert search_best_equiv(searched, lm, top_n) == found
             for var, obj in found.items():
                 expected.setdefault(var, obj)
         state = SideState(plgg)
@@ -280,11 +311,10 @@ def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
     # ground landmarks of arity up to 3, repeated node variables, a
     # constraint store that forbids objects, and ties across buckets
     plgg, lms = case
-    ranked = rank_lifted_nodes(SideState(plgg))
+    state = SideState(plgg)
     for top_n in (1, 2, 3, 5):
         for lm in lms:
-            assert search_best_equiv(ranked, lm, plgg.store, top_n) == \
-                full_scan_bindings(plgg, lm, top_n)
+            assert search_best_equiv(state, lm, top_n) == full_scan_bindings(plgg, lm, top_n)
 
 
 def test_first_binding_wins_across_landmarks():
@@ -531,6 +561,7 @@ def counted(run):
             count(mp, instantiate_module, "instantiation", "passes")
             count(mp, conftest, "reference_instantiation", "passes")
             count(mp, instantiate_module, "search_best_equiv", "searches")
+            count(mp, conftest, "reference_search", "searches")
             result = run()
     finally:
         logger.removeHandler(drops)
@@ -591,31 +622,24 @@ def test_kept_state_invariants_hold_after_every_pass(chain, learned, load, monke
     plog, task = learned(directory, train), load(directory, name)[2]
     goal_side, init_side = sides(plog, task)
     given_sides = copy.deepcopy((goal_side.nodes, init_side.nodes))
-    rank, one_pass = rank_lifted_nodes, instantiation
+    one_pass = instantiation
     seen = Counter()
 
-    def checked_rank(state):
-        buckets = rank(state)
-        best = _best_incident_prob(state.plgg)
-        assert state.best == best
-        lifted = [node for node in state.plgg.nodes if not node.is_ground]
-        assert state.order == sorted(lifted, key=lambda n: (-best.get(n, 0.0), n))
-        assert buckets == conftest.reference_rank(state.plgg)
-        seen["ranked"] += 1
-        return buckets
+    def assert_kept_state(state):
+        assert state.best == _best_incident_prob(state.plgg)
+        assert_buckets_are_ranked(state)
 
     def checked_pass(state, lms, top_n=1):
-        before = len(state.lifted)
+        assert_kept_state(state)  # as built, or as the side's last pass left it
+        before = sum(map(len, state.buckets.values()))
         one_pass(state, lms, top_n)
-        assert state.best == _best_incident_prob(state.plgg)
-        assert state.lifted == [node for node in state.plgg.nodes if not node.is_ground]
+        assert_kept_state(state)
         seen["passes"] += 1
-        seen["new lifted"] += len(state.lifted) - before
+        seen["new lifted"] += sum(map(len, state.buckets.values())) - before
 
-    monkeypatch.setattr(instantiate_module, "rank_lifted_nodes", checked_rank)
     monkeypatch.setattr(instantiate_module, "instantiation", checked_pass)
     combined = combine(goal_side, init_side, task)
-    assert seen["ranked"] == seen["passes"] >= 2
+    assert seen["passes"] >= 2
     assert (goal_side.nodes, init_side.nodes) == given_sides
     assert combined.nodes == instantiate_task(plog, task).nodes
     if directory == COURIER:
