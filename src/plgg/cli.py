@@ -109,8 +109,21 @@ def _dot_path(args) -> Path | None:
     return dot_path
 
 
+def _check_distinct_files(paths: list[str]) -> None:
+    """Each LGG counts once in learning, so two arguments that name one
+    file raise `ConfigError`; distinct files may share a stem."""
+    seen: dict[Path, str] = {}
+    for path in paths:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"{path} names the same file as {seen[resolved]}; "
+                              "each landmark graph file counts once")
+        seen[resolved] = path
+
+
 def cmd_learn(args) -> int:
     dot_path = _dot_path(args)
+    _check_distinct_files(args.lggs)
     lggs = [read_lgg(path) for path in args.lggs]
     plog = learn_plog(lggs, domain=args.domain or "")
     write_plog(plog, args.out)

@@ -11,13 +11,18 @@ and each round instantiates the init side first, then the goal side.
 Whenever an expansion introduces a variable next to known parameters, the
 known parameters are recorded as forbidden values for that variable: a
 variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
+Only the fresh variables an expansion draws are new next to the expanded
+atom, so each one's forbidden sets are written once, from the atom's
+objects and variables, which are computed once per expansion.
 
 Each side expands an atom at most once up to variable renaming: a renamed
 copy of an expanded atom still gets its node and its edge, but is not
 expanded again, so cycles in the learned graph end.
 
-Each learned edge is compiled once per side into the neighbour it gives
-an expanded atom, so an expansion renames and substitutes nothing.
+Each learned edge is compiled once per direction into the neighbour it
+gives an expanded atom, so an expansion renames and substitutes nothing.
+A p-LOG keeps its compiled edges, so every task it instantiates shares
+them.
 
 Passes only add nodes and raise edge probabilities, so `combine` keeps
 each side's state across its passes instead of deriving it again: one copy
@@ -27,13 +32,21 @@ has read yet.  A lifted node is filed once, when it joins the side, under
 its predicate, arity, object positions and the objects at those
 positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.  Each bucket is
 kept in rank order, by higher best incident probability, then
-lexicographically; every rewrite re-sorts the nearly sorted buckets.  A
-ground landmark looks its equivalents up in the buckets of its own
-objects, from the fewest variables upward, since a node's distance to a
-ground landmark is its variable count; the first count with a match holds
-the closest equivalents, and the `top_n` best ranked of them supply its
-bindings.  Every landmark searched is ground: `combine` harvests only the
-task's facts.
+lexicographically; a rewrite re-sorts the nearly sorted buckets that
+gained a node or hold one whose best probability rose.  A ground landmark
+looks its equivalents up in the buckets of its own objects, from the
+fewest variables upward, since a node's distance to a ground landmark is
+its variable count; the first count with a match holds the closest
+equivalents, and the `top_n` best ranked of them supply its bindings.
+Every landmark searched is ground: `combine` harvests only the task's
+facts.
+
+A search reads nothing but its buckets, their order, their members' best
+probabilities and the constraint store, which generation alone writes.
+So each side keeps every landmark's bindings together with the bucket
+keys its search looked up, empty buckets included, and searches a
+landmark again only after a rewrite re-sorted one of those buckets; every
+pass still merges the bindings of all its landmarks in order.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from typing import Iterable, Mapping
 
 from . import artifact
 from .pddl import Atom, GroundTask, is_variable, read_file
-from .plog import PLog, LiftedEdge, lift_atom
+from .plog import PLog, LiftedEdge
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +73,9 @@ SIDE_COMBINED = "combined"
 class VarConstraintStore:
     """Distinct-value constraints per variable, shared across one task run.
 
-    `update_distinct_consts` is its only writer.
+    The generators are its only writers: an expansion sets the forbidden
+    sets of each fresh variable it draws, once, and nothing changes them
+    after generation.
     """
 
     def __init__(self):
@@ -80,25 +95,12 @@ class VarSource:
     def __init__(self):
         self._next = 0
 
-    def fresh(self) -> str:
-        name = f"?x{self._next}"
-        self._next += 1
-        return name
-
-
-def update_distinct_consts(store: VarConstraintStore, pred: Atom, lm: Atom) -> None:
-    """Record that `pred`'s open variables differ from everything in `lm`.
-
-    Every variable of `pred` that does not itself occur in `lm` must take a
-    value distinct from all of `lm`'s parameters, so `lm`'s objects join
-    its forbidden objects and `lm`'s variables its forbidden variables.
-    """
-    lm_params = lm.params()
-    for var in sorted(pred.variables()):
-        if var in lm_params:
-            continue
-        store._objects[var] = store.forbidden_objects(var) | lm.objects()
-        store._variables[var] = store.forbidden_variables(var) | lm.variables()
+    def take(self, count: int, kept: tuple[int, ...]) -> tuple[str, ...]:
+        """Draw the next `count` fresh names; the ones at the positions
+        `kept`, in that order."""
+        start = self._next
+        self._next += count
+        return tuple(f"?x{start + i}" for i in kept)
 
 
 @dataclass
@@ -117,8 +119,9 @@ class PLgg:
 
 
 # The neighbour's predicate, the number of fresh names an expansion draws,
-# the neighbour's own constants, and where each neighbour argument comes from
-_Template = tuple[str, int, tuple[str, ...], tuple[int, ...]]
+# which of them the neighbour holds, the neighbour's own constants, and
+# where each neighbour argument comes from
+_Template = tuple[str, int, tuple[int, ...], tuple[str, ...], tuple[int, ...]]
 
 
 def _compile(edge: LiftedEdge, backward: bool) -> _Template:
@@ -132,31 +135,43 @@ def _compile(edge: LiftedEdge, backward: bool) -> _Template:
     start, neighbour = (edge.dst, edge.src) if backward else (edge.src, edge.dst)
     names = list(dict.fromkeys(p for p in edge.dst.args + edge.src.args if is_variable(p)))
     at = {p: i for i, p in enumerate(start.args)}
+    held = sorted({names.index(p) for p in neighbour.args if p not in at and is_variable(p)})
     consts = tuple(dict.fromkeys(p for p in neighbour.args if p not in at and not is_variable(p)))
-    offset = len(start.args) + len(names)
+    offset = len(start.args) + len(held)
     where = tuple(at[p] if p in at
-                  else len(start.args) + names.index(p) if is_variable(p)
+                  else len(start.args) + held.index(names.index(p)) if is_variable(p)
                   else offset + consts.index(p)
                   for p in neighbour.args)
-    return neighbour.pred, len(names), consts, where
+    return neighbour.pred, len(names), tuple(held), consts, where
 
 
-def _expand(template: _Template, lm: Atom, source: VarSource) -> Atom:
-    """The neighbour that a compiled edge gives the expanded atom `lm`."""
-    pred, fresh, consts, where = template
-    values = lm.args + tuple(source.fresh() for _ in range(fresh)) + consts
-    return Atom(pred, tuple(map(values.__getitem__, where)))
+def _expand(template: _Template, lm: Atom, source: VarSource) -> tuple[Atom, tuple[str, ...]]:
+    """The neighbour that a compiled edge gives the expanded atom `lm`, and
+    the fresh names it holds: its only variables that `lm` does not hold."""
+    pred, drawn, held, consts, where = template
+    names = source.take(drawn, held)
+    values = lm.args + names + consts
+    return Atom(pred, tuple(map(values.__getitem__, where))), names
 
 
-def _edges_from(plog: PLog, backward: bool) -> dict[Atom, list[tuple[_Template, float]]]:
+def _lift_key(atom: Atom) -> tuple:
+    """`atom` up to renaming of all its parameters, objects included: each
+    argument replaced by the position of its first occurrence.  Two atoms
+    share a key exactly when they lift to the same atom."""
+    return atom.pred, tuple(map(atom.args.index, atom.args))
+
+
+def _edges_from(plog: PLog, backward: bool) -> dict[tuple, list[tuple[_Template, float]]]:
     """Learned edges, compiled, with their probabilities, keyed by the
-    lifted atom an expansion starts from: the destination when growing
-    backward, the source when growing forward."""
-    index: dict[Atom, list[tuple[_Template, float]]] = {}
-    for edge in sorted(plog.probs):
-        start = edge.dst if backward else edge.src
-        index.setdefault(lift_atom(start), []).append((_compile(edge, backward),
-                                                       plog.probs[edge]))
+    `_lift_key` of the atom an expansion starts from: the destination when
+    growing backward, the source when growing forward.  Each p-LOG compiles
+    each direction once and keeps it for every task it instantiates."""
+    index = plog.derived.get((__name__, backward))
+    if index is None:
+        index = plog.derived[__name__, backward] = {}
+        for edge in sorted(plog.probs):
+            index.setdefault(_lift_key(edge.dst if backward else edge.src), []).append(
+                (_compile(edge, backward), plog.probs[edge]))
     return index
 
 
@@ -172,31 +187,38 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
     backward = side == SIDE_GOAL
     index = _edges_from(plog, backward)
     blocked = task.init if backward else task.goal
+    forbidden_objects, forbidden_variables = store._objects, store._variables
 
     nodes: dict[Atom, dict[Atom, float]] = {}
     expanded: set[tuple] = set()
-    queue = deque(sorted(seeds))
+    queue = deque((seed, _shape(seed)) for seed in sorted(seeds))
     seed_set = frozenset(seeds)
     while queue:
-        lm = queue.popleft()
-        shape = _shape(lm)
+        lm, shape = queue.popleft()
         if shape in expanded:
             continue
         expanded.add(shape)
-        nodes.setdefault(lm, {})
-        if not lm.objects() or lm in blocked:
+        neighbours = nodes.setdefault(lm, {})
+        objects = lm.objects()
+        if not objects or lm in blocked:
             continue
-        entries = index.get(lift_atom(lm), ())
+        entries = index.get(_lift_key(lm), ())
         if not entries and lm in seed_set:
             logger.warning("no learned orderings touch %s; keeping it isolated", lm)
+        variables = lm.variables()
         for template, mu in entries:
-            neighbour = _expand(template, lm, source)
-            update_distinct_consts(store, neighbour, lm)
+            neighbour, fresh = _expand(template, lm, source)
+            # a fresh name differs from every parameter of the atom it stands next to
+            for name in fresh:
+                forbidden_objects[name] = objects
+                forbidden_variables[name] = variables
             nodes.setdefault(neighbour, {})
-            current = nodes[lm].get(neighbour)
-            nodes[lm][neighbour] = mu if current is None else max(mu, current)
-            if neighbour.objects() and _shape(neighbour) not in expanded:
-                queue.append(neighbour)
+            current = neighbours.get(neighbour)
+            neighbours[neighbour] = mu if current is None else max(mu, current)
+            if not all(map(is_variable, neighbour.args)):
+                neighbour_shape = _shape(neighbour)
+                if neighbour_shape not in expanded:
+                    queue.append((neighbour, neighbour_shape))
     return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
 
 
@@ -260,13 +282,22 @@ def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
     return best
 
 
+def _bucket_key(node: Atom) -> tuple:
+    """The bucket of a lifted node: its predicate, arity, object positions
+    and the objects there."""
+    fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+    return node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed)
+
+
 class SideState:
     """One side's working graph for the length of one `combine` call:
     `plgg`, a copy of the side that the rewrites change in place; `best`,
     each node's best incident probability; `buckets`, the lifted nodes,
-    each filed once under its predicate, arity, object positions and the
-    objects there, each bucket in `rank` order; and `unharvested`, the
-    nodes that no harvest has read yet."""
+    each filed once under its `_bucket_key`, each bucket in `rank` order;
+    `unharvested`, the nodes that no harvest has read yet; `kept`, the
+    bindings of each (landmark, top_n) searched since a bucket it read
+    last changed; and `readers`, the (landmark, top_n) pairs whose search
+    looked each bucket key up, whether the bucket was empty or not."""
 
     def __init__(self, plgg: PLgg):
         self.plgg = PLgg(nodes={node: dict(neighbours) for node, neighbours in plgg.nodes.items()},
@@ -274,24 +305,32 @@ class SideState:
         self.best = _best_incident_prob(self.plgg)
         self.buckets: dict[tuple, list[Atom]] = {}
         self.unharvested: list[Atom] = []
+        self.kept: dict[tuple[Atom, int], dict[str, str]] = {}
+        self.readers: dict[tuple, set[tuple[Atom, int]]] = {}
         self.admit(list(self.plgg.nodes))
 
     def rank(self, node: Atom) -> tuple[float, Atom]:
         """Higher best incident probability first, then lexicographically."""
         return -self.best.get(node, 0.0), node
 
-    def admit(self, added: list[Atom]) -> None:
-        """Queue the nodes a rewrite added for the next harvest, file the
-        lifted ones, and re-sort every bucket, which is cheap since only the
-        nodes whose best probability rose move."""
+    def admit(self, added: list[Atom], raised: Iterable[Atom] = ()) -> None:
+        """Queue the nodes a rewrite added for the next harvest and file the
+        lifted ones.  Each bucket that gained a node or holds one whose best
+        probability rose is re-sorted, which is cheap since only those nodes
+        move, and the kept bindings of its readers are dropped: a search
+        reads nothing else that a rewrite changes."""
         self.unharvested += added
+        touched = set()
         for node in added:
             if not node.is_ground:
-                fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-                key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
+                key = _bucket_key(node)
                 self.buckets.setdefault(key, []).append(node)
-        for members in self.buckets.values():
-            members.sort(key=self.rank)
+                touched.add(key)
+        touched.update(_bucket_key(node) for node in raised if not node.is_ground)
+        for key in touched:
+            self.buckets[key].sort(key=self.rank)
+            for reader in self.readers.pop(key, ()):
+                self.kept.pop(reader, None)
 
     def harvest(self, facts: frozenset[Atom]) -> set[Atom]:
         """The task facts among the nodes added since the last harvest."""
@@ -324,18 +363,20 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
     equivalents.  A bucket's first `top_n` allowed nodes are its best
     ranked, and the `top_n` best ranked of those across the count's
     buckets contribute bindings position by position; a variable bound
-    once is never rebound.
+    once is never rebound.  The state keeps the bindings, and files the
+    search as a reader of every bucket key it looked up.
     """
     if not lm.is_ground:
         raise ValueError(f"equivalence search needs a ground landmark, not {lm}")
     args = lm.args
     forbidden = state.plgg.store.forbidden_objects
+    reader = (lm, top_n)
     chosen: list[Atom] = []
     for level in _object_patterns(len(args)):
         for fixed, open_ in level:
-            members = state.buckets.get((lm.pred, len(args), fixed, tuple(args[i] for i in fixed)),
-                                        ())
-            chosen += islice((node for node in members
+            key = (lm.pred, len(args), fixed, tuple(args[i] for i in fixed))
+            state.readers.setdefault(key, set()).add(reader)
+            chosen += islice((node for node in state.buckets.get(key, ())
                               if all(args[i] not in forbidden(node.args[i]) for i in open_)),
                              top_n)
         if chosen:
@@ -345,6 +386,7 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
         for var, obj in zip(node.args, args):
             if is_variable(var):
                 bindings.setdefault(var, obj)
+    state.kept[reader] = bindings
     return bindings
 
 
@@ -359,7 +401,7 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
     rewrite changes is rewritten again, in whatever order the nodes are
     rewritten; the best incident probabilities of both ends of every edge
     it adds or raises are raised with it, and the side admits the nodes
-    it added.
+    it added and those whose best probability rose.
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
@@ -370,6 +412,7 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
         safe[var] = obj
     nodes, best = state.plgg.nodes, state.best
     added: list[Atom] = []
+    raised: set[Atom] = set()
     for members in state.buckets.values():
         for lifted in members:
             if safe.keys().isdisjoint(lifted.args):
@@ -383,19 +426,35 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
                 rewritten = neighbour.substitute(safe)
                 mu = max(mu, bucket.get(rewritten, 0.0))
                 bucket[rewritten] = mu
-                best[inst] = max(best.get(inst, 0.0), mu)
-                best[rewritten] = max(best.get(rewritten, 0.0), mu)
-    state.admit(added)
+                if best.get(inst, -1.0) < mu:
+                    best[inst] = mu
+                    raised.add(inst)
+                if best.get(rewritten, -1.0) < mu:
+                    best[rewritten] = mu
+                    raised.add(rewritten)
+    state.admit(added, raised)
 
 
 def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None:
     """One instantiation pass: harvest bindings from every ground landmark
     in `lms` against the side's ranked buckets, first binding per variable
-    wins, then rewrite the side once."""
+    wins, then rewrite the side once.  A landmark is searched only if the
+    state keeps no bindings for it: a search reads only its buckets, their
+    order, their members' best probabilities and the constraint store,
+    which generation alone writes, so kept bindings equal a new search's."""
     var_inst: dict[str, str] = {}
-    for lm in sorted(lms):
-        for var, obj in search_best_equiv(state, lm, top_n).items():
+    ordered = sorted(lms)
+    searched = 0
+    for lm in ordered:
+        bindings = state.kept.get((lm, top_n))
+        if bindings is None:
+            bindings = search_best_equiv(state, lm, top_n)
+            searched += 1
+        for var, obj in bindings.items():
             var_inst.setdefault(var, obj)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("%s side pass: %d landmarks searched, %d bindings reused",
+                     state.plgg.side, searched, len(ordered) - searched)
     apply_instantiation(state, var_inst)
 
 

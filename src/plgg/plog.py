@@ -63,6 +63,9 @@ class PLog:
     log_counts: Counter
     domain: str = ""
     probs: dict[LiftedEdge, float] = field(init=False)
+    # Tables that readers derive from the graph, each computed once per
+    # graph under its reader's key; a PLog does not change once built.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arity: dict[str, int] = {}

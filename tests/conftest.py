@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import strategies as st
 
 import plgg.instantiate as instantiate
-from plgg.instantiate import (PLgg, VarConstraintStore, VarSource, _best_incident_prob, _union,
-                              equivalent_atoms, generate_plgg_goal, generate_plgg_init)
+from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, PLgg, VarConstraintStore, VarSource,
+                              _best_incident_prob, _union, equivalent_atoms)
 from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
-from plgg.plog import LiftedEdge, learn_plog
+from plgg.plog import LiftedEdge, learn_plog, lift_atom
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "blocksworld"
 TRAIN = ("p01", "p02", "p03", "p04")
@@ -131,11 +132,30 @@ def blocksworld_problems(draw):
             f"(:goal (and {' '.join(goal)})))")
 
 
-# --- reference instantiation ------------------------------------------------
-# Instantiation as it was before each side kept its state across passes:
-# every pass ranks the whole side again and rewrites a copy of it.  The
-# equivalence search and the dropped-binding warning are the module's, so
-# that tests can count both versions' calls alike.
+# --- reference generation ---------------------------------------------------
+# Generation as it was before each p-LOG compiled its edges once: every
+# expansion renames each learned edge afresh and constrains each neighbour
+# against the expanded atom on its own.
+
+
+def update_distinct_consts(store, pred, lm):
+    """Record that `pred`'s open variables differ from everything in `lm`.
+
+    Every variable of `pred` that does not itself occur in `lm` must take a
+    value distinct from all of `lm`'s parameters, so `lm`'s objects join
+    its forbidden objects and `lm`'s variables its forbidden variables.
+    """
+    lm_params = lm.params()
+    for var in sorted(pred.variables()):
+        if var in lm_params:
+            continue
+        store._objects[var] = store.forbidden_objects(var) | lm.objects()
+        store._variables[var] = store.forbidden_variables(var) | lm.variables()
+
+
+def fresh_name(source):
+    """The next name `source` hands out."""
+    return source.take(1, (0,))[0]
 
 
 def fresh_variables(edge, source):
@@ -143,8 +163,54 @@ def fresh_variables(edge, source):
     mapping = {}
     for p in edge.dst.args + edge.src.args:
         if is_variable(p) and p not in mapping:
-            mapping[p] = source.fresh()
+            mapping[p] = fresh_name(source)
     return LiftedEdge(src=edge.src.substitute(mapping), dst=edge.dst.substitute(mapping))
+
+
+def renamed_shape(atom):
+    """`atom` with its variables numbered by first appearance."""
+    numbers = {}
+    return atom.pred, tuple(numbers.setdefault(p, len(numbers)) if is_variable(p) else p
+                            for p in atom.args)
+
+
+def reference_generate(plog, task, side, source, store):
+    """One side grown breadth-first from its seeds, each atom expanded at
+    most once up to variable renaming: every learned edge whose start
+    lifts like the atom is renamed afresh, its start unified with the atom,
+    and the other end constrained by `update_distinct_consts`."""
+    backward = side == SIDE_GOAL
+    seeds, blocked = (task.goal, task.init) if backward else (task.init, task.goal)
+    index = {}
+    for edge in sorted(plog.probs):
+        index.setdefault(lift_atom(edge.dst if backward else edge.src), []).append(edge)
+    nodes, expanded = {}, set()
+    queue = deque(sorted(seeds))
+    while queue:
+        lm = queue.popleft()
+        if renamed_shape(lm) in expanded:
+            continue
+        expanded.add(renamed_shape(lm))
+        nodes.setdefault(lm, {})
+        if not lm.objects() or lm in blocked:
+            continue
+        for edge in index.get(lift_atom(lm), ()):
+            renamed = fresh_variables(edge, source)
+            start, other = (renamed.dst, renamed.src) if backward else (renamed.src, renamed.dst)
+            neighbour = other.substitute(dict(zip(start.args, lm.args)))
+            update_distinct_consts(store, neighbour, lm)
+            nodes.setdefault(neighbour, {})
+            nodes[lm][neighbour] = max(plog.probs[edge], nodes[lm].get(neighbour, 0.0))
+            if neighbour.objects() and renamed_shape(neighbour) not in expanded:
+                queue.append(neighbour)
+    return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
+
+
+# --- reference instantiation ------------------------------------------------
+# Instantiation as it was before each side kept its state across passes:
+# every pass ranks the whole side again and rewrites a copy of it.  The
+# equivalence search and the dropped-binding warning are the module's, so
+# that tests can count both versions' calls alike.
 
 
 def reference_rank(plgg):
@@ -235,6 +301,6 @@ def reference_combine(goal_side, init_side, task, top_n=1, iteration_log=None):
 
 def reference_instantiate_task(plog, task, top_n=1):
     source, store = VarSource(), VarConstraintStore()
-    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
-    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
+    goal_side = reference_generate(plog, task, SIDE_GOAL, source, store)
+    init_side = reference_generate(plog, task, SIDE_INIT, source, store)
     return reference_combine(goal_side, init_side, task, top_n)

@@ -14,12 +14,11 @@ from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
 from plgg.instantiate import (PLgg, SideState, VarConstraintStore, equivalent_atoms,
-                              extract_result, instantiate_task, search_best_equiv,
-                              update_distinct_consts)
+                              extract_result, instantiate_task, search_best_equiv)
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
-from conftest import param_distance
+from conftest import param_distance, update_distinct_consts
 
 TRAIN = ("p01", "p02", "p03", "p04")
 

@@ -102,6 +102,32 @@ def test_mu_histogram_buckets_are_right_closed():
         "(0.0,0.2]:1 (0.2,0.4]:1 (0.4,0.6]:1 (0.6,0.8]:1 (0.8,1.0]:1"
 
 
+def test_learn_rejects_a_file_given_twice(paths, bench_dir, tmp_path, capsys):
+    # each LGG file counts once: p01 and p02 give 0.4 and 0.5 where a
+    # repeated p01 would give 0.286 and 0.6
+    lggs = tmp_path / "lggs"
+    main(["extract", str(bench_dir / "domain.pddl"), paths("p01"), paths("p02"),
+          "--out", str(lggs)])
+    capsys.readouterr()
+    p01, p02 = str(lggs / "p01.lgg.json"), str(lggs / "p02.lgg.json")
+    for again in (p01, str(lggs / ".." / "lggs" / "p01.lgg.json")):
+        code = main(["learn", p01, again, p02, "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("plgg learn: error: ")
+        assert "p01.lgg.json" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "p.json").exists()
+    # distinct files may share a stem
+    (tmp_path / "copy").mkdir()
+    copy = tmp_path / "copy" / "p01.lgg.json"
+    copy.write_text((lggs / "p01.lgg.json").read_text())
+    assert main(["learn", p01, str(copy), p02, "--out", str(tmp_path / "p.json")]) == EXIT_OK
+    assert main(["learn", p01, p02, "--out", str(tmp_path / "q.json")]) == EXIT_OK
+    mus = sorted(edge["mu"] for edge in json.loads((tmp_path / "q.json").read_text())["edges"])
+    assert {0.4, 0.5} <= set(mus)
+
+
 def test_learn_without_files_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["learn", "--out", str(tmp_path / "p.json")])
@@ -479,3 +505,17 @@ def test_default_log_level_lets_warnings_reach_other_handlers(learned, bench_dir
                  "--out", str(tmp_path / "odd.plgg.json")]) == EXIT_OK
     assert [r.getMessage() for r in records] == \
         ["no learned orderings touch ontable(a); keeping it isolated"]
+
+
+def test_debug_log_level_prints_one_line_per_pass(learned, bench_dir, paths, capsys,
+                                                  plgg_logger):
+    argv = ["instantiate", str(learned), str(bench_dir / "domain.pddl"), paths("p06")]
+    assert main(argv) == EXIT_OK
+    default = capsys.readouterr()
+    assert main(argv + ["--log-level", "debug"]) == EXIT_OK
+    debug = capsys.readouterr()
+    assert debug.out == default.out
+    passes = [line for line in debug.err.splitlines() if line.startswith("plgg: debug: ")]
+    assert passes and all(re.fullmatch(r"plgg: debug: (init|goal) side pass: \d+ landmarks "
+                                       r"searched, \d+ bindings reused", line) for line in passes)
+    assert "plgg: debug: " not in default.err

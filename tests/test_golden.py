@@ -1,16 +1,23 @@
-"""Golden gates on the shipped corpus: `plgg evaluate --json`, timing fields
-aside, must equal the reference the benchmark checks against, and the text
-report, timing lines aside, must equal `tests/golden/corpus-evaluate.txt`."""
+"""Golden gates: on the shipped corpus, `plgg evaluate --json`, timing
+fields aside, must equal the reference the benchmark checks against, and the
+text report, timing lines aside, must equal `tests/golden/corpus-evaluate.txt`.
+On the gripper and courier fixtures, whose rewrites add lifted nodes,
+`evaluate --json` must equal the reports in `tests/golden/`."""
 
 import json
 import re
 from pathlib import Path
 
+import pytest
+
 from plgg.cli import EXIT_OK, main
+
+from conftest import COURIER, GRIPPER
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "references"
              / "corpus-evaluate.json")
-TEXT_REFERENCE = Path(__file__).resolve().parent / "golden" / "corpus-evaluate.txt"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TEXT_REFERENCE = GOLDEN / "corpus-evaluate.txt"
 TIMING_LINE = re.compile(r"^rep\d+: learn .* ms/task\n", re.MULTILINE)
 
 
@@ -38,3 +45,23 @@ def test_corpus_evaluate_text_matches_golden_output(bench_dir, capsys):
     out = capsys.readouterr().out
     assert len(TIMING_LINE.findall(out)) == 5
     assert TIMING_LINE.sub("", out) == TEXT_REFERENCE.read_text()
+
+
+# (fixture directory, split options) of each fixture domain's evaluation
+FIXTURE_SPLITS = {"gripper": (GRIPPER, ["--train", "3", "--test", "3"]),
+                  "courier": (COURIER, ["--train", "2", "--test", "3"])}
+
+
+# golden file suffix -> the options it was written with
+OPTIONS = {"": [], "-top-n-2": ["--top-n", "2"]}
+
+
+@pytest.mark.parametrize("suffix", sorted(OPTIONS), ids=["defaults", "top-n-2"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPLITS))
+def test_fixture_evaluate_matches_golden_output(name, suffix, capsys):
+    directory, split = FIXTURE_SPLITS[name]
+    problems = sorted(str(p) for p in directory.glob("p*.pddl"))
+    argv = ["evaluate", str(directory / "domain.pddl"), *problems, *split, *OPTIONS[suffix]]
+    assert main(argv + ["--json"]) == EXIT_OK
+    report = without_seconds(json.loads(capsys.readouterr().out))
+    assert report == json.loads((GOLDEN / f"{name}-evaluate{suffix}.json").read_text())

@@ -3,27 +3,29 @@ task-specific probabilistic landmark graphs."""
 
 import copy
 import logging
+import re
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plgg.instantiate as instantiate_module
 from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, ground_task, is_variable, parse_problem
-from plgg.plog import LiftedEdge, learn_plog, plog_from_json, plog_to_json
-from plgg.instantiate import (PLgg, SideState, VarConstraintStore, VarSource, _best_incident_prob,
-                              _compile, _expand, _shape, apply_instantiation,
-                              combine, equivalent_atoms, equivalent_params, extract_result,
-                              generate_plgg_goal, generate_plgg_init,
+from plgg.plog import LiftedEdge, PLog, learn_plog, plog_from_json, plog_to_json
+from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, PLgg, SideState, VarConstraintStore,
+                              VarSource, _best_incident_prob, _compile, _expand, _shape,
+                              apply_instantiation, combine, equivalent_atoms, equivalent_params,
+                              extract_result, generate_plgg_goal, generate_plgg_init,
                               instantiate_task, instantiation, plgg_from_json, plgg_to_dot,
-                              plgg_to_json, search_best_equiv,
-                              update_distinct_consts)
+                              plgg_to_json, search_best_equiv)
 
 import conftest
 from conftest import (CORPUS, COURIER, COURIER_CORPUS, GRIPPER, TRAIN, blocksworld_problems,
-                      fresh_variables, param_distance, reference_instantiate_task)
+                      fresh_name, fresh_variables, param_distance, reference_generate,
+                      reference_instantiate_task, update_distinct_consts)
 
 
 def sides(plog, task):
@@ -87,12 +89,15 @@ def test_compiled_edge_matches_renaming_and_substitution(edge, backward, data):
                                               * start.arity)))
     renaming, compiled = VarSource(), VarSource()
     for source in (renaming, compiled):
-        source.fresh()
+        fresh_name(source)
     renamed = fresh_variables(edge, renaming)
     anchor, other = (renamed.dst, renamed.src) if backward else (renamed.src, renamed.dst)
     expected = other.substitute(dict(zip(anchor.args, lm.args)))
-    assert _expand(_compile(edge, backward), lm, compiled) == expected
-    assert compiled.fresh() == renaming.fresh()
+    neighbour, fresh = _expand(_compile(edge, backward), lm, compiled)
+    assert neighbour == expected
+    # the only variables of the neighbour that the expanded atom lacks
+    assert sorted(fresh) == sorted(expected.variables() - lm.params())
+    assert fresh_name(compiled) == fresh_name(renaming)
 
 
 # --- equivalence ----------------------------------------------------------------
@@ -186,6 +191,16 @@ def assert_buckets_are_ranked(state):
         assert members == sorted(members, key=lambda n: (-state.best.get(n, 0.0), n))
 
 
+def assert_kept_bindings_are_fresh(state):
+    """Every kept binding equals a new search on the state as it is; the
+    new searches leave the kept state as they found it."""
+    kept, readers = dict(state.kept), {key: set(r) for key, r in state.readers.items()}
+    for (lm, top_n), bindings in kept.items():
+        assert search_best_equiv(state, lm, top_n) == bindings, (state.plgg.side, lm, top_n)
+    state.kept, state.readers = kept, readers
+    return len(kept)
+
+
 def test_buckets_file_nodes_by_object_positions():
     state = SideState(spec_candidates_graph())
     assert state.buckets[("p", 3, (0,), ("a",))] == [Atom("p", ("a", "?x0", "?x1"))]
@@ -205,10 +220,13 @@ def test_rewrites_keep_every_bucket_ranked():
     lm = Atom("p", ("a", "c"))
     assert state.buckets[("p", 2, (0,), ("a",))] == [first, second]
     assert search_best_equiv(state, lm) == {"?x0": "c"}
+    assert state.kept == {(lm, 1): {"?x0": "c"}}
     apply_instantiation(state, {"?x4": "a"})
     # q(a, ?x5) joins q(a, ?x6)'s bucket ahead of it, and its edge to
-    # p(a, ?x1) raises that node past p(a, ?x0)
+    # p(a, ?x1) raises that node past p(a, ?x0) in a bucket that gains no
+    # node, which must drop the bindings kept from it
     assert state.buckets[("p", 2, (0,), ("a",))] == [second, first]
+    assert_kept_bindings_are_fresh(state)
     assert state.buckets[("q", 2, (0,), ("a",))] == [Atom("q", ("a", "?x5")), older]
     assert search_best_equiv(state, lm) == {"?x1": "c"}
     assert_buckets_are_ranked(state)
@@ -315,6 +333,51 @@ def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
     for top_n in (1, 2, 3, 5):
         for lm in lms:
             assert search_best_equiv(state, lm, top_n) == full_scan_bindings(plgg, lm, top_n)
+
+
+@st.composite
+def rewritten_sides(draw):
+    """A side whose rewrites raise nodes inside their buckets: besides
+    lifted copies of the landmarks, it holds copies of those copies with
+    one variable bound, which a rewrite of the more general copy reaches
+    and raises."""
+    plgg, lms = draw(ground_landmark_cases())
+    general = [node for node in plgg.nodes if len(node.variables()) > 1]
+    for node in draw(st.lists(st.sampled_from(general), max_size=4)) if general else ():
+        var = draw(st.sampled_from(sorted(node.variables())))
+        plgg.nodes.setdefault(node.substitute({var: draw(OBJECTS)}), {})
+    nodes = list(plgg.nodes)
+    for src, dst, mu in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                                st.sampled_from([0.25, 0.5, 1.0])),
+                                      max_size=8)):
+        plgg.nodes[src][dst] = max(mu, plgg.nodes[src].get(dst, 0.0))
+    return plgg, lms
+
+
+def raised_without_a_new_node():
+    """A side whose first pass, binding ?x0 to c and ?x4 to a, raises
+    p(a, ?x1) past p(a, ?x0) in a bucket that gains no node."""
+    anchor, target = Atom("r", ()), Atom("p", ("?x4", "?x1"))
+    nodes = {Atom("p", ("a", "?x0")): {anchor: 0.5}, Atom("p", ("a", "?x1")): {anchor: 0.25},
+             Atom("q", ("?x4", "?x5")): {target: 0.9}, target: {}, anchor: {}}
+    return (PLgg(nodes=nodes, side="goal", store=VarConstraintStore()),
+            [Atom("p", ("a", "c")), Atom("q", ("a", "d"))])
+
+
+@given(rewritten_sides(), st.integers(1, 3))
+@example(raised_without_a_new_node(), 1)
+@settings(max_examples=300, deadline=None)
+def test_kept_bindings_stay_fresh_over_passes(case, top_n):
+    # the rewrites of each pass add nodes and raise best probabilities in
+    # buckets that earlier searches read; the harvest grows the landmarks
+    plgg, lms = case
+    state = SideState(plgg)
+    for _ in range(4):
+        instantiation(state, lms, top_n)
+        assert_kept_bindings_are_fresh(state)
+        assert_buckets_are_ranked(state)
+        lms = sorted(set(lms) | {node for node in state.harvest(frozenset(state.plgg.nodes))
+                                 if node.is_ground})
 
 
 def test_first_binding_wins_across_landmarks():
@@ -476,6 +539,97 @@ def test_courier_chain_stays_in_the_task_vocabulary(load):
         assert node.objects() <= vocabulary, node
 
 
+# (domain directory, training stems) of the p-LOG that instantiates every
+# fixture task of its domain, training tasks included
+FIXTURE_PLOGS = {conftest.BENCH: TRAIN, GRIPPER: ("p01", "p05", "p06"),
+                 COURIER: ("p01", "p03", "p05")}
+
+
+@pytest.fixture(scope="module")
+def learned(load):
+    """(domain directory, training stems) -> the p-LOG learned from them."""
+    cache = {}
+
+    def build(directory, train):
+        if (directory, train) not in cache:
+            lggs = [extract_lgg(load(directory, name)[2]) for name in train]
+            cache[directory, train] = learn_plog(lggs, domain=load(directory, train[0])[0].name)
+        return cache[directory, train]
+
+    return build
+
+
+def assert_generates_like_the_reference(plog, task):
+    """Both sides of `task`, grown in turn with one name supply and one
+    store, equal the per-neighbour reference's: the same nodes in the same
+    order, the same edge probabilities, the same forbidden sets, and the
+    same fresh names drawn."""
+    source, store = VarSource(), VarConstraintStore()
+    ref_source, ref_store = VarSource(), VarConstraintStore()
+    for generate, side in ((generate_plgg_goal, SIDE_GOAL), (generate_plgg_init, SIDE_INIT)):
+        fast = generate(plog, task, var_source=source, store=store)
+        reference = reference_generate(plog, task, side, ref_source, ref_store)
+        assert list(fast.nodes) == list(reference.nodes), side
+        assert fast.nodes == reference.nodes, side
+    assert store._objects == ref_store._objects
+    assert store._variables == ref_store._variables
+    assert fresh_name(source) == fresh_name(ref_source)
+
+
+@pytest.mark.parametrize("fixture", conftest.ALL_TASKS, ids=lambda t: f"{t[0].name}-{t[1]}")
+def test_generation_matches_the_per_neighbour_reference(fixture, learned, load):
+    directory, name = fixture
+    assert_generates_like_the_reference(learned(directory, FIXTURE_PLOGS[directory]),
+                                        load(directory, name)[2])
+
+
+# predicates of fixed arity; a p-LOG read from a file may hold constants
+PLOG_ARITIES = {"s": 0, "p": 1, "q": 2, "r": 3}
+PLOG_ATOMS = st.sampled_from(sorted(PLOG_ARITIES)).flatmap(
+    lambda pred: st.tuples(*[st.sampled_from(["?x0", "?x1", "?x2", "a", "b"])]
+                           * PLOG_ARITIES[pred]).map(lambda args: Atom(pred, args)))
+TASK_ATOMS = st.sampled_from(sorted(PLOG_ARITIES)).flatmap(
+    lambda pred: st.tuples(*[OBJECTS] * PLOG_ARITIES[pred]).map(lambda args: Atom(pred, args)))
+
+
+@st.composite
+def drawn_plogs(draw):
+    edges = draw(st.lists(st.builds(LiftedEdge, PLOG_ATOMS, PLOG_ATOMS), min_size=1,
+                          max_size=10, unique=True))
+    edge_counts = Counter({edge: draw(st.integers(1, 3)) for edge in edges})
+    log_counts = Counter()
+    for edge, n in edge_counts.items():
+        log_counts[edge.dst] = max(log_counts[edge.dst], n + draw(st.integers(0, 2)))
+    return PLog(edge_counts, log_counts)
+
+
+@st.composite
+def drawn_tasks(draw):
+    """The init and goal atoms, all that generation reads of a task."""
+    return SimpleNamespace(init=frozenset(draw(st.sets(TASK_ATOMS, max_size=8))),
+                           goal=frozenset(draw(st.sets(TASK_ATOMS, min_size=1, max_size=4))))
+
+
+@given(drawn_plogs(), st.lists(drawn_tasks(), min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_generation_matches_the_per_neighbour_reference_on_drawn_plogs(plog, tasks):
+    # the second task reads the edges that the first one compiled
+    for task in tasks:
+        assert_generates_like_the_reference(plog, task)
+
+
+def test_one_plog_instantiates_tasks_in_turn_like_fresh_plogs(learned, load):
+    for directory, train in FIXTURE_PLOGS.items():
+        shared = learned(directory, train)
+        names = sorted(name for d, name in conftest.ALL_TASKS if d == directory)
+        for name in names + names[::-1]:
+            task = load(directory, name)[2]
+            fresh = PLog(shared.edge_counts, shared.log_counts, shared.domain)
+            for top_n in (1, 2):
+                assert plgg_to_json(instantiate_task(shared, task, top_n)) == \
+                    plgg_to_json(instantiate_task(fresh, task, top_n)), (name, top_n)
+
+
 # --- combination ----------------------------------------------------------------
 
 
@@ -581,27 +735,16 @@ def chain_id(chain):
     return f"{directory.name}-{name}"
 
 
-@pytest.fixture(scope="module")
-def learned(load):
-    """(domain directory, training stems) -> the p-LOG learned from them."""
-    cache = {}
-
-    def build(directory, train):
-        if (directory, train) not in cache:
-            lggs = [extract_lgg(load(directory, name)[2]) for name in train]
-            cache[directory, train] = learn_plog(lggs, domain=load(directory, train[0])[0].name)
-        return cache[directory, train]
-
-    return build
-
-
 def assert_matches_reference(plog, task):
     for top_n in (1, 2, 3):
         kept, kept_calls = counted(lambda: instantiate_task(plog, task, top_n))
         rebuilt, rebuilt_calls = counted(lambda: reference_instantiate_task(plog, task, top_n))
         assert plgg_to_json(kept) == plgg_to_json(rebuilt), top_n
-        assert kept_calls == rebuilt_calls, top_n
-        assert kept_calls["passes"] >= 2 and kept_calls["searches"] > 0
+        # kept bindings stand in for searches, never for passes or dropped bindings
+        assert kept_calls["passes"] == rebuilt_calls["passes"], top_n
+        assert kept_calls["dropped"] == rebuilt_calls["dropped"], top_n
+        assert 0 < kept_calls["searches"] <= rebuilt_calls["searches"], top_n
+        assert kept_calls["passes"] >= 2
 
 
 @pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
@@ -616,10 +759,12 @@ def test_kept_state_matches_the_rebuilding_reference_on_drawn_tasks(plog, domain
     assert_matches_reference(plog, ground_task(domain, parse_problem(text, domain)))
 
 
-@pytest.mark.parametrize("chain", CHAINS, ids=chain_id)
-def test_kept_state_invariants_hold_after_every_pass(chain, learned, load, monkeypatch):
-    directory, train, name = chain
-    plog, task = learned(directory, train), load(directory, name)[2]
+def check_every_pass(plog, task, top_n):
+    """Combine `task`'s sides, checking the kept state before and after
+    every pass: `best` equals the side's best incident probabilities, the
+    buckets hold the lifted nodes in rank order, and every kept binding
+    equals a new search on the state as it is.  Returns the number of
+    passes, of lifted nodes the rewrites added, and of kept bindings checked."""
     goal_side, init_side = sides(plog, task)
     given_sides = copy.deepcopy((goal_side.nodes, init_side.nodes))
     one_pass = instantiation
@@ -628,6 +773,7 @@ def test_kept_state_invariants_hold_after_every_pass(chain, learned, load, monke
     def assert_kept_state(state):
         assert state.best == _best_incident_prob(state.plgg)
         assert_buckets_are_ranked(state)
+        seen["kept"] += assert_kept_bindings_are_fresh(state)
 
     def checked_pass(state, lms, top_n=1):
         assert_kept_state(state)  # as built, or as the side's last pass left it
@@ -637,14 +783,57 @@ def test_kept_state_invariants_hold_after_every_pass(chain, learned, load, monke
         seen["passes"] += 1
         seen["new lifted"] += sum(map(len, state.buckets.values())) - before
 
-    monkeypatch.setattr(instantiate_module, "instantiation", checked_pass)
-    combined = combine(goal_side, init_side, task)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instantiate_module, "instantiation", checked_pass)
+        combined = combine(goal_side, init_side, task, top_n)
     assert seen["passes"] >= 2
     assert (goal_side.nodes, init_side.nodes) == given_sides
-    assert combined.nodes == instantiate_task(plog, task).nodes
-    if directory == COURIER:
-        # the branch where a rewrite adds a lifted node, which blocksworld never takes
-        assert seen["new lifted"] > 0
+    assert combined.nodes == instantiate_task(plog, task, top_n).nodes
+    return seen
+
+
+@pytest.mark.parametrize("fixture", conftest.ALL_TASKS, ids=lambda t: f"{t[0].name}-{t[1]}")
+def test_kept_state_invariants_hold_after_every_pass(fixture, learned, load):
+    directory, name = fixture
+    for top_n in (1, 2, 3):
+        seen = check_every_pass(learned(directory, FIXTURE_PLOGS[directory]),
+                                load(directory, name)[2], top_n)
+        assert seen["kept"] > 0
+        if directory == COURIER and name == "p04":
+            # the branch where a rewrite adds a lifted node, which blocksworld never takes
+            assert seen["new lifted"] > 0
+
+
+@given(blocksworld_problems(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_kept_state_invariants_hold_after_every_pass_on_drawn_tasks(plog, domain, text, top_n):
+    check_every_pass(plog, ground_task(domain, parse_problem(text, domain)), top_n)
+
+
+PASS_RECORD = re.compile(r"^(init|goal) side pass: (\d+) landmarks searched, "
+                         r"(\d+) bindings reused$")
+
+
+def test_each_pass_logs_one_debug_record(plog, make_task, caplog):
+    task = make_task("p06")
+    log = []
+    with caplog.at_level("DEBUG", logger="plgg"):
+        _, calls = counted(lambda: instantiate_task(plog, task, iteration_log=log))
+    records = [PASS_RECORD.match(r.getMessage()) for r in caplog.records]
+    assert all(records) and all(r.levelname == "DEBUG" for r in caplog.records)
+    # each round instantiates the init side, then the goal side
+    assert [m[1] for m in records] == ["init", "goal"] * (len(log) - 1)
+    assert len(records) == calls["passes"]
+    assert sum(int(m[2]) for m in records) == calls["searches"]
+    assert sum(int(m[3]) for m in records) > 0
+    # the first init pass searches every goal landmark, reusing nothing
+    assert records[0].groups() == ("init", str(len(task.goal)), "0")
+
+
+def test_no_pass_record_below_debug(plog, make_task, caplog):
+    with caplog.at_level("INFO", logger="plgg"):
+        instantiate_task(plog, make_task("p06"))
+    assert not caplog.records
 
 
 def test_combined_union_is_predecessor_oriented(plog, make_task):

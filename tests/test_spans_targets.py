@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from plgg.instantiate import (PLgg, SideState, VarConstraintStore, apply_instantiation,
-                              update_distinct_consts)
+from plgg.instantiate import PLgg, SideState, VarConstraintStore, apply_instantiation
 from plgg.pddl import Atom
+
+from conftest import update_distinct_consts
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
