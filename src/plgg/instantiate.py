@@ -4,42 +4,42 @@ Given a learned lifted ordering graph and a new ground task, two graphs are
 generated: one backward from the goal (nodes point at predecessors) and one
 forward from the initial state (nodes point at successors).  Landmarks
 grounded on one side then drive variable bindings on the other, round after
-round, until no new ground landmark appears; the union of both sides is the
-task's probabilistic landmark graph.  Both sides share one constraint store,
-and each round instantiates the init side first, then the goal side.
+round, until no new ground landmark appears; the union of both sides, one
+directed edge map with each node's best incident probability and ground
+flag, is the task's probabilistic landmark graph.  Both sides share one
+constraint store, and each round instantiates the init side first.
 
 Whenever an expansion introduces a variable next to known parameters, the
 known parameters are recorded as forbidden values for that variable: a
 variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
 Only the fresh variables an expansion draws are new next to the expanded
-atom, so each one's forbidden sets are written once, from the atom's
-objects and variables, which are computed once per expansion.
+atom, so each one's forbidden sets are written once per expansion.
 
 Each side expands an atom at most once up to variable renaming: a renamed
 copy of an expanded atom still gets its node and its edge, but is not
 expanded again, so cycles in the learned graph end.
 
 Each learned edge is compiled once per direction into the neighbour it
-gives an expanded atom, so an expansion renames and substitutes nothing.
-A p-LOG keeps its compiled edges, so every task it instantiates shares
-them.
+gives an expanded atom, and planned once per variable pattern of that atom
+(which arguments are variables, numbered by first appearance): the plan
+says which of the neighbour's arguments are objects, so the neighbour's
+shape up to renaming and its bucket take no look at its arguments.  A
+p-LOG keeps both tables for every task it instantiates.
 
-Passes only add nodes and raise edge probabilities, so `combine` keeps
-each side's state across its passes instead of deriving it again: one copy
-of the side that every rewrite changes in place, each node's best incident
-probability, the lifted nodes in buckets, and the nodes that no harvest
-has read yet.  A lifted node is filed once, when it joins the side, under
-its predicate, arity, object positions and the objects at those
-positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.  Each bucket is
-kept in rank order, by higher best incident probability, then
-lexicographically; a rewrite re-sorts the nearly sorted buckets that
+Generation builds the state that `combine` keeps across its passes, which
+only add nodes and raise edge probabilities: each side's adjacency, each
+node's best incident probability, the lifted nodes in buckets, and the
+nodes that no harvest has read yet.  A lifted node is filed once, when it
+joins the side, under its predicate, arity, object positions and the
+objects at those positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.
+Each bucket is kept in rank order, by higher best incident probability,
+then lexicographically; a rewrite re-sorts the nearly sorted buckets that
 gained a node or hold one whose best probability rose.  A ground landmark
 looks its equivalents up in the buckets of its own objects, from the
 fewest variables upward, since a node's distance to a ground landmark is
 its variable count; the first count with a match holds the closest
 equivalents, and the `top_n` best ranked of them supply its bindings.
-Every landmark searched is ground: `combine` harvests only the task's
-facts.
+Every landmark searched is ground: `combine` harvests only the task's facts.
 
 A search reads nothing but its buckets, their order, their members' best
 probabilities and the constraint store, which generation alone writes.
@@ -105,14 +105,16 @@ class VarSource:
 
 @dataclass
 class PLgg:
-    """One side (or the union) of a task's probabilistic landmark graph.
-
-    `nodes` maps each atom to its neighbours with edge probabilities; on the
-    goal side neighbours are predecessors, on the init side successors, and
-    the combined graph is predecessor-oriented.
+    """A task's probabilistic landmark graph, as `combine` returns it and a
+    p-LGG file holds it: `edges`, each directed edge `(src, dst)` with its
+    probability; `best`, the best incident probability of each node that
+    has an edge; and `nodes`, each node with its ground flag.  `side` says
+    which side the graph is, or that it is the two sides combined.
     """
 
-    nodes: dict[Atom, dict[Atom, float]]
+    edges: dict[tuple[Atom, Atom], float]
+    best: dict[Atom, float]
+    nodes: dict[Atom, bool]
     side: str
     store: VarConstraintStore
     domain: str = ""
@@ -175,23 +177,35 @@ def _edges_from(plog: PLog, backward: bool) -> dict[tuple, list[tuple[_Template,
     return index
 
 
-def _shape(atom: Atom) -> tuple:
-    """`atom` up to variable renaming: variables numbered by first appearance."""
-    numbers: dict[str, int] = {}
-    return atom.pred, tuple(numbers.setdefault(p, len(numbers)) if is_variable(p) else p
-                            for p in atom.args)
+def _plan(template: _Template, mu: float, pattern: tuple[int, ...]) -> tuple:
+    """`template` for expanding an atom whose arguments `pattern` numbers,
+    variables by first appearance and objects -1: with its neighbour's
+    object positions, bucket head (None when ground) and own pattern."""
+    pred, _, held, _, where = template
+    count = len(pattern)
+    # a variable of the expanded atom by its number, a fresh one by its index
+    ids = [pattern[w] if w < count else w if w < count + len(held) else -1 for w in where]
+    fixed = tuple(i for i, v in enumerate(ids) if v < 0)
+    numbers: dict[int, int] = {}
+    own = tuple(v if v < 0 else numbers.setdefault(v, len(numbers)) for v in ids)
+    bucket = (pred, len(where), fixed) if len(fixed) < len(where) else None
+    return template, mu, fixed, bucket, (pred, own)
 
 
 def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
-              source: VarSource, store: VarConstraintStore) -> PLgg:
+              source: VarSource, store: VarConstraintStore) -> SideState:
     backward = side == SIDE_GOAL
     index = _edges_from(plog, backward)
+    plans = plog.derived.setdefault((__name__, backward, _plan.__name__), {})
     blocked = task.init if backward else task.goal
     forbidden_objects, forbidden_variables = store._objects, store._variables
 
-    nodes: dict[Atom, dict[Atom, float]] = {}
+    state = SideState(side, store, plog.domain)
+    nodes, best, buckets = state.nodes, state.best, state.buckets
     expanded: set[tuple] = set()
-    queue = deque((seed, _shape(seed)) for seed in sorted(seeds))
+    # an atom up to renaming: its predicate and pattern, and its objects;
+    # the seeds are task facts, so ground
+    queue = deque((seed, ((seed.pred, (-1,) * seed.arity), seed.args)) for seed in sorted(seeds))
     seed_set = frozenset(seeds)
     while queue:
         lm, shape = queue.popleft()
@@ -199,31 +213,46 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
             continue
         expanded.add(shape)
         neighbours = nodes.setdefault(lm, {})
-        objects = lm.objects()
-        if not objects or lm in blocked:
+        head, objs = shape
+        if not objs or lm in blocked:
             continue
-        entries = index.get(_lift_key(lm), ())
+        key = (_lift_key(lm), head)
+        entries = plans.get(key)
+        if entries is None:
+            entries = plans[key] = [_plan(template, mu, head[1])
+                                    for template, mu in index.get(key[0], ())]
         if not entries and lm in seed_set:
             logger.warning("no learned orderings touch %s; keeping it isolated", lm)
-        variables = lm.variables()
-        for template, mu in entries:
+        objects = frozenset(objs)
+        variables = frozenset(lm.args) - objects
+        for template, mu, fixed, bucket, own in entries:
             neighbour, fresh = _expand(template, lm, source)
             # a fresh name differs from every parameter of the atom it stands next to
             for name in fresh:
                 forbidden_objects[name] = objects
                 forbidden_variables[name] = variables
-            nodes.setdefault(neighbour, {})
+            at = tuple(map(neighbour.args.__getitem__, fixed))
+            if neighbour not in nodes:
+                nodes[neighbour] = {}
+                if bucket is not None:
+                    buckets.setdefault(bucket + (at,), []).append(neighbour)
             current = neighbours.get(neighbour)
-            neighbours[neighbour] = mu if current is None else max(mu, current)
-            if not all(map(is_variable, neighbour.args)):
-                neighbour_shape = _shape(neighbour)
-                if neighbour_shape not in expanded:
-                    queue.append((neighbour, neighbour_shape))
-    return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
+            if current is None or current < mu:
+                neighbours[neighbour] = mu
+                if best.get(neighbour, -1.0) < mu:
+                    best[neighbour] = mu
+            if fixed and (own, at) not in expanded:
+                queue.append((neighbour, (own, at)))
+        if neighbours and best.get(lm, -1.0) < max(neighbours.values()):
+            best[lm] = max(neighbours.values())
+    for members in buckets.values():
+        members.sort(key=state.rank)
+    state.unharvested = list(nodes)
+    return state
 
 
 def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource,
-                       store: VarConstraintStore) -> PLgg:
+                       store: VarConstraintStore) -> SideState:
     """Grow the goal-side graph backward through learned in-edges.
 
     Each dequeued atom with at least one object that is not an init fact is
@@ -232,13 +261,13 @@ def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource,
     inserted (and queued, if it mentions any object).  An atom is expanded
     at most once up to variable renaming.  Fresh names come from
     `var_source` and constraints go to `store`; `combine` needs both sides
-    to share them.
+    to share them.  The side comes back as the state that `combine` keeps.
     """
     return _generate(plog, task, task.goal, SIDE_GOAL, var_source, store)
 
 
 def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource,
-                       store: VarConstraintStore) -> PLgg:
+                       store: VarConstraintStore) -> SideState:
     """Mirror of the goal side: forward from init along learned out-edges."""
     return _generate(plog, task, task.init, SIDE_INIT, var_source, store)
 
@@ -273,15 +302,6 @@ def equivalent_atoms(a: Atom, b: Atom, store: VarConstraintStore) -> bool:
     return all(equivalent_params(x, y, store) for x, y in zip(a.args, b.args))
 
 
-def _best_incident_prob(plgg: PLgg) -> dict[Atom, float]:
-    best: dict[Atom, float] = {}
-    for node, neighbours in plgg.nodes.items():
-        for neighbour, mu in neighbours.items():
-            best[node] = max(best.get(node, 0.0), mu)
-            best[neighbour] = max(best.get(neighbour, 0.0), mu)
-    return best
-
-
 def _bucket_key(node: Atom) -> tuple:
     """The bucket of a lifted node: its predicate, arity, object positions
     and the objects there."""
@@ -290,47 +310,27 @@ def _bucket_key(node: Atom) -> tuple:
 
 
 class SideState:
-    """One side's working graph for the length of one `combine` call:
-    `plgg`, a copy of the side that the rewrites change in place; `best`,
-    each node's best incident probability; `buckets`, the lifted nodes,
-    each filed once under its `_bucket_key`, each bucket in `rank` order;
-    `unharvested`, the nodes that no harvest has read yet; `kept`, the
-    bindings of each (landmark, top_n) searched since a bucket it read
-    last changed; and `readers`, the (landmark, top_n) pairs whose search
-    looked each bucket key up, whether the bucket was empty or not."""
+    """One side as generation builds it and `combine` rewrites it: `nodes`,
+    each atom's predecessors (goal side) or successors (init side) with
+    edge probabilities; `best`, each node's best incident probability;
+    `buckets`, the lifted nodes, each filed once under its `_bucket_key`,
+    each bucket in `rank` order; `unharvested`, the nodes that no harvest
+    has read yet; `kept`, the bindings of each (landmark, top_n) searched
+    since a bucket it read last changed; and `readers`, the (landmark,
+    top_n) pairs whose search looked each bucket key up, empty or not."""
 
-    def __init__(self, plgg: PLgg):
-        self.plgg = PLgg(nodes={node: dict(neighbours) for node, neighbours in plgg.nodes.items()},
-                         side=plgg.side, store=plgg.store, domain=plgg.domain)
-        self.best = _best_incident_prob(self.plgg)
+    def __init__(self, side: str, store: VarConstraintStore, domain: str = ""):
+        self.side, self.store, self.domain = side, store, domain
+        self.nodes: dict[Atom, dict[Atom, float]] = {}
+        self.best: dict[Atom, float] = {}
         self.buckets: dict[tuple, list[Atom]] = {}
         self.unharvested: list[Atom] = []
         self.kept: dict[tuple[Atom, int], dict[str, str]] = {}
         self.readers: dict[tuple, set[tuple[Atom, int]]] = {}
-        self.admit(list(self.plgg.nodes))
 
     def rank(self, node: Atom) -> tuple[float, Atom]:
         """Higher best incident probability first, then lexicographically."""
         return -self.best.get(node, 0.0), node
-
-    def admit(self, added: list[Atom], raised: Iterable[Atom] = ()) -> None:
-        """Queue the nodes a rewrite added for the next harvest and file the
-        lifted ones.  Each bucket that gained a node or holds one whose best
-        probability rose is re-sorted, which is cheap since only those nodes
-        move, and the kept bindings of its readers are dropped: a search
-        reads nothing else that a rewrite changes."""
-        self.unharvested += added
-        touched = set()
-        for node in added:
-            if not node.is_ground:
-                key = _bucket_key(node)
-                self.buckets.setdefault(key, []).append(node)
-                touched.add(key)
-        touched.update(_bucket_key(node) for node in raised if not node.is_ground)
-        for key in touched:
-            self.buckets[key].sort(key=self.rank)
-            for reader in self.readers.pop(key, ()):
-                self.kept.pop(reader, None)
 
     def harvest(self, facts: frozenset[Atom]) -> set[Atom]:
         """The task facts among the nodes added since the last harvest."""
@@ -369,7 +369,7 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
     if not lm.is_ground:
         raise ValueError(f"equivalence search needs a ground landmark, not {lm}")
     args = lm.args
-    forbidden = state.plgg.store.forbidden_objects
+    forbidden = state.store.forbidden_objects
     reader = (lm, top_n)
     chosen: list[Atom] = []
     for level in _object_patterns(len(args)):
@@ -400,17 +400,20 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
     rewritten node has no bound variable left, so no node that this
     rewrite changes is rewritten again, in whatever order the nodes are
     rewritten; the best incident probabilities of both ends of every edge
-    it adds or raises are raised with it, and the side admits the nodes
-    it added and those whose best probability rose.
+    it adds or raises are raised with it.  The nodes it added wait for the
+    next harvest, and the lifted ones are filed.  Each bucket that gained a
+    node or holds one whose best probability rose is re-sorted, which is
+    cheap since only those nodes move, and the kept bindings of its
+    readers are dropped: a search reads nothing else that a rewrite changes.
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
-        if obj in state.plgg.store.forbidden_objects(var):
+        if obj in state.store.forbidden_objects(var):
             logger.warning("binding %s -> %s violates a distinct-value constraint; skipped",
                            var, obj)
             continue
         safe[var] = obj
-    nodes, best = state.plgg.nodes, state.best
+    nodes, best = state.nodes, state.best
     added: list[Atom] = []
     raised: set[Atom] = set()
     for members in state.buckets.values():
@@ -432,7 +435,14 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
                 if best.get(rewritten, -1.0) < mu:
                     best[rewritten] = mu
                     raised.add(rewritten)
-    state.admit(added, raised)
+    state.unharvested += added
+    for node in added:
+        if not node.is_ground:
+            state.buckets.setdefault(_bucket_key(node), []).append(node)
+    for key in {_bucket_key(node) for node in raised.union(added) if not node.is_ground}:
+        state.buckets[key].sort(key=state.rank)
+        for reader in state.readers.pop(key, ()):
+            state.kept.pop(reader, None)
 
 
 def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None:
@@ -454,28 +464,28 @@ def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None
             var_inst.setdefault(var, obj)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s side pass: %d landmarks searched, %d bindings reused",
-                     state.plgg.side, searched, len(ordered) - searched)
+                     state.side, searched, len(ordered) - searched)
     apply_instantiation(state, var_inst)
 
 
-def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, *,
+def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, *,
             iteration_log: list | None = None) -> PLgg:
     """Alternate instantiation between the two sides until a fixpoint.
 
-    Both sides must share one constraint store; neither is changed, since
-    the passes rewrite a `SideState` copy of each.  Each round instantiates
-    the init side from the goal side's ground landmarks, then the goal side
-    from the init side's; a side's ground landmarks are its nodes that are
-    facts of the task (anything else is an ungroundable artifact and is not
-    harvested), read as they are added.  The loop stops when a full round
-    adds no new ground landmark.  The returned graph is the
-    predecessor-oriented union of both sides.
+    Both sides must share one constraint store.  The passes rewrite the two
+    states in place, so the sides given are consumed: afterwards they hold
+    their final graphs.  Each round instantiates the init side from the
+    goal side's ground landmarks, then the goal side from the init side's;
+    a side's ground landmarks are its nodes that are facts of the task
+    (anything else is an ungroundable artifact and is not harvested), read
+    as they are added.  The loop stops when a full round adds no new ground
+    landmark.  The returned graph is the union of both sides: each edge at
+    the larger of its two sides' probabilities, and each node at the larger
+    of its two sides' best incident probabilities.
     """
-    if goal_side.store is not init_side.store:
+    if goal.store is not init.store:
         raise ValueError("the goal and init sides must share one constraint store")
-    goal, init = SideState(goal_side), SideState(init_side)
-    lms_init = set(task.init)
-    lms_goal = set(task.goal)
+    lms_init, lms_goal = set(task.init), set(task.goal)
     known = lms_init | lms_goal
     if iteration_log is not None:
         iteration_log.append(frozenset(known))
@@ -490,28 +500,15 @@ def combine(goal_side: PLgg, init_side: PLgg, task: GroundTask, top_n: int = 1, 
         if grown == known:
             break
         known = grown
-    return _union(goal.plgg, init.plgg)
-
-
-def _union(goal_side: PLgg, init_side: PLgg) -> PLgg:
-    """The predecessor-oriented union of a goal and an init side."""
-    nodes: dict[Atom, dict[Atom, float]] = {}
-
-    def ensure(atom: Atom) -> dict[Atom, float]:
-        return nodes.setdefault(atom, {})
-
-    for node, predecessors in goal_side.nodes.items():
-        bucket = ensure(node)
-        for pred, mu in predecessors.items():
-            ensure(pred)
-            bucket[pred] = max(mu, bucket.get(pred, 0.0))
-    for node, successors in init_side.nodes.items():
-        ensure(node)
-        for succ, mu in successors.items():
-            bucket = ensure(succ)
-            bucket[node] = max(mu, bucket.get(node, 0.0))
-    return PLgg(nodes=nodes, side=SIDE_COMBINED, store=goal_side.store,
-                domain=goal_side.domain or init_side.domain)
+    edges = {(pred, node): mu for node, preds in goal.nodes.items() for pred, mu in preds.items()}
+    for node, succs in init.nodes.items():
+        edges.update({(node, s): mu for s, mu in succs.items() if edges.get((node, s), -1) < mu})
+    best = goal.best | {node: mu for node, mu in init.best.items() if goal.best.get(node, -1) < mu}
+    nodes = dict.fromkeys(goal.nodes.keys() | init.nodes.keys(), True)
+    nodes.update((node, False) for side in (goal, init)
+                 for members in side.buckets.values() for node in members)
+    return PLgg(edges=edges, best=best, nodes=nodes, side=SIDE_COMBINED, store=goal.store,
+                domain=goal.domain or init.domain)
 
 
 def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1, *,
@@ -541,33 +538,27 @@ class PlggContent:
         return self.landmarks_grounded | self.landmarks_lifted
 
     def orderings_grounded(self) -> dict[tuple[Atom, Atom], float]:
+        """The orderings between ground atoms.  An end among the landmarks
+        is as ground as the set it is in says; only an end that is not a
+        landmark, which a hand-built content may hold, is looked at."""
+        grounded, lifted = self.landmarks_grounded, self.landmarks_lifted
         return {(s, d): mu for (s, d), mu in self.orderings.items()
-                if s.is_ground and d.is_ground}
-
-
-def _directed_edges(plgg: PLgg) -> dict[tuple[Atom, Atom], float]:
-    edges: dict[tuple[Atom, Atom], float] = {}
-    for node, neighbours in plgg.nodes.items():
-        for neighbour, mu in neighbours.items():
-            edge = (node, neighbour) if plgg.side == SIDE_INIT else (neighbour, node)
-            edges[edge] = max(mu, edges.get(edge, 0.0))
-    return edges
+                if (s in grounded or s not in lifted and s.is_ground)
+                and (d in grounded or d not in lifted and d.is_ground)}
 
 
 def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
     """Keep nodes and edges whose probability clears the threshold.
 
     An edge's probability is its own; a node's is the best over its incident
-    edges.  Nodes with no incident edges (the seeds) always survive.
+    edges.  Nodes with no incident edges (the seeds) always survive.  The
+    graph's ground flags split the nodes.
     """
-    best = _best_incident_prob(plgg)
-    kept_atoms = {a for a in plgg.nodes.keys() | best.keys()
-                  if a not in best or best[a] >= threshold}
-    kept_edges = {e: mu for e, mu in _directed_edges(plgg).items() if mu >= threshold}
-    return PlggContent(
-        landmarks_grounded={a for a in kept_atoms if a.is_ground},
-        landmarks_lifted={a for a in kept_atoms if not a.is_ground},
-        orderings=kept_edges)
+    best, ground = plgg.best, plgg.nodes
+    kept = [a for a in ground if a not in best or best[a] >= threshold]
+    return PlggContent(landmarks_grounded={a for a in kept if ground[a]},
+                       landmarks_lifted={a for a in kept if not ground[a]},
+                       orderings={e: mu for e, mu in plgg.edges.items() if mu >= threshold})
 
 
 # --- serialization ------------------------------------------------------------
@@ -576,13 +567,13 @@ def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
 def _edge_table(plgg: PLgg) -> tuple[list[Atom], list[tuple[int, int, float]]]:
     """The graph's sorted atom table, and its directed edges as (source
     index, destination index, mu) in index order."""
-    edges = _directed_edges(plgg)
-    table, index = artifact.atom_table(set(plgg.nodes) | {a for e in edges for a in e})
-    return table, sorted((index[s], index[d], mu) for (s, d), mu in edges.items())
+    table, index = artifact.atom_table(plgg.nodes)
+    return table, sorted((index[s], index[d], mu) for (s, d), mu in plgg.edges.items())
 
 
-# Each edge appears once.  A vertex's `grounded` flag is written but not
-# read, since the atom's arguments already say whether it is ground.
+# Each edge appears once, from its source to its destination, whatever the
+# side.  A vertex's `grounded` flag is written but not read, since the
+# atom's arguments already say whether it is ground.
 SCHEMA = artifact.Schema(
     vertices=artifact.atoms(grounded=artifact.flag),
     domain=artifact.string, side=artifact.one_of(SIDE_GOAL, SIDE_INIT, SIDE_COMBINED),
@@ -594,18 +585,18 @@ def plgg_to_json(plgg: PLgg) -> str:
     table, edges = _edge_table(plgg)
     return artifact.write_artifact(
         SCHEMA, domain=plgg.domain, side=plgg.side, edges=edges,
-        vertices=[(a.pred, a.args, a.is_ground) for a in table])
+        vertices=[(a.pred, a.args, plgg.nodes[a]) for a in table])
 
 
 def plgg_from_json(text: str) -> PLgg:
     """Read a p-LGG."""
     data = artifact.read_artifact(text, SCHEMA)
-    nodes: dict[Atom, dict[Atom, float]] = {a: {} for a in data["vertices"]}
-    for src, dst, mu in data["edges"]:
-        node, neighbour = (src, dst) if data["side"] == SIDE_INIT else (dst, src)
-        nodes[node][neighbour] = mu
-    return PLgg(nodes=nodes, side=data["side"], store=VarConstraintStore(),
-                domain=data["domain"])
+    edges = {(src, dst): mu for src, dst, mu in data["edges"]}
+    best: dict[Atom, float] = {}
+    for (src, dst), mu in edges.items():
+        best[src], best[dst] = max(mu, best.get(src, mu)), max(mu, best.get(dst, mu))
+    return PLgg(edges=edges, best=best, nodes={a: a.is_ground for a in data["vertices"]},
+                side=data["side"], store=VarConstraintStore(), domain=data["domain"])
 
 
 def write_plgg(plgg: PLgg, path: str | Path) -> None:
@@ -621,7 +612,7 @@ def plgg_to_dot(plgg: PLgg) -> str:
     table, edges = _edge_table(plgg)
     lines = ["digraph plgg {", "  rankdir=BT;"]
     for i, a in enumerate(table):
-        style = " style=dashed" if not a.is_ground else ""
+        style = " style=dashed" if not plgg.nodes[a] else ""
         lines.append(f'  n{i} [label={artifact.dot_label(str(a))}{style}];')
     for s, d, mu in edges:
         lines.append(f'  n{s} -> n{d} [label="{mu:.2f}"];')

@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 import plgg.instantiate as instantiate
-from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, PLgg, VarConstraintStore, VarSource,
-                              _best_incident_prob, _union, equivalent_atoms)
+from plgg.instantiate import (SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState,
+                              VarConstraintStore, VarSource, equivalent_atoms)
 from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
 from plgg.plog import LiftedEdge, learn_plog, lift_atom
@@ -25,6 +26,10 @@ COURIER_CORPUS = sorted(p.stem for p in COURIER.glob("p*.pddl"))
 # (directory, problem stem) of every shipped task of the three domains
 ALL_TASKS = ([(BENCH, n) for n in CORPUS] + [(GRIPPER, n) for n in GRIPPER_CORPUS]
              + [(COURIER, n) for n in COURIER_CORPUS])
+# (domain directory, training stems) of the p-LOG that instantiates every
+# fixture task of its domain, training tasks included
+FIXTURE_PLOGS = {BENCH: TRAIN, GRIPPER: ("p01", "p05", "p06"),
+                 COURIER: ("p01", "p03", "p05")}
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +137,104 @@ def blocksworld_problems(draw):
             f"(:goal (and {' '.join(goal)})))")
 
 
+# --- reference graph forms --------------------------------------------------
+# What generation keeps in each `SideState` and what `combine` hands back,
+# derived from scratch from a side's adjacency.
+
+
+@dataclass
+class SideGraph:
+    """One side as a literal graph: `nodes` maps each atom to its
+    neighbours with edge probabilities, predecessors on the goal side and
+    successors on the init side."""
+
+    nodes: dict
+    side: str
+    store: VarConstraintStore
+    domain: str = ""
+
+
+def bucket_key(node):
+    """Predicate, arity, object positions and the objects there."""
+    fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
+    return node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed)
+
+
+def _best_incident_prob(nodes):
+    """Each node's best incident probability in the adjacency `nodes`."""
+    best = {}
+    for node, neighbours in nodes.items():
+        for neighbour, mu in neighbours.items():
+            best[node] = max(best.get(node, 0.0), mu)
+            best[neighbour] = max(best.get(neighbour, 0.0), mu)
+    return best
+
+
+def _directed_edges(nodes, side):
+    """The (source, destination) edges of the adjacency `nodes` of `side`:
+    successors on the init side, predecessors otherwise."""
+    edges = {}
+    for node, neighbours in nodes.items():
+        for neighbour, mu in neighbours.items():
+            edge = (node, neighbour) if side == SIDE_INIT else (neighbour, node)
+            edges[edge] = max(mu, edges.get(edge, 0.0))
+    return edges
+
+
+def _union(goal_side, init_side):
+    """The predecessor-oriented union of a goal and an init side's adjacency."""
+    nodes = {}
+
+    def ensure(atom):
+        return nodes.setdefault(atom, {})
+
+    for node, predecessors in goal_side.nodes.items():
+        bucket = ensure(node)
+        for pred, mu in predecessors.items():
+            ensure(pred)
+            bucket[pred] = max(mu, bucket.get(pred, 0.0))
+    for node, successors in init_side.nodes.items():
+        ensure(node)
+        for succ, mu in successors.items():
+            bucket = ensure(succ)
+            bucket[node] = max(mu, bucket.get(node, 0.0))
+    return nodes
+
+
+def graph_of(nodes, side, store=None, domain=""):
+    """The `PLgg` of the adjacency `nodes` of `side`, predecessor-oriented
+    when combined: every end of an edge is a node, flagged ground when no
+    argument is a variable."""
+    every = dict.fromkeys(nodes) | dict.fromkeys(a for ns in nodes.values() for a in ns)
+    return PLgg(edges=_directed_edges(nodes, side), best=_best_incident_prob(nodes),
+                nodes={a: a.is_ground for a in every}, side=side,
+                store=VarConstraintStore() if store is None else store, domain=domain)
+
+
+def combined_graph(goal_side, init_side):
+    """What `combine` hands back for its two final sides: `_union`, then
+    `_directed_edges` and `_best_incident_prob` of the union."""
+    return graph_of(_union(goal_side, init_side), SIDE_COMBINED, goal_side.store,
+                    goal_side.domain or init_side.domain)
+
+
+def side_state(graph):
+    """A `SideState` of a copy of the literal side `graph`, its kept state
+    derived from scratch: each node's best incident probability, the
+    lifted nodes filed by `bucket_key`, each bucket by (-best, node), and
+    every node unharvested."""
+    state = SideState(graph.side, graph.store, graph.domain)
+    state.nodes = {node: dict(neighbours) for node, neighbours in graph.nodes.items()}
+    state.best = _best_incident_prob(state.nodes)
+    for node in state.nodes:
+        if not node.is_ground:
+            state.buckets.setdefault(bucket_key(node), []).append(node)
+    for members in state.buckets.values():
+        members.sort(key=lambda n: (-state.best.get(n, 0.0), n))
+    state.unharvested = list(state.nodes)
+    return state
+
+
 # --- reference generation ---------------------------------------------------
 # Generation as it was before each p-LOG compiled its edges once: every
 # expansion renames each learned edge afresh and constrains each neighbour
@@ -203,7 +306,7 @@ def reference_generate(plog, task, side, source, store):
             nodes[lm][neighbour] = max(plog.probs[edge], nodes[lm].get(neighbour, 0.0))
             if neighbour.objects() and renamed_shape(neighbour) not in expanded:
                 queue.append(neighbour)
-    return PLgg(nodes=nodes, side=side, store=store, domain=plog.domain)
+    return SideGraph(nodes=nodes, side=side, store=store, domain=plog.domain)
 
 
 # --- reference instantiation ------------------------------------------------
@@ -217,14 +320,12 @@ def reference_rank(plgg):
     """The side's lifted nodes ranked from scratch, by higher best incident
     probability, then lexicographically, each filed with its rank under its
     predicate, arity, object positions and the objects there."""
-    best = _best_incident_prob(plgg)
+    best = _best_incident_prob(plgg.nodes)
     lifted = sorted((node for node in plgg.nodes if not node.is_ground),
                     key=lambda n: (-best.get(n, 0.0), n))
     buckets = {}
     for rank, node in enumerate(lifted):
-        fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-        key = (node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed))
-        buckets.setdefault(key, []).append((rank, node))
+        buckets.setdefault(bucket_key(node), []).append((rank, node))
     return buckets
 
 
@@ -247,7 +348,7 @@ def reference_rewrite(plgg, bindings):
         for neighbour, mu in neighbours.items():
             rewritten = neighbour.substitute(safe)
             bucket[rewritten] = max(mu, bucket.get(rewritten, 0.0))
-    return PLgg(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
+    return SideGraph(nodes=nodes, side=plgg.side, store=plgg.store, domain=plgg.domain)
 
 
 def reference_search(buckets, lm, store, top_n):
@@ -295,7 +396,7 @@ def reference_combine(goal_side, init_side, task, top_n=1, iteration_log=None):
         if iteration_log is not None:
             iteration_log.append(frozenset(grown))
         if grown == known:
-            return _union(goal_side, init_side)
+            return combined_graph(goal_side, init_side)
         known = grown
 
 

@@ -13,12 +13,12 @@ from collections import Counter
 from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
-from plgg.instantiate import (PLgg, SideState, VarConstraintStore, equivalent_atoms,
-                              extract_result, instantiate_task, search_best_equiv)
+from plgg.instantiate import (VarConstraintStore, equivalent_atoms, extract_result,
+                              instantiate_task, search_best_equiv)
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
-from conftest import param_distance, update_distinct_consts
+from conftest import SideGraph, param_distance, side_state, update_distinct_consts
 
 TRAIN = ("p01", "p02", "p03", "p04")
 
@@ -74,14 +74,14 @@ def test_criterion_03_equivalence_example():
         Atom("p", ("?x6", "?x7", "?x8")): {anchor: 0.9},
         anchor: {},
     }
-    plgg = PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
+    plgg = SideGraph(nodes=nodes, side="goal", store=VarConstraintStore())
     lm = Atom("p", ("a", "b", "c"))
     found = {node: param_distance(node, lm) for node in plgg.nodes
              if node.variables() and equivalent_atoms(node, lm, plgg.store)}
     assert sorted(found.values()) == [1, 1, 2, 2, 3]
     closest = {node for node, distance in found.items() if distance == 1}
     assert closest == {Atom("p", ("a", "?x4", "c")), Atom("p", ("a", "b", "?x5"))}
-    state = SideState(plgg)
+    state = side_state(plgg)
     assert search_best_equiv(state, lm, top_n=1) == {"?x4": "b"}
     assert search_best_equiv(state, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 

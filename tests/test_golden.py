@@ -2,7 +2,9 @@
 fields aside, must equal the reference the benchmark checks against, and the
 text report, timing lines aside, must equal `tests/golden/corpus-evaluate.txt`.
 On the gripper and courier fixtures, whose rewrites add lifted nodes,
-`evaluate --json` must equal the reports in `tests/golden/`."""
+`evaluate --json` must equal the reports in `tests/golden/`.  On one
+held-out task per fixture domain, `plgg instantiate` must print, and write
+with `--dot`, the bytes of the p-LGG JSON and DOT files in `tests/golden/`."""
 
 import json
 import re
@@ -12,7 +14,7 @@ import pytest
 
 from plgg.cli import EXIT_OK, main
 
-from conftest import COURIER, GRIPPER
+from conftest import BENCH, COURIER, FIXTURE_PLOGS, GRIPPER
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "references"
              / "corpus-evaluate.json")
@@ -65,3 +67,50 @@ def test_fixture_evaluate_matches_golden_output(name, suffix, capsys):
     assert main(argv + ["--json"]) == EXIT_OK
     report = without_seconds(json.loads(capsys.readouterr().out))
     assert report == json.loads((GOLDEN / f"{name}-evaluate{suffix}.json").read_text())
+
+
+# golden name -> (domain directory, held-out task) of each instantiate golden;
+# the p-LOG is learned from the domain's `FIXTURE_PLOGS` stems
+INSTANTIATE_TASKS = {"blocksworld": (BENCH, "p06"), "gripper": (GRIPPER, "p02"),
+                     "courier": (COURIER, "p04")}
+
+
+@pytest.fixture(scope="module")
+def plog_path(tmp_path_factory):
+    """Golden name -> the p-LOG file that `plgg extract` and `plgg learn`
+    write from the domain's training tasks, each built once."""
+    cache = {}
+
+    def build(name):
+        if name not in cache:
+            directory, _ = INSTANTIATE_TASKS[name]
+            train = FIXTURE_PLOGS[directory]
+            work = tmp_path_factory.mktemp(name)
+            problems = [str(directory / f"{stem}.pddl") for stem in train]
+            assert main(["extract", str(directory / "domain.pddl"), *problems,
+                         "--out", str(work)]) == EXIT_OK
+            lggs = [str(work / f"{stem}.lgg.json") for stem in train]
+            assert main(["learn", *lggs, "--out", str(work / "plog.json"),
+                         "--domain", directory.name]) == EXIT_OK
+            cache[name] = work / "plog.json"
+        return cache[name]
+
+    return build
+
+
+@pytest.mark.parametrize("suffix", sorted(OPTIONS), ids=["defaults", "top-n-2"])
+@pytest.mark.parametrize("name", sorted(INSTANTIATE_TASKS))
+def test_fixture_instantiate_matches_golden_output(name, suffix, plog_path, tmp_path, capsys):
+    directory, task = INSTANTIATE_TASKS[name]
+    argv = ["instantiate", str(plog_path(name)), str(directory / "domain.pddl"),
+            str(directory / f"{task}.pddl"), *OPTIONS[suffix]]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / f"{task}.plgg.json"
+    assert main(argv + ["--out", str(out), "--dot"]) == EXIT_OK
+    golden = GOLDEN / f"{name}-{task}-instantiate{suffix}"
+    assert printed == golden.with_name(golden.name + ".plgg.json").read_text()
+    assert out.read_text() == printed
+    dot = golden.with_name(golden.name + ".dot")
+    assert out.with_suffix(".dot").read_text() == dot.read_text()

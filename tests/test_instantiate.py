@@ -15,17 +15,18 @@ import plgg.instantiate as instantiate_module
 from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, ground_task, is_variable, parse_problem
 from plgg.plog import LiftedEdge, PLog, learn_plog, plog_from_json, plog_to_json
-from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, PLgg, SideState, VarConstraintStore,
-                              VarSource, _best_incident_prob, _compile, _expand, _shape,
-                              apply_instantiation, combine, equivalent_atoms, equivalent_params,
-                              extract_result, generate_plgg_goal, generate_plgg_init,
-                              instantiate_task, instantiation, plgg_from_json, plgg_to_dot,
-                              plgg_to_json, search_best_equiv)
+from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarConstraintStore, VarSource, _compile,
+                              _expand, apply_instantiation, combine, equivalent_atoms,
+                              equivalent_params, extract_result, generate_plgg_goal,
+                              generate_plgg_init, instantiate_task, instantiation, plgg_from_json,
+                              plgg_to_dot, plgg_to_json, search_best_equiv)
 
 import conftest
-from conftest import (CORPUS, COURIER, COURIER_CORPUS, GRIPPER, TRAIN, blocksworld_problems,
-                      fresh_name, fresh_variables, param_distance, reference_generate,
-                      reference_instantiate_task, update_distinct_consts)
+from conftest import (CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, TRAIN, SideGraph,
+                      _best_incident_prob, blocksworld_problems, bucket_key, combined_graph,
+                      fresh_name, fresh_variables, graph_of, param_distance, reference_generate,
+                      reference_instantiate_task, renamed_shape, side_state,
+                      update_distinct_consts)
 
 
 def sides(plog, task):
@@ -36,11 +37,16 @@ def sides(plog, task):
             generate_plgg_init(plog, task, var_source=source, store=store))
 
 
+def parts(graph):
+    """What a combined graph holds: its edges, best probabilities and flags."""
+    return graph.edges, graph.best, graph.nodes
+
+
 def rewrite(plgg, bindings):
-    """The graph that `apply_instantiation` makes of a `SideState` of `plgg`."""
-    state = SideState(plgg)
+    """The side that `apply_instantiation` makes of a `SideState` of `plgg`."""
+    state = side_state(plgg)
     apply_instantiation(state, bindings)
-    return state.plgg
+    return state
 
 
 # --- constraint bookkeeping -----------------------------------------------------
@@ -144,7 +150,7 @@ def spec_candidates_graph():
         Atom("p", ("?x6", "?x7", "?x8")): {r: 0.9},
         r: {},
     }
-    return PLgg(nodes=nodes, side="goal", store=VarConstraintStore())
+    return SideGraph(nodes=nodes, side="goal", store=VarConstraintStore())
 
 
 def test_candidate_distances_match_worked_example():
@@ -158,34 +164,28 @@ def test_candidate_distances_match_worked_example():
 
 
 def test_top_n_binding_selection():
-    state = SideState(spec_candidates_graph())
+    state = side_state(spec_candidates_graph())
     lm = Atom("p", ("a", "b", "c"))
     assert search_best_equiv(state, lm, top_n=1) == {"?x4": "b"}
     assert search_best_equiv(state, lm, top_n=2) == {"?x4": "b", "?x5": "c"}
 
 
 def test_search_best_equiv_without_candidates():
-    state = SideState(PLgg(nodes={}, side="goal", store=VarConstraintStore()))
+    state = side_state(SideGraph(nodes={}, side="goal", store=VarConstraintStore()))
     assert search_best_equiv(state, Atom("p", ("a",))) == {}
 
 
 def test_search_best_equiv_rejects_a_lifted_landmark():
-    state = SideState(spec_candidates_graph())
+    state = side_state(spec_candidates_graph())
     with pytest.raises(ValueError, match="ground landmark"):
         search_best_equiv(state, Atom("p", ("a", "?x9", "c")))
-
-
-def bucket_key(node):
-    """Predicate, arity, object positions and the objects there."""
-    fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-    return node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed)
 
 
 def assert_buckets_are_ranked(state):
     """The buckets hold exactly the side's lifted nodes, each once under its
     own key, and each bucket is in (-best, node) order."""
     filed = [(key, node) for key, members in state.buckets.items() for node in members]
-    lifted = [node for node in state.plgg.nodes if not node.is_ground]
+    lifted = [node for node in state.nodes if not node.is_ground]
     assert sorted(filed) == sorted((bucket_key(node), node) for node in lifted)
     for members in state.buckets.values():
         assert members == sorted(members, key=lambda n: (-state.best.get(n, 0.0), n))
@@ -196,13 +196,13 @@ def assert_kept_bindings_are_fresh(state):
     new searches leave the kept state as they found it."""
     kept, readers = dict(state.kept), {key: set(r) for key, r in state.readers.items()}
     for (lm, top_n), bindings in kept.items():
-        assert search_best_equiv(state, lm, top_n) == bindings, (state.plgg.side, lm, top_n)
+        assert search_best_equiv(state, lm, top_n) == bindings, (state.side, lm, top_n)
     state.kept, state.readers = kept, readers
     return len(kept)
 
 
 def test_buckets_file_nodes_by_object_positions():
-    state = SideState(spec_candidates_graph())
+    state = side_state(spec_candidates_graph())
     assert state.buckets[("p", 3, (0,), ("a",))] == [Atom("p", ("a", "?x0", "?x1"))]
     assert state.buckets[("p", 3, (), ())] == [Atom("p", ("?x6", "?x7", "?x8"))]
     assert state.buckets[("p", 3, (0, 2), ("a", "c"))] == [Atom("p", ("a", "?x4", "c"))]
@@ -216,7 +216,7 @@ def test_rewrites_keep_every_bucket_ranked():
     nodes = {first: {anchor: 0.5}, second: {anchor: 0.25}, older: {anchor: 0.5},
              Atom("q", ("?x4", "?x5")): {Atom("p", ("?x4", "?x1")): 0.9},
              Atom("p", ("?x4", "?x1")): {}, anchor: {}}
-    state = SideState(PLgg(nodes=nodes, side="goal", store=VarConstraintStore()))
+    state = side_state(SideGraph(nodes=nodes, side="goal", store=VarConstraintStore()))
     lm = Atom("p", ("a", "c"))
     assert state.buckets[("p", 2, (0,), ("a",))] == [first, second]
     assert search_best_equiv(state, lm) == {"?x0": "c"}
@@ -235,7 +235,7 @@ def test_rewrites_keep_every_bucket_ranked():
 def full_scan_bindings(plgg, lm, top_n):
     """Reference search: scan every node, with the best incident probability
     recomputed for this one landmark."""
-    best = _best_incident_prob(plgg)
+    best = _best_incident_prob(plgg.nodes)
     found = sorted((param_distance(node, lm), -best.get(node, 0.0), node)
                    for node in plgg.nodes
                    if node.variables() and equivalent_atoms(node, lm, plgg.store))
@@ -269,14 +269,14 @@ def graphs_and_landmarks(draw):
     lms = [node.substitute({v: draw(st.sampled_from("ab")) for v in sorted(node.variables())})
            for node in draw(st.lists(st.sampled_from(nodes), max_size=6))]
     lms += draw(st.lists(GROUND_ATOMS, min_size=1, max_size=2))
-    return PLgg(nodes=graph, side="goal", store=store), lms
+    return SideGraph(nodes=graph, side="goal", store=store), lms
 
 
 @given(graphs_and_landmarks())
 @settings(max_examples=300, deadline=None)
 def test_ranked_pass_matches_full_scan(case):
     plgg, lms = case
-    searched = SideState(plgg)
+    searched = side_state(plgg)
     for top_n in (1, 2, 3):
         expected = {}
         for lm in sorted(lms):
@@ -284,9 +284,9 @@ def test_ranked_pass_matches_full_scan(case):
             assert search_best_equiv(searched, lm, top_n) == found
             for var, obj in found.items():
                 expected.setdefault(var, obj)
-        state = SideState(plgg)
+        state = side_state(plgg)
         instantiation(state, lms, top_n)
-        assert state.plgg.nodes == rewrite(plgg, expected).nodes
+        assert state.nodes == rewrite(plgg, expected).nodes
 
 
 OBJECTS = st.sampled_from("abc")
@@ -320,7 +320,7 @@ def ground_landmark_cases(draw):
                                   min_size=1, max_size=4)):
         update_distinct_consts(store, pred, lm)
     lms += draw(st.lists(GROUND_LANDMARKS, max_size=3))
-    return PLgg(nodes=graph, side="goal", store=store), lms
+    return SideGraph(nodes=graph, side="goal", store=store), lms
 
 
 @given(ground_landmark_cases())
@@ -329,7 +329,7 @@ def test_bucket_lookup_matches_full_scan_on_ground_landmarks(case):
     # ground landmarks of arity up to 3, repeated node variables, a
     # constraint store that forbids objects, and ties across buckets
     plgg, lms = case
-    state = SideState(plgg)
+    state = side_state(plgg)
     for top_n in (1, 2, 3, 5):
         for lm in lms:
             assert search_best_equiv(state, lm, top_n) == full_scan_bindings(plgg, lm, top_n)
@@ -360,7 +360,7 @@ def raised_without_a_new_node():
     anchor, target = Atom("r", ()), Atom("p", ("?x4", "?x1"))
     nodes = {Atom("p", ("a", "?x0")): {anchor: 0.5}, Atom("p", ("a", "?x1")): {anchor: 0.25},
              Atom("q", ("?x4", "?x5")): {target: 0.9}, target: {}, anchor: {}}
-    return (PLgg(nodes=nodes, side="goal", store=VarConstraintStore()),
+    return (SideGraph(nodes=nodes, side="goal", store=VarConstraintStore()),
             [Atom("p", ("a", "c")), Atom("q", ("a", "d"))])
 
 
@@ -371,21 +371,21 @@ def test_kept_bindings_stay_fresh_over_passes(case, top_n):
     # the rewrites of each pass add nodes and raise best probabilities in
     # buckets that earlier searches read; the harvest grows the landmarks
     plgg, lms = case
-    state = SideState(plgg)
+    state = side_state(plgg)
     for _ in range(4):
         instantiation(state, lms, top_n)
         assert_kept_bindings_are_fresh(state)
         assert_buckets_are_ranked(state)
-        lms = sorted(set(lms) | {node for node in state.harvest(frozenset(state.plgg.nodes))
+        lms = sorted(set(lms) | {node for node in state.harvest(frozenset(state.nodes))
                                  if node.is_ground})
 
 
 def test_first_binding_wins_across_landmarks():
     nodes = {Atom("q", ("?x0",)): {Atom("r", ()): 1.0}, Atom("r", ()): {}}
-    state = SideState(PLgg(nodes=nodes, side="goal", store=VarConstraintStore()))
+    state = side_state(SideGraph(nodes=nodes, side="goal", store=VarConstraintStore()))
     instantiation(state, [Atom("q", ("a",)), Atom("q", ("b",))])
-    assert Atom("q", ("a",)) in state.plgg.nodes
-    assert Atom("q", ("b",)) not in state.plgg.nodes
+    assert Atom("q", ("a",)) in state.nodes
+    assert Atom("q", ("b",)) not in state.nodes
 
 
 # --- rewriting ------------------------------------------------------------------
@@ -395,7 +395,7 @@ def test_apply_instantiation_copies_edges():
     store = VarConstraintStore()
     lifted = Atom("on", ("b", "?x0"))
     nodes = {lifted: {Atom("clear", ("?x0",)): 0.7}, Atom("clear", ("?x0",)): {}}
-    plgg = PLgg(nodes=nodes, side="goal", store=store)
+    plgg = SideGraph(nodes=nodes, side="goal", store=store)
     out = rewrite(plgg, {"?x0": "a"})
     assert out.nodes[Atom("on", ("b", "a"))] == {Atom("clear", ("a",)): 0.7}
     assert lifted in out.nodes  # the lifted original survives
@@ -403,7 +403,7 @@ def test_apply_instantiation_copies_edges():
 
 def test_apply_instantiation_noop_binding():
     store = VarConstraintStore()
-    plgg = PLgg(nodes={Atom("clear", ("a",)): {}}, side="goal", store=store)
+    plgg = SideGraph(nodes={Atom("clear", ("a",)): {}}, side="goal", store=store)
     out = rewrite(plgg, {"?x9": "b"})
     assert out.nodes == plgg.nodes
 
@@ -411,7 +411,7 @@ def test_apply_instantiation_noop_binding():
 def test_apply_instantiation_respects_constraints(caplog):
     store = VarConstraintStore()
     update_distinct_consts(store, Atom("on", ("b", "?x0")), Atom("clear", ("a",)))
-    plgg = PLgg(nodes={Atom("on", ("b", "?x0")): {}}, side="goal", store=store)
+    plgg = SideGraph(nodes={Atom("on", ("b", "?x0")): {}}, side="goal", store=store)
     with caplog.at_level("WARNING"):
         out = rewrite(plgg, {"?x0": "a"})
     assert Atom("on", ("b", "a")) not in out.nodes
@@ -421,7 +421,7 @@ def test_apply_instantiation_respects_constraints(caplog):
 def test_partial_binding_leaves_disjunctive_node():
     store = VarConstraintStore()
     node = Atom("p", ("?x0", "?x1", "c"))
-    plgg = PLgg(nodes={node: {}}, side="goal", store=store)
+    plgg = SideGraph(nodes={node: {}}, side="goal", store=store)
     out = rewrite(plgg, {"?x0": "a"})
     assert Atom("p", ("a", "?x1", "c")) in out.nodes
 
@@ -493,11 +493,11 @@ def test_goal_side_expands_each_atom_once_up_to_renaming(gripper_chain):
     # carry(?x0, ?x2) -> at(?x0, ?x1) form a cycle
     _, plog, _, _, task = gripper_chain
     goal_side, _ = sides(plog, task)
-    expanded = [_shape(node) for node, neighbours in goal_side.nodes.items() if neighbours]
+    expanded = [renamed_shape(node) for node, neighbours in goal_side.nodes.items() if neighbours]
     assert len(expanded) == len(set(expanded))
     # the cycle closes on a renamed copy that keeps its node and its edge
     repeats = [node for node, neighbours in goal_side.nodes.items()
-               if not neighbours and node.objects() and _shape(node) in expanded]
+               if not neighbours and node.objects() and renamed_shape(node) in expanded]
     assert repeats
     assert all(any(node in neighbours for neighbours in goal_side.nodes.values())
                for node in repeats)
@@ -539,12 +539,6 @@ def test_courier_chain_stays_in_the_task_vocabulary(load):
         assert node.objects() <= vocabulary, node
 
 
-# (domain directory, training stems) of the p-LOG that instantiates every
-# fixture task of its domain, training tasks included
-FIXTURE_PLOGS = {conftest.BENCH: TRAIN, GRIPPER: ("p01", "p05", "p06"),
-                 COURIER: ("p01", "p03", "p05")}
-
-
 @pytest.fixture(scope="module")
 def learned(load):
     """(domain directory, training stems) -> the p-LOG learned from them."""
@@ -563,7 +557,10 @@ def assert_generates_like_the_reference(plog, task):
     """Both sides of `task`, grown in turn with one name supply and one
     store, equal the per-neighbour reference's: the same nodes in the same
     order, the same edge probabilities, the same forbidden sets, and the
-    same fresh names drawn."""
+    same fresh names drawn.  The state generation builds equals the one
+    derived from scratch from the reference's graph: the same best incident
+    probabilities, the same buckets with the same members in the same rank
+    order, so the same lifted nodes, and every node unharvested."""
     source, store = VarSource(), VarConstraintStore()
     ref_source, ref_store = VarSource(), VarConstraintStore()
     for generate, side in ((generate_plgg_goal, SIDE_GOAL), (generate_plgg_init, SIDE_INIT)):
@@ -571,6 +568,14 @@ def assert_generates_like_the_reference(plog, task):
         reference = reference_generate(plog, task, side, ref_source, ref_store)
         assert list(fast.nodes) == list(reference.nodes), side
         assert fast.nodes == reference.nodes, side
+        derived = side_state(reference)
+        assert fast.best == derived.best, side
+        assert fast.buckets == derived.buckets, side
+        filed = {node for members in fast.buckets.values() for node in members}
+        assert {node: node not in filed for node in fast.nodes} == \
+            {node: node.is_ground for node in reference.nodes}, side
+        assert sorted(fast.unharvested) == sorted(derived.unharvested), side
+        assert (fast.side, fast.store, fast.domain) == (side, store, plog.domain)
     assert store._objects == ref_store._objects
     assert store._variables == ref_store._variables
     assert fresh_name(source) == fresh_name(ref_source)
@@ -610,7 +615,33 @@ def drawn_tasks(draw):
                            goal=frozenset(draw(st.sets(TASK_ATOMS, min_size=1, max_size=4))))
 
 
+def raised_by_a_second_edge():
+    """A p-LOG whose two edges give p(a) the neighbour q(a) on each side,
+    the first at 0.5 and the second at 1.0, which raises an existing edge
+    and so the neighbour's best probability."""
+    low = LiftedEdge(Atom("p", ("?x0",)), Atom("q", ("?x0",)))
+    high = LiftedEdge(Atom("p", ("?x1",)), Atom("q", ("?x1",)))
+    plog = PLog(Counter({low: 1, high: 2}), Counter({low.dst: 2, high.dst: 2}))
+    task = SimpleNamespace(init=frozenset({Atom("p", ("a",))}),
+                           goal=frozenset({Atom("q", ("a",))}))
+    return plog, [task, task]
+
+
+def one_lift_two_patterns():
+    """A p-LOG that expands q(a, b) and then q(a, ?x1), which lift alike
+    but differ in which arguments are variables, so that r(a, b) is ground
+    and r(a, ?x1) lifted."""
+    into_q = LiftedEdge(Atom("p", ("?x0",)), Atom("q", ("?x0", "?x1")))
+    into_r = LiftedEdge(Atom("q", ("?x0", "?x1")), Atom("r", ("?x0", "?x1")))
+    plog = PLog(Counter({into_q: 1, into_r: 1}), Counter({into_q.dst: 1, into_r.dst: 1}))
+    task = SimpleNamespace(init=frozenset({Atom("p", ("a",)), Atom("q", ("a", "b"))}),
+                           goal=frozenset({Atom("s", ())}))
+    return plog, [task, task]
+
+
 @given(drawn_plogs(), st.lists(drawn_tasks(), min_size=2, max_size=2))
+@example(*raised_by_a_second_edge())
+@example(*one_lift_two_patterns())
 @settings(max_examples=200, deadline=None)
 def test_generation_matches_the_per_neighbour_reference_on_drawn_plogs(plog, tasks):
     # the second task reads the edges that the first one compiled
@@ -676,7 +707,8 @@ def test_combine_keeps_the_shared_store(plog, make_task):
     assert goal_side.store is store and init_side.store is store
     combined = combine(goal_side, init_side, task)
     assert combined.store is store
-    assert combined.nodes == instantiate_task(plog, task).nodes
+    whole = instantiate_task(plog, task)
+    assert parts(combined) == parts(whole)
 
 
 # --- kept side state against the rebuild-per-pass reference --------------------
@@ -763,15 +795,18 @@ def check_every_pass(plog, task, top_n):
     """Combine `task`'s sides, checking the kept state before and after
     every pass: `best` equals the side's best incident probabilities, the
     buckets hold the lifted nodes in rank order, and every kept binding
-    equals a new search on the state as it is.  Returns the number of
-    passes, of lifted nodes the rewrites added, and of kept bindings checked."""
+    equals a new search on the state as it is.  The passes grow the given
+    sides in place, and the combined graph equals the reference union of
+    the two final sides.  Returns the number of passes, of lifted nodes the
+    rewrites added, and of kept bindings checked."""
     goal_side, init_side = sides(plog, task)
     given_sides = copy.deepcopy((goal_side.nodes, init_side.nodes))
     one_pass = instantiation
     seen = Counter()
+    passed = set()
 
     def assert_kept_state(state):
-        assert state.best == _best_incident_prob(state.plgg)
+        assert state.best == _best_incident_prob(state.nodes)
         assert_buckets_are_ranked(state)
         seen["kept"] += assert_kept_bindings_are_fresh(state)
 
@@ -780,6 +815,7 @@ def check_every_pass(plog, task, top_n):
         before = sum(map(len, state.buckets.values()))
         one_pass(state, lms, top_n)
         assert_kept_state(state)
+        passed.add(id(state))
         seen["passes"] += 1
         seen["new lifted"] += sum(map(len, state.buckets.values())) - before
 
@@ -787,8 +823,18 @@ def check_every_pass(plog, task, top_n):
         mp.setattr(instantiate_module, "instantiation", checked_pass)
         combined = combine(goal_side, init_side, task, top_n)
     assert seen["passes"] >= 2
-    assert (goal_side.nodes, init_side.nodes) == given_sides
-    assert combined.nodes == instantiate_task(plog, task, top_n).nodes
+    # combine consumes the sides it is given: its passes only add nodes to
+    # them and raise their edges' probabilities, in place
+    assert passed == {id(goal_side), id(init_side)}
+    for side, given in zip((goal_side, init_side), given_sides):
+        for node, neighbours in given.items():
+            assert all(side.nodes[node][n] >= mu for n, mu in neighbours.items()), node
+    reference = combined_graph(goal_side, init_side)
+    assert combined.edges == reference.edges
+    assert combined.best == reference.best
+    assert combined.nodes == reference.nodes
+    whole = instantiate_task(plog, task, top_n)
+    assert parts(combined) == parts(whole)
     return seen
 
 
@@ -831,13 +877,14 @@ def test_each_pass_logs_one_debug_record(plog, make_task, caplog):
 
 
 def test_combined_union_is_predecessor_oriented(plog, make_task):
+    # every combined edge runs from the predecessor to the successor
     task = make_task("p06")
     plgg = instantiate_task(plog, task)
     goal = Atom("on", ("a", "b"))
-    assert plgg.nodes[goal].get(Atom("holding", ("a",))) == pytest.approx(0.6)
-    # init-side successors appear as predecessor entries of the successor
+    assert plgg.edges.get((Atom("holding", ("a",)), goal)) == pytest.approx(0.6)
+    # init-side successors appear as destinations of edges from the init fact
     init_fact = Atom("clear", ("a",))
-    successors = [n for n, preds in plgg.nodes.items() if init_fact in preds]
+    successors = [dst for src, dst in plgg.edges if src == init_fact]
     assert successors
 
 
@@ -855,10 +902,8 @@ def test_extract_result_threshold(plog, make_task):
 
 
 def test_extract_result_keeps_isolated_nodes():
-    store = VarConstraintStore()
-    plgg = PLgg(nodes={Atom("clear", ("a",)): {},
-                       Atom("on", ("a", "b")): {Atom("clear", ("b",)): 0.29}},
-                side="goal", store=store)
+    plgg = graph_of({Atom("clear", ("a",)): {},
+                     Atom("on", ("a", "b")): {Atom("clear", ("b",)): 0.29}}, SIDE_GOAL)
     content = extract_result(plgg, threshold=0.3)
     assert Atom("clear", ("a",)) in content.landmarks_grounded
     assert not content.orderings
@@ -888,8 +933,10 @@ def test_plgg_json_roundtrip(plog, make_task):
 def test_plgg_json_side_orientation(plog, make_task):
     task = make_task("p01")
     for side in sides(plog, task):
-        back = plgg_from_json(plgg_to_json(side))
-        assert extract_result(back).orderings == extract_result(side).orderings
+        graph = graph_of(side.nodes, side.side, side.store, side.domain)
+        back = plgg_from_json(plgg_to_json(graph))
+        assert back.side == side.side
+        assert extract_result(back).orderings == extract_result(graph).orderings
 
 
 def test_plgg_dot_marks_lifted(plog, make_task):

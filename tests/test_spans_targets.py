@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from plgg.instantiate import PLgg, SideState, VarConstraintStore, apply_instantiation
+from plgg.instantiate import VarConstraintStore, apply_instantiation
 from plgg.pddl import Atom
 
-from conftest import update_distinct_consts
+from conftest import SideGraph, side_state, update_distinct_consts
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -43,7 +43,7 @@ def test_dropped_binding_warning_matches_the_counted_message(spans):
     store = VarConstraintStore()
     lifted = Atom("on", ("b", "?x0"))
     update_distinct_consts(store, lifted, Atom("clear", ("a",)))
-    state = SideState(PLgg(nodes={lifted: {}}, side="goal", store=store))
+    state = side_state(SideGraph(nodes={lifted: {}}, side="goal", store=store))
     counter = spans.LogCounter()
     logger = logging.getLogger("plgg")
     logger.addHandler(counter)
@@ -51,5 +51,5 @@ def test_dropped_binding_warning_matches_the_counted_message(spans):
         apply_instantiation(state, {"?x0": "a"})
     finally:
         logger.removeHandler(counter)
-    assert Atom("on", ("b", "a")) not in state.plgg.nodes
+    assert Atom("on", ("b", "a")) not in state.nodes
     assert counter.counts == {spans.DROPPED_BINDING: 1}

@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Paired A/B runs of the benchmark on two commits.
+
+    tools/ab.py PARENT CHANGE --workload W --pairs N [--seconds S] [--out PATH]
+
+Both commits are exported with ``git archive`` into a temporary directory.
+Each run executes the ``command`` of that checkout's ``BENCHMARK.json``,
+unchanged, with ``--workload W --seed 1 --seconds S --trace 0``, from the
+checkout's root.  Pair ``i`` (1, 2, ...) runs both sides under
+``PYTHONHASHSEED=i``; odd pairs run the parent first, even pairs the change
+first.  ``--seconds`` defaults to the benchmark's ``run_seconds``.  When
+PARENT and CHANGE name the same commit, the result is an A/A run, which
+shows how far two runs of identical code spread.
+
+The result, written to ``--out`` (default ``BENCH_ab_<workload>.json``), has
+a fixed layout: ``parent`` and ``change`` (the commit ids), ``aa``,
+``how``, ``workload``, ``pairs``, ``seconds``, ``runs`` (per pair, the order
+and each side's last output line) and ``metrics``.  For each end-to-end
+metric of the parent's ``BENCHMARK.json``, ``metrics`` holds ``better``,
+each side's median and inclusive quartiles, the per-pair ratios
+change / parent with their median, and ``change_wins``, the pairs in which
+the change is strictly better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 1
+
+
+def git(*args: str, cwd: Path) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
+
+
+def export(repo: Path, commit: str, target: Path) -> None:
+    """The files of `commit`, as `git archive` gives them, under `target`."""
+    target.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(target)], input=git("archive", commit, cwd=repo),
+                   check=True)
+
+
+def run_once(checkout: Path, workload: str, seconds: float, pair: int) -> dict:
+    """The last line of one benchmark run in `checkout`, as JSON."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    argv = [*benchmark["command"], "--workload", workload, "--seed", str(SEED),
+            "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": str(pair)})
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"ab: {' '.join(argv)} in {checkout.name} exited with {done.returncode}:\n"
+                 f"{done.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, the
+    per-pair ratios change / parent, and the pairs the change wins."""
+    out = {}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [run["parent"]["metrics"][name]["value"] for run in runs]
+        change = [run["change"]["metrics"][name]["value"] for run in runs]
+        ratios = [c / p if p else None for p, c in zip(parent, change)]
+        known = [r for r in ratios if r is not None]
+        out[name] = {
+            "better": metric["better"],
+            "parent": {"median": statistics.median(parent), "quartiles": quartiles(parent)},
+            "change": {"median": statistics.median(change), "quartiles": quartiles(change)},
+            "ratios": ratios,
+            "ratio_median": statistics.median(known) if known else None,
+            "change_wins": sum(c < p if lower else c > p for p, c in zip(parent, change)),
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=None)
+    parser.add_argument("--out", default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo).decode().strip()
+               for side, rev in (("parent", args.parent), ("change", args.change))}
+
+    with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
+        checkouts = {side: Path(scratch) / side for side in commits}
+        for side, commit in commits.items():
+            export(repo, commit, checkouts[side])
+        benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+        seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+        runs = []
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            run = {"pair": pair, "first": order[0]}
+            for side in order:
+                run[side] = run_once(checkouts[side], args.workload, seconds, pair)
+                print(f"pair {pair} {side}: {json.dumps(run[side])}", file=sys.stderr)
+            runs.append(run)
+
+    aa = commits["parent"] == commits["change"]
+    result = {
+        "parent": commits["parent"],
+        "change": commits["change"],
+        "aa": aa,
+        "how": (f"{'A/A: the same commit on both sides; ' if aa else ''}each side a git "
+                f"archive of its commit; each run is the checkout's BENCHMARK.json command "
+                f"with --workload {args.workload} --seed {SEED} --seconds {seconds:g} "
+                f"--trace 0, from the checkout's root; pair i runs both sides under "
+                f"PYTHONHASHSEED=i, odd pairs the parent first, even pairs the change first; "
+                f"ratios are change / parent per pair; quartiles are inclusive"),
+        "workload": args.workload,
+        "pairs": args.pairs,
+        "seconds": seconds,
+        "runs": runs,
+        "metrics": summarize(runs, benchmark["end_to_end"]),
+    }
+    out = Path(args.out or f"BENCH_ab_{args.workload}.json")
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
