@@ -178,12 +178,15 @@ def _edges_from(plog: PLog, backward: bool) -> dict[tuple, list[tuple[_Template,
 
 
 def _plan(template: _Template, mu: float, pattern: tuple[int, ...]) -> tuple:
-    """`template` for expanding an atom whose arguments `pattern` numbers,
-    variables by first appearance and objects -1: with its neighbour's
-    object positions, bucket head (None when ground) and own pattern."""
+    """The plan of `template` for expanding an atom whose arguments
+    `pattern` numbers, each variable by its first appearance and each
+    object -1: the template and `mu`, the neighbour's object positions, its
+    bucket key less the objects (None when it is ground), and its predicate
+    with its own pattern, which with its objects is its shape up to renaming."""
     pred, _, held, _, where = template
     count = len(pattern)
-    # a variable of the expanded atom by its number, a fresh one by its index
+    # per neighbour argument: -1 for an object, else the expanded atom's
+    # variable number (below `count`) or the fresh name's index (above)
     ids = [pattern[w] if w < count else w if w < count + len(held) else -1 for w in where]
     fixed = tuple(i for i, v in enumerate(ids) if v < 0)
     numbers: dict[int, int] = {}
@@ -231,20 +234,20 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
             for name in fresh:
                 forbidden_objects[name] = objects
                 forbidden_variables[name] = variables
-            at = tuple(map(neighbour.args.__getitem__, fixed))
+            its_objects = tuple(map(neighbour.args.__getitem__, fixed))
             if neighbour not in nodes:
                 nodes[neighbour] = {}
                 if bucket is not None:
-                    buckets.setdefault(bucket + (at,), []).append(neighbour)
+                    buckets.setdefault(bucket + (its_objects,), []).append(neighbour)
             current = neighbours.get(neighbour)
             if current is None or current < mu:
                 neighbours[neighbour] = mu
                 if best.get(neighbour, -1.0) < mu:
                     best[neighbour] = mu
-            if fixed and (own, at) not in expanded:
-                queue.append((neighbour, (own, at)))
-        if neighbours and best.get(lm, -1.0) < max(neighbours.values()):
-            best[lm] = max(neighbours.values())
+            if fixed and (own, its_objects) not in expanded:
+                queue.append((neighbour, (own, its_objects)))
+        if neighbours and best.get(lm, -1.0) < (top := max(neighbours.values())):
+            best[lm] = top
     for members in buckets.values():
         members.sort(key=state.rank)
     state.unharvested = list(nodes)
