@@ -11,9 +11,11 @@ Whether a candidate is a landmark is decided exactly in one of two ways.
 The brute-force oracle reruns the exploration with the candidate's
 achievers banned; `landmark_labels` answers for every fact at once with
 one greatest-fixpoint pass over the relaxed AND/OR graph (Zhu & Givan
-2003; Keyder, Richter & Helmert 2010).  A pass costs a few explorations,
-so extraction asks the oracle for its first `BRUTE_FORCE_VERDICTS`
-decisions and the labels for the rest; the output is the same either way.
+2003; Keyder, Richter & Helmert 2010).  Init and goal facts are landmarks
+by membership and cost nothing.  A pass costs a few explorations, so
+extraction runs the oracle only while the candidates it knows it must
+still decide fit in `BRUTE_FORCE_VERDICTS` explorations, and otherwise
+computes the labels once; the output is the same either way.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ logger = logging.getLogger(__name__)
 
 ORDER_TYPE = "greedy_necessary"
 
-# Distinct landmark decisions `extract_lgg` leaves to the oracle before it
-# computes the labels once (ski rental: one label pass costs about 5-6
-# explorations on 20-50-block tasks; one-atom goals ask about 5 decisions,
-# full-tower goals 52-84).
+# Oracle explorations `extract_lgg` may spend on one task; a task that
+# needs more verdicts than this for candidates outside init and goal gets
+# one label pass instead (ski rental: a pass costs about 4-6.5 explorations
+# of the asked candidates on 20-50-block tasks; one-atom goals need 1
+# such verdicts, full-tower goals 27-46).
 BRUTE_FORCE_VERDICTS = 8
 
 
@@ -148,12 +151,16 @@ def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:
 def extract_lgg(task: GroundTask) -> LGG:
     """Back-chain greedy-necessary landmarks from the goal.
 
-    For a landmark L outside init, every atom shared by the preconditions
-    of all first achievers of L (achievers applicable strictly before L
-    first holds in the relaxation) is a candidate; candidates that are
-    landmarks become vertices with an edge into L and are chained further.
-    The first `BRUTE_FORCE_VERDICTS` distinct candidates go to the oracle,
-    the rest to `landmark_labels`, computed once.
+    For a landmark L outside init, every atom other than L shared by the
+    preconditions of all first achievers of L (achievers applicable
+    strictly before L first holds in the relaxation) is a candidate;
+    candidates that are landmarks become vertices with an edge into L and
+    are chained further.  Init and goal candidates are landmarks by
+    membership.  A landmark's candidates are listed when it is queued, and
+    `pending` holds the undecided others of every queued landmark, each of
+    which will be asked: a candidate goes to the oracle only while the
+    explorations so far plus `pending` fit in `BRUTE_FORCE_VERDICTS`, and
+    otherwise `landmark_labels`, computed once, answers it and the rest.
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
@@ -163,42 +170,55 @@ def extract_lgg(task: GroundTask) -> LGG:
             f"task {task.name} is unsolvable: goal atom {missing[0]} is "
             "unreachable in the delete relaxation")
 
+    trivial = task.init | task.goal
     vertices: set[Atom] = set(task.goal)
     edges: set[tuple[Atom, Atom]] = set()
+    queue: deque[tuple[Atom, list[Atom]]] = deque()
     verdict_cache: dict[Atom, bool] = {}
+    pending: set[Atom] = set()
+    explorations = 0
     landmark_bits = None
 
+    def enqueue(lm: Atom) -> None:
+        candidates = []
+        if lm not in task.init:
+            f = index.ids[lm]
+            first_achievers = [a for a in index.achievers[f]
+                               if action_level[a] < fact_level[f]]
+            if first_achievers:
+                shared = set(index.pre[first_achievers[0]]).intersection(
+                    *(index.pre[a] for a in first_achievers[1:]))
+                shared.discard(f)
+                candidates = sorted(map(index.atoms.__getitem__, shared))
+        queue.append((lm, candidates))
+        pending.update(c for c in candidates if c not in trivial and c not in verdict_cache)
+
     def passes(atom: Atom) -> bool:
-        nonlocal landmark_bits
+        nonlocal explorations, landmark_bits
+        if atom in trivial:
+            return True
         if atom not in verdict_cache:
-            if len(verdict_cache) < BRUTE_FORCE_VERDICTS:
+            if landmark_bits is None and explorations + len(pending) <= BRUTE_FORCE_VERDICTS:
+                explorations += 1
                 verdict_cache[atom] = is_landmark_oracle(task, atom).is_landmark
             else:
                 if landmark_bits is None:
                     landmark_bits = _landmark_bits(task)
                 verdict_cache[atom] = bool(landmark_bits >> index.ids[atom] & 1)
+            pending.discard(atom)
         return verdict_cache[atom]
 
-    queue = deque(sorted(task.goal))
-    seen = set(queue)
+    for goal in sorted(task.goal):
+        enqueue(goal)
     while queue:
-        lm = queue.popleft()
-        if lm in task.init:
-            continue
-        f = index.ids[lm]
-        first_achievers = [a for a in index.achievers[f] if action_level[a] < fact_level[f]]
-        if not first_achievers:
-            continue
-        shared = set(index.pre[first_achievers[0]]).intersection(
-            *(index.pre[a] for a in first_achievers[1:]))
-        for cand in sorted(map(index.atoms.__getitem__, shared)):
-            if cand == lm or not passes(cand):
+        lm, candidates = queue.popleft()
+        for cand in candidates:
+            if not passes(cand):
                 continue
-            vertices.add(cand)
             edges.add((cand, lm))
-            if cand not in seen:
-                seen.add(cand)
-                queue.append(cand)
+            if cand not in vertices:
+                vertices.add(cand)
+                enqueue(cand)
 
     lgg = LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
     if _has_cycle(lgg):

@@ -27,15 +27,15 @@ with open(os.environ["AB_STUB_LOG"], "a") as log:
     log.write(json.dumps(["{side}", sys.argv[1:], os.environ["PYTHONHASHSEED"]]) + "\\n")
 seed = int(os.environ["PYTHONHASHSEED"])
 print("a line before the result")
-print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": {{
+print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": {failed}, "metrics": {{
     "op_s.p50": {{"value": {op} + seed / 100, "unit": "s"}},
     "landmark_f1": {{"value": 1.0, "unit": "ratio"}}}}}}))
 """
 
 
-def commit(repo, side, op):
+def commit(repo, side, op, correct=True, failed=0):
     (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    (repo / "stub.py").write_text(STUB.format(side=side, op=op))
+    (repo / "stub.py").write_text(STUB.format(side=side, op=op, correct=correct, failed=failed))
     subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
     subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.org", "commit",
                     "-q", "-m", side], cwd=repo, check=True)
@@ -53,10 +53,10 @@ def repo(tmp_path):
     return repo, parent, change
 
 
-def run_ab(repo, log, *args):
+def run_ab(repo, log, *args, check=True):
     env = {**os.environ, "AB_STUB_LOG": str(log)}
-    subprocess.run([sys.executable, str(AB), *args], cwd=repo, env=env, check=True,
-                   capture_output=True)
+    return subprocess.run([sys.executable, str(AB), *args], cwd=repo, env=env, check=check,
+                          capture_output=True, text=True)
 
 
 def test_pairs_alternate_and_summarize(repo, tmp_path):
@@ -97,3 +97,17 @@ def test_same_commit_is_an_aa_run(repo, tmp_path):
     assert result["seconds"] == 20
     assert result["metrics"]["op_s.p50"]["change_wins"] == 0
     assert result["metrics"]["op_s.p50"]["parent"]["quartiles"] == [0.51] * 3
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 1), (True, 2), (False, 0)])
+def test_an_incorrect_run_stops_the_runner(repo, tmp_path, correct, failed):
+    repo, _, _ = repo
+    commit(repo, "change", 0.5, correct=correct, failed=failed)
+    log, out = tmp_path / "log", tmp_path / "bench.json"
+    done = run_ab(repo, log, "HEAD~2", "HEAD", "--workload", "w", "--pairs", "3",
+                  "--out", str(out), check=False)
+    assert done.returncode != 0
+    assert "pair 1, change" in done.stderr and "not correct" in done.stderr
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(side, seed) for side, _, seed in calls] == [("parent", "1"), ("change", "1")]
+    assert not out.exists()

@@ -12,8 +12,8 @@ from plgg.lgg import (LGG, LggFormatError, UnsolvableTaskError, _has_cycle, extr
                       is_landmark_oracle, landmark_labels, lgg_from_json, lgg_to_json,
                       oracle_landmarks, relaxed_levels)
 
-from conftest import (ALL_TASKS, CORPUS, COURIER, COURIER_CORPUS, GRIPPER, GRIPPER_CORPUS,
-                      blocksworld_problems, reached, relaxed_exploration)
+from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
+                      GRIPPER_CORPUS, blocksworld_problems, reached, relaxed_exploration)
 
 
 def atom(s):
@@ -158,25 +158,31 @@ def test_labels_keep_facts_added_alongside(make_task):
 NEVER = float("inf")
 
 
-def extract_bytes(task, k):
-    """`lgg_to_json(extract_lgg(task))` with the first `k` decisions left
-    to the oracle; 0 never calls it, NEVER never computes the labels."""
+def extract_counted(task, k):
+    """`lgg_to_json(extract_lgg(task))` with `k` oracle explorations allowed
+    (NEVER: the labels are never computed), the atoms it sent to the
+    oracle in order, and the number of label passes it ran."""
+    asked, passes = [], []
+
+    def oracle(task, atom):
+        asked.append(atom)
+        return is_landmark_oracle(task, atom)
+
+    def labels(task):
+        passes.append(task.name)
+        return landmark_labels(task)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgg_module, "BRUTE_FORCE_VERDICTS", k)
-
-        def unused(*args):
-            raise AssertionError(f"k={k} must not reach this path")
-        if k == 0:
-            mp.setattr(lgg_module, "is_landmark_oracle", unused)
-        if k == NEVER:
-            mp.setattr(lgg_module, "landmark_labels", unused)
-        return lgg_to_json(extract_lgg(task))
+        mp.setattr(lgg_module, "is_landmark_oracle", oracle)
+        mp.setattr(lgg_module, "landmark_labels", labels)
+        return lgg_to_json(extract_lgg(task)), asked, len(passes)
 
 
 def assert_switch_point_keeps_the_output(task):
-    default = extract_bytes(task, lgg_module.BRUTE_FORCE_VERDICTS)
-    assert extract_bytes(task, 0) == default
-    assert extract_bytes(task, NEVER) == default
+    reference = extract_counted(task, NEVER)[0]
+    for k in range(13):
+        assert extract_counted(task, k)[0] == reference, k
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
@@ -188,6 +194,63 @@ def test_switch_point_keeps_the_output_on_every_task(case, load):
 @settings(max_examples=60, deadline=None)
 def test_switch_point_keeps_the_output_on_drawn_tasks(domain, text):
     assert_switch_point_keeps_the_output(ground_task(domain, parse_problem(text, domain)))
+
+
+def assert_budget_holds(task):
+    """No init or goal atom reaches the oracle, which explores at most
+    `BRUTE_FORCE_VERDICTS` times; the labels are computed, once, exactly
+    when the task needs more verdicts than that, and otherwise the oracle
+    answers every one of them."""
+    budget = lgg_module.BRUTE_FORCE_VERDICTS
+    _, needed, passes = extract_counted(task, NEVER)
+    assert passes == 0
+    assert not set(needed) & (task.init | task.goal)
+    assert len(set(needed)) == len(needed)
+    _, asked, passes = extract_counted(task, budget)
+    assert len(asked) <= budget
+    if len(needed) > budget:
+        assert passes == 1 and asked == needed[:len(asked)]
+    else:
+        assert passes == 0 and asked == needed
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_budget_bounds_the_oracle_on_every_task(case, load):
+    assert_budget_holds(load(*case)[2])
+
+
+@given(blocksworld_problems())
+@settings(max_examples=60, deadline=None)
+def test_budget_bounds_the_oracle_on_drawn_tasks(domain, text):
+    assert_budget_holds(ground_task(domain, parse_problem(text, domain)))
+
+
+@pytest.mark.parametrize("directory,names,totals", [
+    (BENCH, CORPUS, (38, 0)), (GRIPPER, GRIPPER_CORPUS, (7, 0)),
+    (COURIER, COURIER_CORPUS, (25, 0))], ids=["blocksworld", "gripper", "courier"])
+def test_budget_totals_on_the_fixtures(directory, names, totals, load):
+    # (oracle explorations, label passes) over each domain's fixture tasks
+    counts = [extract_counted(load(directory, name)[2], lgg_module.BRUTE_FORCE_VERDICTS)
+              for name in names]
+    assert (sum(len(asked) for _, asked, _ in counts), sum(p for _, _, p in counts)) == totals
+
+
+def tower_problem(blocks):
+    """All blocks on the table, the goal one tower b1 on b2 ... on b{blocks}."""
+    names = [f"b{i}" for i in range(1, blocks + 1)]
+    init = " ".join(f"(ontable {b}) (clear {b})" for b in names)
+    goal = " ".join(f"(on {x} {y})" for x, y in zip(names, names[1:]))
+    return (f"(define (problem tower-{blocks}) (:domain blocksworld) "
+            f"(:objects {' '.join(names)} - block) (:init (handempty) {init}) "
+            f"(:goal (and {goal})))")
+
+
+def test_full_tower_goes_straight_to_the_labels(domain):
+    # the goal's own candidates already need more verdicts than the budget
+    task = ground_task(domain, parse_problem(tower_problem(12), domain))
+    text, asked, passes = extract_counted(task, lgg_module.BRUTE_FORCE_VERDICTS)
+    assert (len(asked), passes) == (0, 1)
+    assert text == extract_counted(task, NEVER)[0]
 
 
 def atom_levels(task):
