@@ -182,7 +182,9 @@ def extract_counted(task, k):
 def assert_switch_point_keeps_the_output(task):
     reference = extract_counted(task, NEVER)[0]
     for k in range(13):
-        assert extract_counted(task, k)[0] == reference, k
+        text, asked, passes = extract_counted(task, k)
+        assert text == reference, k
+        assert len(asked) <= k and passes <= 1, k
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)

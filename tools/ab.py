@@ -61,8 +61,8 @@ def run_once(checkout: Path, workload: str, seconds: float, pair: int) -> dict:
                           env={**os.environ, "PYTHONHASHSEED": str(pair)})
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"ab: {' '.join(argv)} in {checkout.name} exited with {done.returncode}:\n"
-                 f"{done.stderr[-2000:]}")
+        sys.exit(f"ab: pair {pair}, {checkout.name}: {' '.join(argv)} exited with "
+                 f"{done.returncode}:\n{done.stderr[-2000:]}")
     result = json.loads(lines[-1])
     if result.get("correct") is not True or result.get("failed") != 0:
         sys.exit(f"ab: pair {pair}, {checkout.name}: the run is not correct "
