@@ -40,6 +40,8 @@ fewest variables upward, since a node's distance to a ground landmark is
 its variable count; the first count with a match holds the closest
 equivalents, and the `top_n` best ranked of them supply its bindings.
 Every landmark searched is ground: `combine` harvests only the task's facts.
+`_bucket_key` is the one bucket key and `_object_patterns` the one
+enumeration of a ground atom's lifted shapes; scoring reads both too.
 
 A search reads nothing but its buckets, their order, their members' best
 probabilities and the constraint store, which generation alone writes.
@@ -278,38 +280,13 @@ def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource,
 # --- equivalence and instantiation -------------------------------------------
 
 
-def equivalent_params(x: str, y: str, store: VarConstraintStore) -> bool:
-    """Can these two parameters stand for the same thing?
-
-    Identical symbols of the same kind always can.  A variable matches an
-    object unless the object is forbidden for it.  Two variables match when
-    they carry the same forbidden-object set and neither forbids the other.
-    """
-    xv, yv = is_variable(x), is_variable(y)
-    if xv == yv:
-        if x == y:
-            return True
-        if not xv:
-            return False
-        return (store.forbidden_objects(x) == store.forbidden_objects(y)
-                and x not in store.forbidden_variables(y)
-                and y not in store.forbidden_variables(x))
-    var, obj = (x, y) if xv else (y, x)
-    return obj not in store.forbidden_objects(var)
-
-
-def equivalent_atoms(a: Atom, b: Atom, store: VarConstraintStore) -> bool:
-    """Same predicate, same arity, parameters pairwise equivalent."""
-    if a.pred != b.pred or a.arity != b.arity:
-        return False
-    return all(equivalent_params(x, y, store) for x, y in zip(a.args, b.args))
-
-
-def _bucket_key(node: Atom) -> tuple:
-    """The bucket of a lifted node: its predicate, arity, object positions
-    and the objects there."""
-    fixed = tuple(i for i, p in enumerate(node.args) if not is_variable(p))
-    return node.pred, node.arity, fixed, tuple(node.args[i] for i in fixed)
+def _bucket_key(atom: Atom, fixed: tuple[int, ...]) -> tuple:
+    """The bucket of the lifted shape of `atom` with objects at the
+    positions `fixed` and variables elsewhere: its predicate, arity, those
+    positions and `atom`'s objects there.  A lifted node is filed under its
+    own object positions; a ground landmark's search, and scoring, read the
+    keys of its `_object_patterns`."""
+    return atom.pred, len(atom.args), fixed, tuple(atom.args[i] for i in fixed)
 
 
 class SideState:
@@ -377,7 +354,7 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
     chosen: list[Atom] = []
     for level in _object_patterns(len(args)):
         for fixed, open_ in level:
-            key = (lm.pred, len(args), fixed, tuple(args[i] for i in fixed))
+            key = _bucket_key(lm, fixed)
             state.readers.setdefault(key, set()).add(reader)
             chosen += islice((node for node in state.buckets.get(key, ())
                               if all(args[i] not in forbidden(node.args[i]) for i in open_)),
@@ -439,10 +416,13 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
                     best[rewritten] = mu
                     raised.add(rewritten)
     state.unharvested += added
+    keys = {node: _bucket_key(node, tuple(i for i, p in enumerate(node.args)
+                                          if not is_variable(p)))
+            for node in raised.union(added) if not node.is_ground}
     for node in added:
-        if not node.is_ground:
-            state.buckets.setdefault(_bucket_key(node), []).append(node)
-    for key in {_bucket_key(node) for node in raised.union(added) if not node.is_ground}:
+        if node in keys:
+            state.buckets.setdefault(keys[node], []).append(node)
+    for key in set(keys.values()):
         state.buckets[key].sort(key=state.rank)
         for reader in state.readers.pop(key, ()):
             state.kept.pop(reader, None)
@@ -535,10 +515,6 @@ class PlggContent:
     landmarks_grounded: set[Atom]
     landmarks_lifted: set[Atom]
     orderings: dict[tuple[Atom, Atom], float]
-
-    @property
-    def landmarks(self) -> set[Atom]:
-        return self.landmarks_grounded | self.landmarks_lifted
 
     def orderings_grounded(self) -> dict[tuple[Atom, Atom], float]:
         """The orderings between ground atoms.  An end among the landmarks

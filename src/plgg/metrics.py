@@ -3,10 +3,16 @@
 Landmarks (atoms) and orderings (src, dst pairs) are scored by one facet
 scorer.  Ground predictions get plain precision/recall/F1.  Lifted
 predictions get partial credit instead: each reference item the prediction
-missed is compared against the equivalent lifted extras, every lifted
-candidate earns a likelihood that shrinks with its number of open
-variables, and the averaged credit is folded into alpha-precision and
-alpha-recall.
+missed collects its equivalent lifted extras, every lifted candidate earns
+a likelihood that shrinks with its number of open variables, and the
+averaged credit is folded into alpha-precision and alpha-recall.
+
+Scoring is constraint-free and the reference is ground, so a lifted atom
+is equivalent to a reference atom exactly when its objects sit at the
+reference atom's positions: it has the bucket key of one of the reference
+atom's `_object_patterns`, the key that instantiation's search reads.  The
+missed items are filed under all those keys, and under their own for the
+ground end of a lifted ordering; each lifted extra is then looked up once.
 
 `compare` returns the scores in the one layout that `plgg evaluate --json`
 prints per task: `{"landmarks": facet, "orderings": facet}`, where each
@@ -17,17 +23,16 @@ facet maps `precision`, `recall`, `f1`, `alpha`, `alpha_precision`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .instantiate import PlggContent, VarConstraintStore, equivalent_atoms
+from .instantiate import PlggContent, _bucket_key, _object_patterns
 from .lgg import LGG
-from .pddl import Atom
+from .pddl import Atom, is_variable
 
 Edge = tuple[Atom, Atom]
-
-# Scoring is constraint-free: against an empty store a variable matches any
-# object.  Nothing ever adds to it.
-_NO_CONSTRAINTS = VarConstraintStore()
+_pred = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -53,16 +58,32 @@ def _prf(hits: int, predicted: int, reference: int) -> PRF:
 # --- likelihoods ----------------------------------------------------------------
 
 
-def _atom_equivalent(a: Atom, b: Atom) -> bool:
-    return equivalent_atoms(a, b, _NO_CONSTRAINTS)
+def _key(atom: Atom) -> tuple:
+    """The bucket key of `atom` at its own object positions."""
+    return _bucket_key(atom, tuple(i for i, p in enumerate(atom.args) if not is_variable(p)))
+
+
+def _keys(reference: Atom) -> list[tuple]:
+    """The `_key` of every atom equivalent to the ground `reference`."""
+    if not reference.is_ground:
+        raise ValueError(f"scoring needs a ground reference, not {reference}")
+    return [_bucket_key(reference, fixed) for level in _object_patterns(reference.arity)
+            for fixed, _ in level] + [_bucket_key(reference, tuple(range(reference.arity)))]
+
+
+def _credit(ends: tuple[Atom, ...]) -> float:
+    """The mean over the lifted `ends` of 1 / (1 + open variables)."""
+    return sum(1.0 / (1 + len(end.variables())) for end in ends) / len(ends)
 
 
 def likelihood_atom(lifted: Atom, grounded: Atom) -> float:
-    """How specific an equivalent lifted atom is: 1 when fully grounded,
-    halved by the first open variable, and so on."""
-    if not _atom_equivalent(lifted, grounded):
+    """How specific a lifted atom equivalent to the ground reference atom
+    `grounded` is: 1 when fully grounded, halved by the first open
+    variable, and so on.  A reference that is not ground, or an atom not
+    equivalent to it, raises `ValueError`."""
+    if _key(lifted) not in _keys(grounded):
         raise ValueError(f"{lifted} is not equivalent to {grounded}")
-    return 1.0 / (1 + len(lifted.variables()))
+    return _credit((lifted,))
 
 
 def likelihood_edge(lifted_edge: Edge, grounded_edge: Edge) -> float:
@@ -70,10 +91,6 @@ def likelihood_edge(lifted_edge: Edge, grounded_edge: Edge) -> float:
     src = likelihood_atom(lifted_edge[0], grounded_edge[0])
     dst = likelihood_atom(lifted_edge[1], grounded_edge[1])
     return (src + dst) / 2
-
-
-def _edge_equivalent(a: Edge, b: Edge) -> bool:
-    return _atom_equivalent(a[0], b[0]) and _atom_equivalent(a[1], b[1])
 
 
 def alpha_prf(prf: PRF, alpha: float) -> PRF:
@@ -87,24 +104,37 @@ def alpha_prf(prf: PRF, alpha: float) -> PRF:
 # --- reports --------------------------------------------------------------------
 
 
-def _score_facet(reference: set, grounded: set, lifted: set,
-                 equivalent: Callable, likelihood: Callable) -> dict:
+def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> dict:
     """Score one facet: classical scores over the ground predictions, and
     the averaged partial credit of the lifted ones.
 
-    Evaluation is constraint-free: equivalence uses an empty store, so a
-    variable matches any object.  A missed item with no equivalent lifted
-    extra contributes 0, and an empty missed set yields 0 outright.
+    `ends` gives an item's atoms.  Each missed item is filed under every
+    combination of its ends' `_keys`, and each lifted extra is looked up
+    once by its ends' `_key`s; a missed item averages the credit of the
+    extras found, in their sorted order.  A missed item with no equivalent
+    lifted extra contributes 0, and an empty missed set yields 0 outright.
     """
     hits = len(reference & grounded)
     prf = _prf(hits, len(grounded), len(reference))
     missed = reference - grounded - lifted
-    extras = sorted(lifted - reference)
+    # only an extra whose ends' predicates some missed item has can match
+    preds = {tuple(map(_pred, ends(item))) for item in missed}
+    extras = [extra for extra in lifted - reference
+              if tuple(map(_pred, ends(extra))) in preds] if preds else []
     total = 0.0
-    for item in sorted(missed):
-        values = [likelihood(c, item) for c in extras if equivalent(c, item)]
-        if values:
-            total += sum(values) / len(values)
+    if extras:
+        found: dict = {item: [] for item in missed}
+        index: dict = {}
+        for item, matches in found.items():
+            for key in product(*map(_keys, ends(item))):
+                index.setdefault(key, []).append(matches)
+        for extra in extras:
+            for matches in index.get(tuple(map(_key, ends(extra))), ()):
+                matches.append(extra)
+        for item in sorted(missed):
+            if found[item]:
+                values = [_credit(ends(extra)) for extra in sorted(found[item])]
+                total += sum(values) / len(values)
     alpha = total / len(missed) if missed else 0.0
     folded = alpha_prf(prf, alpha)
     return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1,
@@ -114,15 +144,15 @@ def _score_facet(reference: set, grounded: set, lifted: set,
 
 
 def compare(reference: LGG, content: PlggContent) -> dict:
-    """Score one prediction against one reference graph: the per-task
-    `report` of `plgg evaluate --json`, `{"landmarks": ..., "orderings": ...}`."""
+    """Score one prediction against one ground reference graph: the
+    per-task `report` of `plgg evaluate --json`,
+    `{"landmarks": ..., "orderings": ...}`."""
     grounded_edges = set(content.orderings_grounded())
     return {
         "landmarks": _score_facet(set(reference.vertices), content.landmarks_grounded,
-                                  content.landmarks_lifted, _atom_equivalent, likelihood_atom),
+                                  content.landmarks_lifted, lambda atom: (atom,)),
         "orderings": _score_facet(set(reference.edges), grounded_edges,
-                                  content.orderings.keys() - grounded_edges,
-                                  _edge_equivalent, likelihood_edge),
+                                  content.orderings.keys() - grounded_edges, tuple),
     }
 
 

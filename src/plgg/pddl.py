@@ -96,9 +96,6 @@ class Atom(NamedTuple):
     def is_ground(self) -> bool:
         return not any(map(is_variable, self.args))
 
-    def params(self) -> frozenset[str]:
-        return frozenset(self.args)
-
     def objects(self) -> frozenset[str]:
         return frozenset(a for a in self.args if not is_variable(a))
 
@@ -207,8 +204,6 @@ class GroundTask:
     facts: frozenset[Atom]
     init: frozenset[Atom]
     goal: frozenset[Atom]
-    objects: dict[str, str]
-    domain: Domain
     index: TaskIndex = field(repr=False, compare=False)
 
     @cached_property
@@ -728,6 +723,4 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),
                       init=frozenset(map(atoms.__getitem__, init)),
                       goal=frozenset(map(atoms.__getitem__, goal)),
-                      objects=objects,
-                      domain=domain,
                       index=index)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import plgg.instantiate as instantiate
 from plgg.instantiate import (SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState,
-                              VarConstraintStore, VarSource, equivalent_atoms)
+                              VarConstraintStore, VarSource)
+from plgg.metrics import _prf, alpha_prf
 from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
 from plgg.lgg import extract_lgg
 from plgg.plog import LiftedEdge, learn_plog, lift_atom
@@ -80,6 +81,34 @@ def corpus_names():
 
 
 # --- reference helpers ------------------------------------------------------
+
+
+def equivalent_params(x, y, store):
+    """Can these two parameters stand for the same thing?
+
+    Identical symbols of the same kind always can.  A variable matches an
+    object unless the object is forbidden for it.  Two variables match when
+    they carry the same forbidden-object set and neither forbids the other.
+    """
+    xv, yv = is_variable(x), is_variable(y)
+    if xv == yv:
+        if x == y:
+            return True
+        if not xv:
+            return False
+        return (store.forbidden_objects(x) == store.forbidden_objects(y)
+                and x not in store.forbidden_variables(y)
+                and y not in store.forbidden_variables(x))
+    var, obj = (x, y) if xv else (y, x)
+    return obj not in store.forbidden_objects(var)
+
+
+def equivalent_atoms(a, b, store):
+    """The paper's equivalence: same predicate, same arity, parameters
+    pairwise equivalent."""
+    if a.pred != b.pred or a.arity != b.arity:
+        return False
+    return all(equivalent_params(x, y, store) for x, y in zip(a.args, b.args))
 
 
 def param_distance(a, b):
@@ -248,7 +277,7 @@ def update_distinct_consts(store, pred, lm):
     value distinct from all of `lm`'s parameters, so `lm`'s objects join
     its forbidden objects and `lm`'s variables its forbidden variables.
     """
-    lm_params = lm.params()
+    lm_params = set(lm.args)
     for var in sorted(pred.variables()):
         if var in lm_params:
             continue
@@ -405,3 +434,54 @@ def reference_instantiate_task(plog, task, top_n=1):
     goal_side = reference_generate(plog, task, SIDE_GOAL, source, store)
     init_side = reference_generate(plog, task, SIDE_INIT, source, store)
     return reference_combine(goal_side, init_side, task, top_n)
+
+
+# --- reference scoring ------------------------------------------------------
+# Scoring as it was before the missed items were filed under bucket keys:
+# every missed item scans every lifted extra with the paper's equivalence
+# against an empty constraint store, and each equivalent extra earns the
+# paper's likelihood.
+
+
+def reference_score_facet(reference, grounded, lifted, equivalent, likelihood):
+    hits = len(reference & grounded)
+    prf = _prf(hits, len(grounded), len(reference))
+    missed = reference - grounded - lifted
+    extras = sorted(lifted - reference)
+    total = 0.0
+    for item in sorted(missed):
+        values = [likelihood(c, item) for c in extras if equivalent(c, item)]
+        if values:
+            total += sum(values) / len(values)
+    alpha = total / len(missed) if missed else 0.0
+    folded = alpha_prf(prf, alpha)
+    return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1,
+            "alpha": alpha, "alpha_precision": folded.precision,
+            "alpha_recall": folded.recall, "alpha_f1": folded.f1,
+            "hits": hits, "misses": len(reference) - hits, "extras": len(grounded) - hits}
+
+
+def reference_compare(reference, content):
+    """`compare` by the missed x extras scan."""
+    store = VarConstraintStore()
+
+    def atoms(a, b):
+        return equivalent_atoms(a, b, store)
+
+    def edges(a, b):
+        return atoms(a[0], b[0]) and atoms(a[1], b[1])
+
+    def likelihood_atom(lifted, _):
+        return 1.0 / (1 + len(lifted.variables()))
+
+    def likelihood_edge(lifted, _):
+        return (likelihood_atom(lifted[0], None) + likelihood_atom(lifted[1], None)) / 2
+
+    grounded_edges = set(content.orderings_grounded())
+    return {
+        "landmarks": reference_score_facet(set(reference.vertices), content.landmarks_grounded,
+                                           content.landmarks_lifted, atoms, likelihood_atom),
+        "orderings": reference_score_facet(set(reference.edges), grounded_edges,
+                                           content.orderings.keys() - grounded_edges,
+                                           edges, likelihood_edge),
+    }

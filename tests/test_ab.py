@@ -21,7 +21,7 @@ BENCHMARK = {
 }
 
 # Logs its side, argv and hash seed, then prints a result line whose
-# op_s.p50 is {op} plus the hash seed / 100.
+# op_s.p50 is {op} plus the hash seed / 100, and then runs {tail}.
 STUB = """import json, os, sys
 with open(os.environ["AB_STUB_LOG"], "a") as log:
     log.write(json.dumps(["{side}", sys.argv[1:], os.environ["PYTHONHASHSEED"]]) + "\\n")
@@ -30,12 +30,14 @@ print("a line before the result")
 print(json.dumps({{"correct": {correct}, "attempted": 3, "failed": {failed}, "metrics": {{
     "op_s.p50": {{"value": {op} + seed / 100, "unit": "s"}},
     "landmark_f1": {{"value": 1.0, "unit": "ratio"}}}}}}))
+{tail}
 """
 
 
-def commit(repo, side, op, correct=True, failed=0):
+def commit(repo, side, op, correct=True, failed=0, tail=""):
     (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    (repo / "stub.py").write_text(STUB.format(side=side, op=op, correct=correct, failed=failed))
+    (repo / "stub.py").write_text(STUB.format(side=side, op=op, correct=correct, failed=failed,
+                                              tail=tail))
     subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
     subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.org", "commit",
                     "-q", "-m", side], cwd=repo, check=True)
@@ -110,4 +112,17 @@ def test_an_incorrect_run_stops_the_runner(repo, tmp_path, correct, failed):
     assert "pair 1, change" in done.stderr and "not correct" in done.stderr
     calls = [json.loads(line) for line in log.read_text().splitlines()]
     assert [(side, seed) for side, _, seed in calls] == [("parent", "1"), ("change", "1")]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("last", ["not json", "[1, 2]"])
+def test_a_malformed_last_line_stops_the_runner(repo, tmp_path, last):
+    repo, _, _ = repo
+    commit(repo, "change", 0.5, tail=f"print({last!r})")
+    log, out = tmp_path / "log", tmp_path / "bench.json"
+    done = run_ab(repo, log, "HEAD~2", "HEAD", "--workload", "w", "--pairs", "3",
+                  "--out", str(out), check=False)
+    assert done.returncode != 0
+    assert "pair 1, change" in done.stderr and "not a JSON object" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not out.exists()

@@ -13,12 +13,12 @@ from collections import Counter
 from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
-from plgg.instantiate import (VarConstraintStore, equivalent_atoms, extract_result,
-                              instantiate_task, search_best_equiv)
+from plgg.instantiate import VarConstraintStore, extract_result, instantiate_task, search_best_equiv
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
-from conftest import SideGraph, param_distance, side_state, update_distinct_consts
+from conftest import (SideGraph, equivalent_atoms, param_distance, side_state,
+                      update_distinct_consts)
 
 TRAIN = ("p01", "p02", "p03", "p04")
 
@@ -95,13 +95,13 @@ def test_criterion_04_constraint_example():
 
 
 @criterion(5, "every extracted landmark on <=5-block tasks passes the oracle, <30s")
-def test_criterion_05_oracle_soundness(make_task, corpus_names):
+def test_criterion_05_oracle_soundness(load, bench_dir, corpus_names):
     start = time.perf_counter()
     checked = 0
     small_tasks = 0
     for name in corpus_names:
-        task = make_task(name)
-        if len(task.objects) > 5:
+        _, problem, task = load(bench_dir, name)
+        if len(problem.objects) > 5:
             continue
         small_tasks += 1
         for vertex in extract_lgg(task).vertices:

@@ -16,17 +16,17 @@ from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, ground_task, is_variable, parse_problem
 from plgg.plog import LiftedEdge, PLog, learn_plog, plog_from_json, plog_to_json
 from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarConstraintStore, VarSource, _compile,
-                              _expand, apply_instantiation, combine, equivalent_atoms,
-                              equivalent_params, extract_result, generate_plgg_goal,
-                              generate_plgg_init, instantiate_task, instantiation, plgg_from_json,
-                              plgg_to_dot, plgg_to_json, search_best_equiv)
+                              _expand, apply_instantiation, combine, extract_result,
+                              generate_plgg_goal, generate_plgg_init, instantiate_task,
+                              instantiation, plgg_from_json, plgg_to_dot, plgg_to_json,
+                              search_best_equiv)
 
 import conftest
 from conftest import (CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, TRAIN, SideGraph,
                       _best_incident_prob, blocksworld_problems, bucket_key, combined_graph,
-                      fresh_name, fresh_variables, graph_of, param_distance, reference_generate,
-                      reference_instantiate_task, renamed_shape, side_state,
-                      update_distinct_consts)
+                      equivalent_atoms, equivalent_params, fresh_name, fresh_variables,
+                      graph_of, param_distance, reference_generate, reference_instantiate_task,
+                      renamed_shape, side_state, update_distinct_consts)
 
 
 def sides(plog, task):
@@ -102,7 +102,7 @@ def test_compiled_edge_matches_renaming_and_substitution(edge, backward, data):
     neighbour, fresh = _expand(_compile(edge, backward), lm, compiled)
     assert neighbour == expected
     # the only variables of the neighbour that the expanded atom lacks
-    assert sorted(fresh) == sorted(expected.variables() - lm.params())
+    assert sorted(fresh) == sorted(expected.variables() - set(lm.args))
     assert fresh_name(compiled) == fresh_name(renaming)
 
 
@@ -917,7 +917,8 @@ def test_extraction_shrinks_with_threshold(plog, make_task, threshold):
     base = extract_result(plgg, threshold=0.0)
     cut = extract_result(plgg, threshold=threshold)
     assert set(cut.orderings) <= set(base.orderings)
-    assert cut.landmarks <= base.landmarks
+    assert cut.landmarks_grounded <= base.landmarks_grounded
+    assert cut.landmarks_lifted <= base.landmarks_lifted
     assert all(mu >= threshold for mu in cut.orderings.values())
 
 
@@ -927,7 +928,8 @@ def test_plgg_json_roundtrip(plog, make_task):
     back = plgg_from_json(text)
     assert plgg_to_json(back) == text
     a, b = extract_result(plgg), extract_result(back)
-    assert a.landmarks == b.landmarks and a.orderings == b.orderings
+    assert (a.landmarks_grounded, a.landmarks_lifted, a.orderings) == (
+        b.landmarks_grounded, b.landmarks_lifted, b.orderings)
 
 
 def test_plgg_json_side_orientation(plog, make_task):

@@ -1,15 +1,19 @@
 """Classical and likelihood-weighted scoring."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plgg.pddl import Atom
+from plgg.pddl import Atom, Problem, ground_task
 from plgg.lgg import LGG, extract_lgg
 from plgg.instantiate import PlggContent, extract_result, instantiate_task
 from plgg.experiment import ExperimentConfig, run_experiment
 from plgg.plog import learn_plog
 from plgg.metrics import (PRF, alpha_prf, compare, likelihood_atom, likelihood_edge,
                           mean_reports, render_table)
+
+from conftest import reference_compare
 
 
 def content(grounded=(), lifted=(), orderings=None):
@@ -59,6 +63,18 @@ def test_likelihood_shrinks_with_open_variables():
 def test_likelihood_requires_equivalence():
     with pytest.raises(ValueError):
         likelihood_atom(Atom("clear", ("a",)), ON_BA)
+
+
+def test_likelihood_needs_a_ground_reference():
+    lifted_reference = Atom("on", ("?y", "a"))
+    with pytest.raises(ValueError):
+        likelihood_atom(ON_BA, lifted_reference)
+    with pytest.raises(ValueError):
+        likelihood_atom(Atom("on", ("?x", "?z")), lifted_reference)
+    with pytest.raises(ValueError):
+        likelihood_edge((ON_BX, ON_BX), (ON_BA, lifted_reference))
+    with pytest.raises(ValueError):
+        compare(LGG(task="t", vertices=(lifted_reference,), edges=()), content(lifted=[ON_BX]))
 
 
 def test_likelihood_edge_is_endpoint_mean():
@@ -111,6 +127,92 @@ def test_alpha_invariant_under_variable_renaming():
     b = content(grounded=[Atom("on", ("c", "d")), Atom("ontable", ("d",))],
                 lifted=[Atom("on", ("b", "?y9")), Atom("ontable", ("?z3",))])
     assert alphas(ref, a) == alphas(ref, b)
+
+
+# --- keyed scoring against the missed x extras scan --------------------------------
+
+OBJECTS = ("a", "b", "c")
+# two predicate names, each drawn at every arity from 0 to 3
+ATOM_ARITIES = st.tuples(st.sampled_from(("p", "q")), st.integers(0, 3))
+
+
+def atoms(params):
+    return ATOM_ARITIES.flatmap(lambda shape: st.lists(
+        st.sampled_from(params), min_size=shape[1], max_size=shape[1]).map(
+            lambda args: Atom(shape[0], tuple(args))))
+
+
+GROUND = atoms(OBJECTS)
+# ground atoms and extras that match nothing included
+ANY = atoms(OBJECTS + ("?x0", "?x1"))
+
+
+def some_of(data, items):
+    items = sorted(items)
+    return [item for item, keep in zip(items, data.draw(
+        st.lists(st.booleans(), min_size=len(items), max_size=len(items)))) if keep]
+
+
+def lift_some(data, atom):
+    """`atom` with some arguments replaced by variables, repeated ones included."""
+    return Atom(atom.pred, tuple(data.draw(st.sampled_from((arg, "?x0", "?x1")))
+                                 for arg in atom.args))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_keyed_scoring_equals_the_scan(data):
+    vertices = data.draw(st.sets(GROUND, min_size=1, max_size=6))
+    edges = data.draw(st.sets(st.tuples(GROUND, GROUND), min_size=1, max_size=6))
+    reference = LGG(task="t", vertices=frozenset(vertices), edges=frozenset(edges))
+    lifted = ({lift_some(data, v) for v in some_of(data, vertices)}
+              | data.draw(st.sets(ANY, max_size=6)))
+    # edges mix lifted and ground ends, and some are the reference's own
+    orderings = (set(some_of(data, edges))
+                 | {(lift_some(data, s), lift_some(data, d)) for s, d in some_of(data, edges)}
+                 | data.draw(st.sets(st.tuples(ANY, ANY), max_size=6)))
+    grounded = set(some_of(data, vertices)) | data.draw(st.sets(GROUND, max_size=3))
+    predicted = content(grounded=grounded, lifted=lifted, orderings=dict.fromkeys(orderings, 0.5))
+    assert compare(reference, predicted) == reference_compare(reference, predicted)
+
+
+@pytest.mark.parametrize("lifted", [Atom("on", ("?x0", "?x0")), Atom("on", ("b", "?x0")),
+                                    Atom("on", ("a", "?x0"))])
+def test_repeated_and_unmatched_variables_against_the_scan(lifted):
+    # a repeated variable stands for each object on its own, as in the scan
+    ref = LGG(task="t", vertices=(ON_BA,), edges=((ON_BA, Atom("clear", ("b",))),))
+    predicted = content(lifted=[lifted], orderings={(lifted, Atom("clear", ("b",))): 0.5})
+    assert compare(ref, predicted) == reference_compare(ref, predicted)
+
+
+def random_towers(rng, blocks):
+    """The blocks shuffled and cut into len // 4 towers, bottom block first."""
+    order = list(blocks)
+    rng.shuffle(order)
+    count = max(1, len(order) // 4)
+    cuts = sorted(rng.sample(range(1, len(order)), count - 1))
+    return [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(order)])]
+
+
+def test_keyed_scoring_equals_the_scan_on_a_50_block_tower(domain, plog):
+    rng = random.Random(50)
+    blocks = [f"b{i}" for i in range(50)]
+    init = {Atom("handempty")}
+    for tower in random_towers(rng, blocks):
+        init |= {Atom("ontable", (tower[0],)), Atom("clear", (tower[-1],))}
+        init |= {Atom("on", (upper, lower)) for lower, upper in zip(tower, tower[1:])}
+    goal = {Atom("on", (upper, lower)) for tower in random_towers(rng, blocks)
+            for lower, upper in zip(tower, tower[1:])}
+    task = ground_task(domain, Problem("tower-50", "blocksworld", dict.fromkeys(blocks, "block"),
+                                       frozenset(init), frozenset(goal)))
+    reference = extract_lgg(task)
+    predicted = extract_result(instantiate_task(plog, task))
+    grounded_edges = predicted.orderings_grounded()
+    lifted_edges = predicted.orderings.keys() - grounded_edges
+    # 38 missed orderings, and 608 lifted ones to look up
+    assert set(reference.edges) - grounded_edges.keys() - lifted_edges
+    assert len(lifted_edges) >= 200
+    assert compare(reference, predicted) == reference_compare(reference, predicted)
 
 
 # --- classical scores -------------------------------------------------------------

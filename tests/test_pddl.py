@@ -113,9 +113,10 @@ def test_courier_grounding_matches_naive_oracle(name, load):
     assert any(f.pred == "aboard" for a in task.actions if a.name == "ride" for f in a.add)
 
 
-def assert_index_matches_scan(task):
-    """Every table of the task's index equals a scan of its actions, and
-    every atom of the task is the one object the fact table holds."""
+def assert_index_matches_scan(task, domain):
+    """Every table of the task's index equals a scan of its actions, which
+    ground `domain`'s schemas, and every atom of the task is the one object
+    the fact table holds."""
     index = task.index
     assert list(task.actions) == sorted(task.actions)
     for f, atom in enumerate(index.atoms):
@@ -137,7 +138,7 @@ def assert_index_matches_scan(task):
     assert {index.atoms[f] for f in index.goal} == task.goal
     for a, action in enumerate(task.actions):
         assert sorted(index.delete[a]) == sorted({index.ids[d] for d in action.delete})
-        schema = task.domain.schemas[action.name]
+        schema = domain.schemas[action.name]
         binding = {v: obj for (v, _), obj in zip(schema.params, action.args)}
         for part in ("pre", "add", "delete"):
             expected = {atom.substitute(binding) for atom in getattr(schema, part)}
@@ -146,7 +147,8 @@ def assert_index_matches_scan(task):
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
 def test_index_tables_match_a_scan(case, load):
-    assert_index_matches_scan(load(*case)[2])
+    domain, _, task = load(*case)
+    assert_index_matches_scan(task, domain)
 
 
 def assert_stored_levels_are_fresh(index):
@@ -201,7 +203,7 @@ def test_grounding_counts_collapsed_preconditions_once(init, goal):
                       frozenset(init), frozenset(goal))
     task = ground_task(TOKENS, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(TOKENS, problem)
-    assert_index_matches_scan(task)
+    assert_index_matches_scan(task, TOKENS)
     assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
 
 
@@ -236,7 +238,7 @@ def test_grounding_edge_cases_match_the_naive_oracle(init, goal):
     problem = Problem("edges-1", "edges", dict(EDGE_OBJECTS), frozenset(init), frozenset(goal))
     task = ground_task(EDGES, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
-    assert_index_matches_scan(task)
+    assert_index_matches_scan(task, EDGES)
     assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
     assert_stored_levels_are_fresh(task.index)
 
@@ -254,7 +256,7 @@ def test_grounding_shares_columns_only_between_equal_pools(types, init, goal):
     problem = Problem("edges-3", "edges", objects, frozenset(init), frozenset(goal))
     task = ground_task(EDGES, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
-    assert_index_matches_scan(task)
+    assert_index_matches_scan(task, EDGES)
     assert_stored_levels_are_fresh(task.index)
 
 

@@ -11,9 +11,9 @@ checkout's root.  Pair ``i`` (1, 2, ...) runs both sides under
 first.  ``--seconds`` defaults to the benchmark's ``run_seconds``.  When
 PARENT and CHANGE name the same commit, the result is an A/A run, which
 shows how far two runs of identical code spread.  A run that exits
-non-zero, or whose last line is not ``"correct": true`` with
-``"failed": 0``, stops the runner with a non-zero exit that names its pair
-and side, and no result is written.
+non-zero, or whose last line is not a JSON object with ``"correct": true``
+and ``"failed": 0``, stops the runner with a non-zero exit that names its
+pair and side, and no result is written.
 
 The result, written to ``--out`` (default ``BENCH_ab_<workload>.json``), has
 a fixed layout: ``parent`` and ``change`` (the commit ids), ``aa``,
@@ -52,8 +52,8 @@ def export(repo: Path, commit: str, target: Path) -> None:
 
 def run_once(checkout: Path, workload: str, seconds: float, pair: int) -> dict:
     """The last line of one benchmark run in `checkout`, as JSON; a run that
-    fails, or whose line is not `"correct": true` with `"failed": 0`, ends
-    the A/B run, naming the pair and the side."""
+    fails, or whose line is not a JSON object with `"correct": true` and
+    `"failed": 0`, ends the A/B run, naming the pair and the side."""
     benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
     argv = [*benchmark["command"], "--workload", workload, "--seed", str(SEED),
             "--seconds", f"{seconds:g}", "--trace", "0"]
@@ -63,7 +63,13 @@ def run_once(checkout: Path, workload: str, seconds: float, pair: int) -> dict:
     if done.returncode != 0 or not lines:
         sys.exit(f"ab: pair {pair}, {checkout.name}: {' '.join(argv)} exited with "
                  f"{done.returncode}:\n{done.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        sys.exit(f"ab: pair {pair}, {checkout.name}: the last line is not a JSON object:\n"
+                 f"{lines[-1][-2000:]}")
     if result.get("correct") is not True or result.get("failed") != 0:
         sys.exit(f"ab: pair {pair}, {checkout.name}: the run is not correct "
                  f"(correct: {result.get('correct')}, failed: {result.get('failed')}):\n"
