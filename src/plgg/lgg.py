@@ -12,10 +12,12 @@ The brute-force oracle reruns the exploration with the candidate's
 achievers banned; `landmark_labels` answers for every fact at once with
 one greatest-fixpoint pass over the relaxed AND/OR graph (Zhu & Givan
 2003; Keyder, Richter & Helmert 2010).  Init and goal facts are landmarks
-by membership and cost nothing.  A pass costs a few explorations, so
-extraction runs the oracle only while the candidates it knows it must
-still decide fit in `BRUTE_FORCE_VERDICTS` explorations, and otherwise
-computes the labels once; the output is the same either way.
+by membership, and a precondition of every achiever of a landmark is one
+by back-chaining (`needed_facts`; Hoffmann, Porteous & Sebastia 2004);
+neither costs anything.  A pass costs a few explorations, so extraction
+runs the oracle only while the candidates it knows it must still decide
+fit in `BRUTE_FORCE_VERDICTS` explorations, and otherwise computes the
+labels once; the output is the same either way.
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError
-from .pddl import Atom, GroundTask, PddlError, read_file
+from .pddl import Atom, GroundTask, PddlError, TaskIndex, read_file
 
 logger = logging.getLogger(__name__)
 
 ORDER_TYPE = "greedy_necessary"
 
 # Oracle explorations `extract_lgg` may spend on one task; a task that
-# needs more verdicts than this for candidates outside init and goal gets
-# one label pass instead (ski rental: a pass costs about 4-6.5 explorations
-# of the asked candidates on 20-50-block tasks; one-atom goals need 1
-# such verdicts, full-tower goals 27-46).
+# needs more verdicts than this for candidates outside init, goal and
+# `needed_facts` gets one label pass instead (ski rental: a pass costs
+# about 4-6.5 explorations of the asked candidates on 20-50-block tasks;
+# generated full-tower goals need 0-4 such verdicts and one-atom goals
+# none, against 27-46 and 1 when only init and goal came free).
 BRUTE_FORCE_VERDICTS = 8
 
 
@@ -148,6 +151,20 @@ def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:
     return frozenset(f for f in task.facts if bits >> ids[f] & 1)
 
 
+def needed_facts(index: TaskIndex, f: int) -> set[int]:
+    """The facts other than f in the preconditions of every achiever of
+    fact f, by id.  When f is a landmark outside init, each of them is a
+    landmark: with its achievers banned it never holds, so no achiever of
+    f applies either (Hoffmann, Porteous & Sebastia 2004)."""
+    achievers = index.achievers[f]
+    return _shared_pre(index, achievers) - {f} if achievers else set()
+
+
+def _shared_pre(index: TaskIndex, actions: list[int]) -> set[int]:
+    """The facts in the preconditions of every one of the nonempty `actions`."""
+    return set(index.pre[actions[0]]).intersection(*map(index.pre.__getitem__, actions[1:]))
+
+
 def extract_lgg(task: GroundTask) -> LGG:
     """Back-chain greedy-necessary landmarks from the goal.
 
@@ -156,9 +173,10 @@ def extract_lgg(task: GroundTask) -> LGG:
     strictly before L first holds in the relaxation) is a candidate;
     candidates that are landmarks become vertices with an edge into L and
     are chained further.  Init and goal candidates are landmarks by
-    membership.  A landmark's candidates are listed when it is queued, and
-    `pending` holds the undecided others of every queued landmark, each of
-    which will be asked: a candidate goes to the oracle only while the
+    membership, and L's `needed_facts` are accepted when L is queued.  A
+    landmark's candidates are listed when it is queued, and `pending`
+    holds the undecided others of every queued landmark, each of which
+    will be asked: a candidate goes to the oracle only while the
     explorations so far plus `pending` fit in `BRUTE_FORCE_VERDICTS`, and
     otherwise `landmark_labels`, computed once, answers it and the rest.
     """
@@ -186,10 +204,11 @@ def extract_lgg(task: GroundTask) -> LGG:
             first_achievers = [a for a in index.achievers[f]
                                if action_level[a] < fact_level[f]]
             if first_achievers:
-                shared = set(index.pre[first_achievers[0]]).intersection(
-                    *(index.pre[a] for a in first_achievers[1:]))
-                shared.discard(f)
-                candidates = sorted(map(index.atoms.__getitem__, shared))
+                candidates = sorted(map(index.atoms.__getitem__,
+                                        _shared_pre(index, first_achievers) - {f}))
+                for c in map(index.atoms.__getitem__, needed_facts(index, f)):
+                    verdict_cache[c] = True
+                    pending.discard(c)
         queue.append((lm, candidates))
         pending.update(c for c in candidates if c not in trivial and c not in verdict_cache)
 
