@@ -22,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import eq, itemgetter
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -641,6 +641,38 @@ def _by_fact(n_facts: int, tables: Iterable[Iterable[int]]) -> list[list[int]]:
     return out
 
 
+def _column(ids: dict, pred: str, pools: tuple, slots: tuple[int, ...],
+            combos: list) -> list[int]:
+    """The fact ids of `pred` over `slots` for every row of `combos`, the
+    product of the nonempty `pools`, interning new facts into `ids`.
+
+    The distinct slots' own product lists the column's projections in the
+    order the rows first meet them, so only they are interned; the table
+    is then repeated out to the rows, a slot at a time from the last: a
+    slot the atom does not read repeats each run of the rows after it.
+    """
+    used = sorted(set(slots))
+    values = combos if len(used) == len(pools) else list(
+        itertools.product(*map(pools.__getitem__, used)))
+    if list(slots) != used:  # repeated or reordered slots
+        values = map(itemgetter(*map(used.index, slots)), values)
+    keys = list(zip(itertools.repeat(pred), values))
+    ids.update(zip(list(itertools.filterfalse(ids.__contains__, keys)),
+                   itertools.count(len(ids))))
+    col = list(map(ids.__getitem__, keys))
+    run = 1  # rows per value of the current slot
+    for i in reversed(range(len(pools))):
+        size = len(pools[i])
+        if i not in used and size > 1:
+            if run == 1:
+                col = list(itertools.chain.from_iterable(zip(*[col] * size)))
+            else:
+                col = list(itertools.chain.from_iterable(
+                    [col[k:k + run] * size for k in range(0, len(col), run)]))
+        run *= size
+    return col
+
+
 def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     """Ground a problem over its delete-relaxed-reachable fact set.
 
@@ -649,32 +681,30 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     has no consistent STRIPS reading); everything else is kept exactly when
     its preconditions become reachable in the delete relaxation of the task.
 
-    Grounding runs column by column: each schema atom projects every
-    substitution onto its parameter slots, interns each distinct projection
-    once by its (pred, args) key, equal to its atom, and maps the
-    projections back to a column of fact ids.  A schema's substitutions are
-    the product of its parameter pools, so a column is computed once per
-    predicate, slots and pools and shared by every atom and schema that
-    asks for it again.  The task's atoms are the fact table's.  The
-    candidates are explored by id over their consumer table; when every
-    candidate is reached, the task's `index` keeps the candidate tables as
-    they are, and otherwise it holds the kept actions' tables, rebuilt.
+    Grounding runs column by column.  A schema's substitutions are the
+    product of its parameter pools, in order, and each schema atom reads
+    the distinct slots its arguments use.  Its distinct projections are
+    the product of those slots' pools, in the order the rows first meet
+    them; each is interned once by its (pred, args) key, equal to its atom,
+    and the column of fact ids is spread from that small table to every
+    row by repetition alone.  A column is computed once per predicate,
+    slots and pools and shared by every atom and schema that asks for it
+    again.  The task's atoms are the fact table's.  The candidates are
+    explored by id over their consumer table; when every candidate is
+    reached, the task's `index` keeps the candidate tables as they are, and
+    otherwise it holds the kept actions' tables, rebuilt.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
     ids = {a: i for i, a in enumerate(dict.fromkeys(itertools.chain(problem.init, problem.goal)))}
     columns: dict[tuple, list[int]] = {}
 
-    def column(atom: Atom, slot: dict[str, int], pools: tuple, combos: list) -> list[int]:
+    def column(atom: Atom, pools: tuple, slots: tuple[int, ...], combos: list) -> list[int]:
         # all the pools order the rows, so they belong in the key with the slots
-        key = (atom.pred, tuple(slot[v] for v in atom.args), pools)
+        key = (atom.pred, slots, pools)
         col = columns.get(key)
         if col is None:
-            projections = (list(zip(*(map(itemgetter(slot[v]), combos) for v in atom.args)))
-                           if atom.args else [()] * len(combos))
-            fact = {p: ids.setdefault((atom.pred, p), len(ids))
-                    for p in dict.fromkeys(projections)}
-            col = columns[key] = list(map(fact.__getitem__, projections))
+            col = columns[key] = _column(ids, atom.pred, pools, slots, combos) if combos else []
         return col
 
     # Schemas in name order and substitutions drawn from sorted pools list
@@ -687,11 +717,17 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
         slot = {v: i for i, (v, _) in enumerate(schema.params)}
         s_combos = list(itertools.product(*pools))
         parts = [sorted(atoms) for atoms in (schema.pre, schema.add, schema.delete)]
-        cols = [[column(a, slot, pools, s_combos) for a in part] for part in parts]
-        clashes = [map(eq, add_col, del_col) for (a, add_col), (d, del_col)
+        cols = [[column(a, pools, tuple(map(slot.__getitem__, a.args)), s_combos) for a in part]
+                for part in parts]
+        clashes = [map(ne, add_col, del_col) for (a, add_col), (d, del_col)
                    in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
                    if a.pred == d.pred]
-        ok = [not any(row) for row in zip(*clashes)] if clashes else [True] * len(s_combos)
+        if not clashes:
+            ok = [True] * len(s_combos)
+        elif len(clashes) == 1:
+            ok = list(clashes[0])
+        else:
+            ok = list(map(all, zip(*clashes)))
         names += itertools.compress(itertools.repeat(schema.name), ok)
         combos += itertools.compress(s_combos, ok)
         for table, part, part_cols in zip((pres, adds, deletes), parts, cols):
@@ -710,11 +746,9 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
             list(itertools.compress(table, kept))
             for table in (pres, adds, deletes, names, combos, action_level))
         consumers = _by_fact(len(ids), pres)
-    atoms = tuple(map(Atom._make, ids))
-    fact_ids = {f for f, level in enumerate(fact_level) if level >= 0}
-    fact_ids.update(goal)
-    for row in deletes:
-        fact_ids.update(row)
+    atoms = tuple(map(tuple.__new__, itertools.repeat(Atom), ids))  # `Atom._make`, unchecked
+    fact_ids = set(itertools.compress(itertools.count(), map((0).__le__, fact_level)))
+    fact_ids.update(goal, itertools.chain.from_iterable(deletes))
     index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
                       consumers=consumers, achievers=_by_fact(len(atoms), adds),
                       names=names, args=combos, delete=deletes,

@@ -1,6 +1,6 @@
 from collections import deque
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, fields
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,8 @@ import plgg.instantiate as instantiate
 from plgg.instantiate import (SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState,
                               VarConstraintStore, VarSource)
 from plgg.metrics import _prf, alpha_prf
-from plgg.pddl import explore, ground_task, is_variable, parse_domain, parse_problem
+from plgg.pddl import (GroundTask, TaskIndex, explore, ground_task, is_variable, parse_domain,
+                       parse_problem)
 from plgg.lgg import extract_lgg
 from plgg.plog import LiftedEdge, learn_plog, lift_atom
 
@@ -136,6 +137,63 @@ def relaxed_exploration(init, actions):
             consumers[f].append(a)
     fact_level, action_level = explore(init_ids, pre, add, consumers)
     return reached(ids, fact_level), reached(actions, action_level)
+
+
+def reference_ground_task(domain, problem):
+    """`ground_task` written row by row: a fact id is handed out the first
+    time a substitution grounds an atom to it, with the schemas in name
+    order, each schema's atoms in sorted pre, add, delete order and each
+    atom's substitutions in product order, and every table is a plain scan."""
+    objects = {**domain.constants, **problem.objects}
+    ids = {}
+    for atom in chain(problem.init, problem.goal):
+        ids.setdefault(atom, len(ids))
+    names, combos, pres, adds, deletes = [], [], [], [], []
+    for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
+        pools = [sorted(o for o, t in objects.items() if domain.is_subtype(t, ptype))
+                 for _, ptype in schema.params]
+        bindings = [dict(zip([v for v, _ in schema.params], row)) for row in product(*pools)]
+        columns = [[[ids.setdefault(atom.substitute(b), len(ids)) for b in bindings]
+                    for atom in sorted(atoms)]
+                   for atoms in (schema.pre, schema.add, schema.delete)]
+        for r, b in enumerate(bindings):
+            pre, add, delete = ([col[r] for col in part] for part in columns)
+            if set(add) & set(delete):
+                continue
+            names.append(schema.name)
+            combos.append(tuple(b[v] for v, _ in schema.params))
+            for table, row in zip((pres, adds, deletes), (pre, add, delete)):
+                table.append(tuple(dict.fromkeys(row)))
+    init = tuple(ids[a] for a in problem.init)
+    goal = tuple(ids[a] for a in problem.goal)
+
+    def by_fact(tables):
+        return [[a for a, row in enumerate(tables) if f in row] for f in range(len(ids))]
+
+    fact_level, action_level = explore(init, pres, adds, by_fact(pres))
+    kept = [a for a, level in enumerate(action_level) if level >= 0]
+    pres, adds, deletes, names, combos, action_level = (
+        [table[a] for a in kept]
+        for table in (pres, adds, deletes, names, combos, action_level))
+    atoms = tuple(ids)
+    facts = {f for f, level in enumerate(fact_level) if level >= 0}
+    facts.update(goal, *deletes)
+    index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
+                      consumers=by_fact(pres), achievers=by_fact(adds), names=names,
+                      args=combos, delete=deletes, fact_level=fact_level,
+                      action_level=action_level)
+    return GroundTask(name=problem.name, facts=frozenset(atoms[f] for f in facts),
+                      init=frozenset(problem.init), goal=frozenset(problem.goal), index=index)
+
+
+def assert_grounds_as_the_reference(domain, problem):
+    """`ground_task` gives the reference's task and index, field for field,
+    with the fact ids handed out in the same order."""
+    task, reference = ground_task(domain, problem), reference_ground_task(domain, problem)
+    assert task == reference
+    assert list(task.index.ids.items()) == list(reference.index.ids.items())
+    for field in fields(TaskIndex):
+        assert getattr(task.index, field.name) == getattr(reference.index, field.name), field.name
 
 
 @st.composite

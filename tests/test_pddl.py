@@ -13,7 +13,7 @@ from plgg.pddl import (Atom, ParseError, PddlError, Problem, _tokenize, explore,
 from plgg.plog import LiftedEdge
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
-                      GRIPPER_CORPUS)
+                      GRIPPER_CORPUS, assert_grounds_as_the_reference)
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
@@ -151,6 +151,11 @@ def test_index_tables_match_a_scan(case, load):
     assert_index_matches_scan(task, domain)
 
 
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_grounding_matches_the_row_by_row_reference(case, load):
+    assert_grounds_as_the_reference(*load(*case)[:2])
+
+
 def assert_stored_levels_are_fresh(index):
     assert (index.fact_level, index.action_level) == explore(index.init, index.pre,
                                                              index.add, index.consumers)
@@ -204,6 +209,7 @@ def test_grounding_counts_collapsed_preconditions_once(init, goal):
     task = ground_task(TOKENS, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(TOKENS, problem)
     assert_index_matches_scan(task, TOKENS)
+    assert_grounds_as_the_reference(TOKENS, problem)
     assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
 
 
@@ -239,6 +245,7 @@ def test_grounding_edge_cases_match_the_naive_oracle(init, goal):
     task = ground_task(EDGES, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
     assert_index_matches_scan(task, EDGES)
+    assert_grounds_as_the_reference(EDGES, problem)
     assert_levels_match_definition(task.init, task.actions, *atom_levels(task))
     assert_stored_levels_are_fresh(task.index)
 
@@ -257,7 +264,45 @@ def test_grounding_shares_columns_only_between_equal_pools(types, init, goal):
     task = ground_task(EDGES, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(EDGES, problem)
     assert_index_matches_scan(task, EDGES)
+    assert_grounds_as_the_reference(EDGES, problem)
     assert_stored_levels_are_fresh(task.index)
+
+
+# Columns that read fewer slots than their schema has: fold's r(?x, ?x)
+# repeats a variable and its s(?y, ?x) reverses the slots; hop's r(?x, ?z)
+# skips the middle of three slots and its p(?y) reads that slot alone;
+# haunt's ghost pool is empty, so its v(?x) column has no rows and v is
+# never interned.
+SLOTS = parse_domain("""
+(define (domain slots)
+  (:requirements :strips :typing)
+  (:types item ghost - object tool - item)
+  (:predicates (p ?x - item) (r ?x - item ?y - item) (s ?x - item ?y - item) (v ?x - item)
+               (w ?g - ghost))
+  (:action fold :parameters (?x - item ?y - tool)
+    :precondition (r ?x ?x) :effect (and (s ?y ?x) (not (r ?y ?y))))
+  (:action hop :parameters (?x - item ?y - tool ?z - item)
+    :precondition (and (r ?x ?z) (p ?y)) :effect (and (s ?z ?x) (p ?z) (not (p ?x))))
+  (:action haunt :parameters (?x - item ?g - ghost)
+    :precondition (p ?x) :effect (and (v ?x) (w ?g))))
+""")
+SLOT_OBJECTS = "abcd"
+SLOT_FACTS = sorted({Atom("p", (x,)) for x in SLOT_OBJECTS}
+                    | {Atom(pred, (x, y)) for pred in "rs" for x in SLOT_OBJECTS
+                       for y in SLOT_OBJECTS})
+
+
+@given(st.tuples(*[st.sampled_from(("item", "tool"))] * len(SLOT_OBJECTS)),
+       st.sets(st.sampled_from(SLOT_FACTS), max_size=5),
+       st.sets(st.sampled_from(SLOT_FACTS), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_partial_columns_ground_as_the_reference(types, init, goal):
+    problem = Problem("slots-1", "slots", dict(zip(SLOT_OBJECTS, types)), frozenset(init),
+                      frozenset(goal))
+    assert_grounds_as_the_reference(SLOTS, problem)
+    task = ground_task(SLOTS, problem)
+    assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(SLOTS, problem)
+    assert not any(atom.pred == "v" for atom in task.index.atoms)
 
 
 def test_grounding_edge_cases_by_hand():
