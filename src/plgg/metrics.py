@@ -23,6 +23,7 @@ facet maps `precision`, `recall`, `f1`, `alpha`, `alpha_precision`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -110,9 +111,10 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
 
     `ends` gives an item's atoms.  Each missed item is filed under every
     combination of its ends' `_keys`, and each lifted extra is looked up
-    once by its ends' `_key`s; a missed item averages the credit of the
-    extras found, in their sorted order.  A missed item with no equivalent
-    lifted extra contributes 0, and an empty missed set yields 0 outright.
+    once by its ends' `_key`s, each atom's built once per call; a missed
+    item averages the credit of the extras found, in their sorted order.
+    A missed item with no equivalent lifted extra contributes 0, and an
+    empty missed set yields 0 outright.
     """
     hits = len(reference & grounded)
     prf = _prf(hits, len(grounded), len(reference))
@@ -128,8 +130,9 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
         for item, matches in found.items():
             for key in product(*map(_keys, ends(item))):
                 index.setdefault(key, []).append(matches)
+        key = cache(_key)  # the same lifted atoms end many extras
         for extra in extras:
-            for matches in index.get(tuple(map(_key, ends(extra))), ()):
+            for matches in index.get(tuple(map(key, ends(extra))), ()):
                 matches.append(extra)
         for item in sorted(missed):
             if found[item]:

@@ -89,6 +89,18 @@ def test_pairs_alternate_and_summarize(repo, tmp_path):
     assert f1["change_wins"] == 0 and f1["ratios"] == [1.0, 1.0, 1.0]
 
 
+def test_the_seed_reaches_every_run(repo, tmp_path):
+    repo, _, _ = repo
+    log, out = tmp_path / "log", tmp_path / "bench.json"
+    run_ab(repo, log, "HEAD~1", "HEAD", "--workload", "w", "--pairs", "2", "--seed", "7",
+           "--seconds", "2", "--out", str(out))
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(calls) == 4 and {tuple(argv) for _, argv, _ in calls} == {
+        ("--workload", "w", "--seed", "7", "--seconds", "2", "--trace", "0")}
+    result = json.loads(out.read_text())
+    assert "--seed 7 " in result["how"]
+
+
 def test_same_commit_is_an_aa_run(repo, tmp_path):
     repo, _, change = repo
     log, out = tmp_path / "log", tmp_path / "bench.json"

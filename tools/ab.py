@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Paired A/B runs of the benchmark on two commits.
 
-    tools/ab.py PARENT CHANGE --workload W --pairs N [--seconds S] [--out PATH]
+    tools/ab.py PARENT CHANGE --workload W --pairs N [--seed K] [--seconds S] [--out PATH]
 
 Both commits are exported with ``git archive`` into a temporary directory.
 Each run executes the ``command`` of that checkout's ``BENCHMARK.json``,
-unchanged, with ``--workload W --seed 1 --seconds S --trace 0``, from the
+unchanged, with ``--workload W --seed K --seconds S --trace 0``, from the
 checkout's root.  Pair ``i`` (1, 2, ...) runs both sides under
 ``PYTHONHASHSEED=i``; odd pairs run the parent first, even pairs the change
-first.  ``--seconds`` defaults to the benchmark's ``run_seconds``.  When
+first.  ``--seed`` picks the workload's tasks and defaults to 1;
+``--seconds`` defaults to the benchmark's ``run_seconds``.  When
 PARENT and CHANGE name the same commit, the result is an A/A run, which
 shows how far two runs of identical code spread.  A run that exits
 non-zero, or whose last line is not a JSON object with ``"correct": true``
@@ -36,9 +37,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-SEED = 1
-
-
 def git(*args: str, cwd: Path) -> bytes:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
 
@@ -50,12 +48,12 @@ def export(repo: Path, commit: str, target: Path) -> None:
                    check=True)
 
 
-def run_once(checkout: Path, workload: str, seconds: float, pair: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, pair: int) -> dict:
     """The last line of one benchmark run in `checkout`, as JSON; a run that
     fails, or whose line is not a JSON object with `"correct": true` and
     `"failed": 0`, ends the A/B run, naming the pair and the side."""
     benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
-    argv = [*benchmark["command"], "--workload", workload, "--seed", str(SEED),
+    argv = [*benchmark["command"], "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           env={**os.environ, "PYTHONHASHSEED": str(pair)})
@@ -110,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
@@ -130,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             run = {"pair": pair, "first": order[0]}
             for side in order:
-                run[side] = run_once(checkouts[side], args.workload, seconds, pair)
+                run[side] = run_once(checkouts[side], args.workload, args.seed, seconds, pair)
                 print(f"pair {pair} {side}: {json.dumps(run[side])}", file=sys.stderr)
             runs.append(run)
 
@@ -141,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         "aa": aa,
         "how": (f"{'A/A: the same commit on both sides; ' if aa else ''}each side a git "
                 f"archive of its commit; each run is the checkout's BENCHMARK.json command "
-                f"with --workload {args.workload} --seed {SEED} --seconds {seconds:g} "
+                f"with --workload {args.workload} --seed {args.seed} --seconds {seconds:g} "
                 f"--trace 0, from the checkout's root; pair i runs both sides under "
                 f"PYTHONHASHSEED=i, odd pairs the parent first, even pairs the change first; "
                 f"ratios are change / parent per pair; quartiles are inclusive"),
