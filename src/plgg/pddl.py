@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from operator import itemgetter, ne
+from functools import cached_property, partial, reduce
+from operator import and_, itemgetter, ne
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -699,8 +699,9 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     ids = {a: i for i, a in enumerate(dict.fromkeys(itertools.chain(problem.init, problem.goal)))}
     columns: dict[tuple, list[int]] = {}
 
-    def column(atom: Atom, pools: tuple, slots: tuple[int, ...], combos: list) -> list[int]:
+    def column(atom: Atom, slot: dict[str, int], pools: tuple, combos: list) -> list[int]:
         # all the pools order the rows, so they belong in the key with the slots
+        slots = tuple(slot[v] for v in atom.args)
         key = (atom.pred, slots, pools)
         col = columns.get(key)
         if col is None:
@@ -717,17 +718,11 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
         slot = {v: i for i, (v, _) in enumerate(schema.params)}
         s_combos = list(itertools.product(*pools))
         parts = [sorted(atoms) for atoms in (schema.pre, schema.add, schema.delete)]
-        cols = [[column(a, pools, tuple(map(slot.__getitem__, a.args)), s_combos) for a in part]
-                for part in parts]
+        cols = [[column(a, slot, pools, s_combos) for a in part] for part in parts]
         clashes = [map(ne, add_col, del_col) for (a, add_col), (d, del_col)
                    in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
                    if a.pred == d.pred]
-        if not clashes:
-            ok = [True] * len(s_combos)
-        elif len(clashes) == 1:
-            ok = list(clashes[0])
-        else:
-            ok = list(map(all, zip(*clashes)))
+        ok = list(reduce(partial(map, and_), clashes)) if clashes else [True] * len(s_combos)
         names += itertools.compress(itertools.repeat(schema.name), ok)
         combos += itertools.compress(s_combos, ok)
         for table, part, part_cols in zip((pres, adds, deletes), parts, cols):

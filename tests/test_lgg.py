@@ -270,8 +270,8 @@ def buried_problem(height):
 
 @pytest.mark.parametrize("height,counts", [(10, (8, 0)), (12, (8, 1))])
 def test_buried_block_counts(height, counts, domain):
-    # each block above the bottom one must be cleared by an oracle verdict;
-    # at 12 the verdicts left outrun the budget and one label pass decides them
+    # clear(b2) ... clear(b{height - 1}) each need a verdict; at 12 those 10
+    # outrun the budget, so one label pass decides the last of them
     task = ground_task(domain, parse_problem(buried_problem(height), domain))
     text, asked, passes = extract_counted(task, lgg_module.BRUTE_FORCE_VERDICTS)
     assert (len(asked), passes) == counts
