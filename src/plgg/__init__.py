@@ -11,9 +11,8 @@ from .lgg import (LGG, LggFormatError, UnsolvableTaskError, extract_lgg,
                   is_landmark_oracle, oracle_landmarks, read_lgg, write_lgg)
 from .plog import (PLog, VocabularyError, learn_plog, lift_atom, lift_edge,
                    read_plog, write_plog)
-from .instantiate import (PLgg, PlggContent, VarConstraintStore, combine,
-                          extract_result, generate_plgg_goal, generate_plgg_init,
-                          instantiate_task, read_plgg, write_plgg)
+from .instantiate import (PLgg, PlggContent, combine, extract_result, generate_plgg_goal,
+                          generate_plgg_init, instantiate_task, read_plgg, write_plgg)
 from .metrics import alpha_prf, compare, likelihood_atom, likelihood_edge
 from .experiment import ExperimentConfig, run_experiment
 
@@ -24,7 +23,7 @@ __all__ = [
     "is_landmark_oracle", "oracle_landmarks", "read_lgg", "write_lgg",
     "PLog", "VocabularyError", "learn_plog", "lift_atom", "lift_edge",
     "read_plog", "write_plog",
-    "PLgg", "PlggContent", "VarConstraintStore", "combine", "extract_result",
+    "PLgg", "PlggContent", "combine", "extract_result",
     "generate_plgg_goal", "generate_plgg_init", "instantiate_task", "read_plgg",
     "write_plgg",
     "alpha_prf", "compare", "likelihood_atom", "likelihood_edge",

@@ -124,7 +124,7 @@ def one_of(*choices: str) -> Check:
                  _scalar(encode_basestring_ascii))
 
 
-def records(fields: dict[str | int, Check], unique: tuple[str, ...] = ()) -> Check:
+def records(fields: dict[str | int, Check], unique: tuple[str | int, ...] = ()) -> Check:
     """An array of records, each a tuple of its fields in order: objects
     with the named keys, or arrays when the keys are 0, 1, ...
     Reading drops the fields that are not read.  No two records may agree
@@ -144,7 +144,7 @@ def records(fields: dict[str | int, Check], unique: tuple[str, ...] = ()) -> Che
             row = {k: r(entry[k], f"{here}/{k}", atoms) for k, r in reads.items()}
             key = tuple(row[k] for k in unique)
             if unique and key in seen:
-                raise LggFormatError(f"duplicate {', '.join(unique)}", here)
+                raise LggFormatError(f"duplicate {', '.join(map(str, unique))}", here)
             seen.add(key)
             rows.append(tuple(row.values()))
         return rows

@@ -6,14 +6,16 @@ forward from the initial state (nodes point at successors).  Landmarks
 grounded on one side then drive variable bindings on the other, round after
 round, until no new ground landmark appears; the union of both sides, one
 directed edge map with each node's best incident probability and ground
-flag, is the task's probabilistic landmark graph.  Both sides share one
-constraint store, and each round instantiates the init side first.
+flag, is the task's probabilistic landmark graph.  Each round
+instantiates the init side first.
 
-Whenever an expansion introduces a variable next to known parameters, the
-known parameters are recorded as forbidden values for that variable: a
-variable standing next to the block `a` in `on(a, ?x1)` can never be `a`.
-Only the fresh variables an expansion draws are new next to the expanded
-atom, so each one's forbidden sets are written once per expansion.
+Whenever an expansion introduces a variable next to known objects, those
+objects are recorded as forbidden values for that variable: a variable
+standing next to the block `a` in `on(a, ?x1)` can never be `a`.  Only the
+fresh variables an expansion draws are new next to the expanded atom, so
+each one's forbidden objects are written once, into the state of the side
+that drew it.  The two sides share only the supply of fresh names, which
+keeps their variables apart, so each side reads only its own constraints.
 
 Each side expands an atom at most once up to variable renaming: a renamed
 copy of an expanded atom still gets its node and its edge, but is not
@@ -44,7 +46,8 @@ Every landmark searched is ground: `combine` harvests only the task's facts.
 enumeration of a ground atom's lifted shapes; scoring reads both too.
 
 A search reads nothing but its buckets, their order, their members' best
-probabilities and the constraint store, which generation alone writes.
+probabilities and the side's forbidden objects, which generation alone
+writes.
 So each side keeps every landmark's bindings together with the bucket
 keys its search looked up, empty buckets included, and searches a
 landmark again only after a rewrite re-sorted one of those buckets; every
@@ -72,27 +75,9 @@ SIDE_INIT = "init"
 SIDE_COMBINED = "combined"
 
 
-class VarConstraintStore:
-    """Distinct-value constraints per variable, shared across one task run.
-
-    The generators are its only writers: an expansion sets the forbidden
-    sets of each fresh variable it draws, once, and nothing changes them
-    after generation.
-    """
-
-    def __init__(self):
-        self._objects: dict[str, frozenset[str]] = {}
-        self._variables: dict[str, frozenset[str]] = {}
-
-    def forbidden_objects(self, var: str) -> frozenset[str]:
-        return self._objects.get(var, frozenset())
-
-    def forbidden_variables(self, var: str) -> frozenset[str]:
-        return self._variables.get(var, frozenset())
-
-
 class VarSource:
-    """Hands out globally fresh canonical variable names."""
+    """Hands out globally fresh canonical variable names; the two sides of
+    one task draw from one source, so that no variable is on both."""
 
     def __init__(self):
         self._next = 0
@@ -118,7 +103,6 @@ class PLgg:
     best: dict[Atom, float]
     nodes: dict[Atom, bool]
     side: str
-    store: VarConstraintStore
     domain: str = ""
 
 
@@ -198,15 +182,14 @@ def _plan(template: _Template, mu: float, pattern: tuple[int, ...]) -> tuple:
 
 
 def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
-              source: VarSource, store: VarConstraintStore) -> SideState:
+              source: VarSource) -> SideState:
     backward = side == SIDE_GOAL
     index = _edges_from(plog, backward)
     plans = plog.derived.setdefault((__name__, backward, _plan.__name__), {})
     blocked = task.init if backward else task.goal
-    forbidden_objects, forbidden_variables = store._objects, store._variables
 
-    state = SideState(side, store, plog.domain)
-    nodes, best, buckets = state.nodes, state.best, state.buckets
+    state = SideState(side, plog.domain)
+    nodes, best, buckets, forbidden = state.nodes, state.best, state.buckets, state.forbidden
     expanded: set[tuple] = set()
     # an atom up to renaming: its predicate and pattern, and its objects;
     # the seeds are task facts, so ground
@@ -229,13 +212,11 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
         if not entries and lm in seed_set:
             logger.warning("no learned orderings touch %s; keeping it isolated", lm)
         objects = frozenset(objs)
-        variables = frozenset(lm.args) - objects
         for template, mu, fixed, bucket, own in entries:
             neighbour, fresh = _expand(template, lm, source)
-            # a fresh name differs from every parameter of the atom it stands next to
+            # a fresh name differs from every object of the atom it stands next to
             for name in fresh:
-                forbidden_objects[name] = objects
-                forbidden_variables[name] = variables
+                forbidden[name] = objects
             its_objects = tuple(map(neighbour.args.__getitem__, fixed))
             if neighbour not in nodes:
                 nodes[neighbour] = {}
@@ -256,8 +237,7 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
     return state
 
 
-def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource,
-                       store: VarConstraintStore) -> SideState:
+def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource) -> SideState:
     """Grow the goal-side graph backward through learned in-edges.
 
     Each dequeued atom with at least one object that is not an init fact is
@@ -265,16 +245,16 @@ def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource,
     its destination unified with the atom, and the resulting predecessor
     inserted (and queued, if it mentions any object).  An atom is expanded
     at most once up to variable renaming.  Fresh names come from
-    `var_source` and constraints go to `store`; `combine` needs both sides
-    to share them.  The side comes back as the state that `combine` keeps.
+    `var_source`, which `combine` needs both sides to share, and each fresh
+    name's forbidden objects go to the side's own state.  The side comes
+    back as the state that `combine` keeps.
     """
-    return _generate(plog, task, task.goal, SIDE_GOAL, var_source, store)
+    return _generate(plog, task, task.goal, SIDE_GOAL, var_source)
 
 
-def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource,
-                       store: VarConstraintStore) -> SideState:
+def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource) -> SideState:
     """Mirror of the goal side: forward from init along learned out-edges."""
-    return _generate(plog, task, task.init, SIDE_INIT, var_source, store)
+    return _generate(plog, task, task.init, SIDE_INIT, var_source)
 
 
 # --- equivalence and instantiation -------------------------------------------
@@ -294,16 +274,19 @@ class SideState:
     each atom's predecessors (goal side) or successors (init side) with
     edge probabilities; `best`, each node's best incident probability;
     `buckets`, the lifted nodes, each filed once under its `_bucket_key`,
-    each bucket in `rank` order; `unharvested`, the nodes that no harvest
-    has read yet; `kept`, the bindings of each (landmark, top_n) searched
-    since a bucket it read last changed; and `readers`, the (landmark,
-    top_n) pairs whose search looked each bucket key up, empty or not."""
+    each bucket in `rank` order; `forbidden`, the objects that each
+    variable the side drew may not take; `unharvested`, the nodes that no
+    harvest has read yet; `kept`, the bindings of each (landmark, top_n)
+    searched since a bucket it read last changed; and `readers`, the
+    (landmark, top_n) pairs whose search looked each bucket key up, empty
+    or not."""
 
-    def __init__(self, side: str, store: VarConstraintStore, domain: str = ""):
-        self.side, self.store, self.domain = side, store, domain
+    def __init__(self, side: str, domain: str = ""):
+        self.side, self.domain = side, domain
         self.nodes: dict[Atom, dict[Atom, float]] = {}
         self.best: dict[Atom, float] = {}
         self.buckets: dict[tuple, list[Atom]] = {}
+        self.forbidden: dict[str, frozenset[str]] = {}
         self.unharvested: list[Atom] = []
         self.kept: dict[tuple[Atom, int], dict[str, str]] = {}
         self.readers: dict[tuple, set[tuple[Atom, int]]] = {}
@@ -338,8 +321,8 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
 
     A lifted node is as far from `lm` as it has variable positions, so the
     buckets of `lm`'s own objects are read from the fewest variables
-    upward, skipping nodes whose constraints forbid `lm`'s object at a
-    variable position; the first count with a match holds the closest
+    upward, skipping nodes whose variable at some position may not take
+    `lm`'s object there; the first count with a match holds the closest
     equivalents.  A bucket's first `top_n` allowed nodes are its best
     ranked, and the `top_n` best ranked of those across the count's
     buckets contribute bindings position by position; a variable bound
@@ -349,7 +332,7 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
     if not lm.is_ground:
         raise ValueError(f"equivalence search needs a ground landmark, not {lm}")
     args = lm.args
-    forbidden = state.store.forbidden_objects
+    forbidden = state.forbidden.get
     reader = (lm, top_n)
     chosen: list[Atom] = []
     for level in _object_patterns(len(args)):
@@ -357,7 +340,7 @@ def search_best_equiv(state: SideState, lm: Atom, top_n: int = 1) -> dict[str, s
             key = _bucket_key(lm, fixed)
             state.readers.setdefault(key, set()).add(reader)
             chosen += islice((node for node in state.buckets.get(key, ())
-                              if all(args[i] not in forbidden(node.args[i]) for i in open_)),
+                              if all(args[i] not in forbidden(node.args[i], ()) for i in open_)),
                              top_n)
         if chosen:
             break
@@ -388,7 +371,7 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
-        if obj in state.store.forbidden_objects(var):
+        if obj in state.forbidden.get(var, ()):
             logger.warning("binding %s -> %s violates a distinct-value constraint; skipped",
                            var, obj)
             continue
@@ -433,8 +416,9 @@ def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None
     in `lms` against the side's ranked buckets, first binding per variable
     wins, then rewrite the side once.  A landmark is searched only if the
     state keeps no bindings for it: a search reads only its buckets, their
-    order, their members' best probabilities and the constraint store,
-    which generation alone writes, so kept bindings equal a new search's."""
+    order, their members' best probabilities and the side's forbidden
+    objects, which generation alone writes, so kept bindings equal a new
+    search's."""
     var_inst: dict[str, str] = {}
     ordered = sorted(lms)
     searched = 0
@@ -455,19 +439,18 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, 
             iteration_log: list | None = None) -> PLgg:
     """Alternate instantiation between the two sides until a fixpoint.
 
-    Both sides must share one constraint store.  The passes rewrite the two
-    states in place, so the sides given are consumed: afterwards they hold
-    their final graphs.  Each round instantiates the init side from the
-    goal side's ground landmarks, then the goal side from the init side's;
-    a side's ground landmarks are its nodes that are facts of the task
-    (anything else is an ungroundable artifact and is not harvested), read
-    as they are added.  The loop stops when a full round adds no new ground
-    landmark.  The returned graph is the union of both sides: each edge at
-    the larger of its two sides' probabilities, and each node at the larger
-    of its two sides' best incident probabilities.
+    Both sides must draw their fresh names from one `VarSource`, so that
+    no variable is on both.  The passes rewrite the two states in place, so
+    the sides given are consumed: afterwards they hold their final graphs.
+    Each round instantiates the init side from the goal side's ground
+    landmarks, then the goal side from the init side's; a side's ground
+    landmarks are its nodes that are facts of the task (anything else is an
+    ungroundable artifact and is not harvested), read as they are added.
+    The loop stops when a full round adds no new ground landmark.  The
+    returned graph is the union of both sides: each edge at the larger of
+    its two sides' probabilities, and each node at the larger of its two
+    sides' best incident probabilities.
     """
-    if goal.store is not init.store:
-        raise ValueError("the goal and init sides must share one constraint store")
     lms_init, lms_goal = set(task.init), set(task.goal)
     known = lms_init | lms_goal
     if iteration_log is not None:
@@ -490,18 +473,17 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, 
     nodes = dict.fromkeys(goal.nodes.keys() | init.nodes.keys(), True)
     nodes.update((node, False) for side in (goal, init)
                  for members in side.buckets.values() for node in members)
-    return PLgg(edges=edges, best=best, nodes=nodes, side=SIDE_COMBINED, store=goal.store,
+    return PLgg(edges=edges, best=best, nodes=nodes, side=SIDE_COMBINED,
                 domain=goal.domain or init.domain)
 
 
 def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1, *,
                      iteration_log: list | None = None) -> PLgg:
-    """Full pipeline for one task: generate both sides (sharing fresh-name
-    supply and constraint store) and combine them."""
+    """Full pipeline for one task: generate both sides from one fresh-name
+    supply and combine them."""
     source = VarSource()
-    store = VarConstraintStore()
-    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
-    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
+    goal_side = generate_plgg_goal(plog, task, var_source=source)
+    init_side = generate_plgg_init(plog, task, var_source=source)
     return combine(goal_side, init_side, task, top_n, iteration_log=iteration_log)
 
 
@@ -575,7 +557,7 @@ def plgg_from_json(text: str) -> PLgg:
     for (src, dst), mu in edges.items():
         best[src], best[dst] = max(mu, best.get(src, mu)), max(mu, best.get(dst, mu))
     return PLgg(edges=edges, best=best, nodes={a: a.is_ground for a in data["vertices"]},
-                side=data["side"], store=VarConstraintStore(), domain=data["domain"])
+                side=data["side"], domain=data["domain"])
 
 
 def write_plgg(plgg: PLgg, path: str | Path) -> None:

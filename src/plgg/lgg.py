@@ -261,7 +261,8 @@ def _has_cycle(lgg: LGG) -> bool:
 
 # An edge is a [src, dst] pair of vertex indices.
 SCHEMA = artifact.Schema(order_type=artifact.one_of(ORDER_TYPE), task=artifact.string,
-                         edges=artifact.records({0: artifact.vertex, 1: artifact.vertex}))
+                         edges=artifact.records({0: artifact.vertex, 1: artifact.vertex},
+                                                unique=(0, 1)))
 
 
 def lgg_to_json(lgg: LGG) -> str:
@@ -272,11 +273,15 @@ def lgg_to_json(lgg: LGG) -> str:
 
 
 def lgg_from_json(text: str) -> LGG:
-    """Read a landmark graph.  Every landmark is a ground fact."""
+    """Read a landmark graph.  Every landmark is a ground fact, and no
+    landmark is ordered before itself."""
     data = artifact.read_artifact(text, SCHEMA)
     for i, vertex in enumerate(data["vertices"]):
         if not vertex.is_ground:
             raise LggFormatError(f"landmark {vertex} is not ground", f"/vertices/{i}")
+    for i, (src, dst) in enumerate(data["edges"]):
+        if src == dst:
+            raise LggFormatError(f"landmark {src} is ordered before itself", f"/edges/{i}")
     return LGG(task=data["task"], vertices=frozenset(data["vertices"]),
                edges=frozenset(data["edges"]))
 

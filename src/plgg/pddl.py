@@ -319,9 +319,9 @@ def _check_declared(atom: Atom, predicates: Mapping[str, Predicate], where: str,
                          f"expected {decl.arity}, got {atom.arity}", form)
 
 
-def _read_define(text: str, kind: str) -> tuple[str, list]:
-    """The name and the sections of the one ``(define (<kind> <name>) ...)``
-    form of a domain or problem text."""
+def _read_define(text: str, kind: str) -> tuple[str, _SList, list]:
+    """The name, the ``(<kind> <name>)`` header and the sections of the one
+    ``(define (<kind> <name>) ...)`` form of a domain or problem text."""
     forms = _read_sexprs(text)
     if len(forms) != 1 or _form_name(forms[0]) != "define":
         # point at the first form past a leading define; text with no form has no position
@@ -330,7 +330,20 @@ def _read_define(text: str, kind: str) -> tuple[str, list]:
     define = forms[0]
     if len(define) < 2 or _form_name(define[1]) != kind or len(define[1]) != 2:
         raise ParseError(f"expected ({kind} <name>) after define", define)
-    return _expect_symbol(define[1][1], f"a {kind} name").text, define[2:]
+    return _expect_symbol(define[1][1], f"a {kind} name").text, define[1], define[2:]
+
+
+def _named_sections(sections: list, kind: str) -> Iterator[tuple[str, Any]]:
+    """Each section of a `kind` file with its name, in order; only
+    `:action` sections may repeat."""
+    seen: set[str] = set()
+    for section in sections:
+        name = _form_name(section)
+        if name in seen:
+            raise ParseError(f"{kind} section {name} appears twice", section)
+        if name != ":action":
+            seen.add(name)
+        yield name, section
 
 
 def _unsupported_section(section, kind: str) -> ParseError:
@@ -351,13 +364,12 @@ def parse_domain(text: str) -> Domain:
     predicates, unbound variables, and contradictory (add and delete the
     same atom) effects.
     """
-    name, sections = _read_define(text, "domain")
+    name, _, sections = _read_define(text, "domain")
     types: dict[str, str | None] = {ROOT_TYPE: None}
     predicates: dict[str, Predicate] = {}
     schemas: dict[str, ActionSchema] = {}
     constants: dict[str, str] = {}
-    for section in sections:
-        kind = _form_name(section)
+    for kind, section in _named_sections(sections, "domain"):
         if kind == ":requirements":
             _check_requirements(section)
         elif kind == ":types":
@@ -509,10 +521,10 @@ def _parse_conjunction(form, allow_not: bool, check):
 
 def parse_problem(text: str, domain: Domain) -> Problem:
     """Parse PDDL problem text against an already-parsed domain."""
-    name, sections = _read_define(text, "problem")
+    name, header, sections = _read_define(text, "problem")
     objects: dict[str, str] = {}
     init: set[Atom] = set()
-    goal: set[Atom] = set()
+    goal: list[Atom] | None = None
     domain_name = ""
 
     def check_ground_atom(atom: Atom, form: _SList, where: str) -> None:
@@ -524,8 +536,7 @@ def parse_problem(text: str, domain: Domain) -> Problem:
             if otype is None:
                 raise ParseError(f"unknown object {a} in {where}", form)
 
-    for section in sections:
-        kind = _form_name(section)
+    for kind, section in _named_sections(sections, "problem"):
         if kind == ":domain":
             if len(section) != 2:
                 raise ParseError(":domain takes exactly one name", section)
@@ -550,14 +561,15 @@ def parse_problem(text: str, domain: Domain) -> Problem:
         elif kind == ":goal":
             if len(section) != 2:
                 raise ParseError(":goal takes exactly one formula", section)
-            got = _parse_conjunction(section[1], allow_not=False,
-                                     check=partial(check_ground_atom, where=":goal"))
-            goal.update(got)
+            goal = _parse_conjunction(section[1], allow_not=False,
+                                      check=partial(check_ground_atom, where=":goal"))
         else:
             raise _unsupported_section(section, "problem")
 
     if not domain_name:
         raise ParseError("problem is missing its (:domain ...) section")
+    if goal is None:
+        raise ParseError("problem is missing its (:goal ...) section", header)
     return Problem(name=name, domain_name=domain_name, objects=objects,
                    init=frozenset(init), goal=frozenset(goal))
 

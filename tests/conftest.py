@@ -7,8 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import plgg.instantiate as instantiate
-from plgg.instantiate import (SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState,
-                              VarConstraintStore, VarSource)
+from plgg.instantiate import SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState, VarSource
 from plgg.metrics import _prf, alpha_prf
 from plgg.pddl import (GroundTask, TaskIndex, explore, ground_task, is_variable, parse_domain,
                        parse_problem)
@@ -82,6 +81,23 @@ def corpus_names():
 
 
 # --- reference helpers ------------------------------------------------------
+
+
+class VarConstraintStore:
+    """The paper's distinct-value constraints per variable, for one task
+    run: the objects and the variables each variable must differ from.
+    The references keep both halves in one store that both sides share;
+    each `SideState` keeps only the object half of its own variables."""
+
+    def __init__(self):
+        self._objects: dict[str, frozenset[str]] = {}
+        self._variables: dict[str, frozenset[str]] = {}
+
+    def forbidden_objects(self, var: str) -> frozenset[str]:
+        return self._objects.get(var, frozenset())
+
+    def forbidden_variables(self, var: str) -> frozenset[str]:
+        return self._variables.get(var, frozenset())
 
 
 def equivalent_params(x, y, store):
@@ -288,29 +304,29 @@ def _union(goal_side, init_side):
     return nodes
 
 
-def graph_of(nodes, side, store=None, domain=""):
+def graph_of(nodes, side, domain=""):
     """The `PLgg` of the adjacency `nodes` of `side`, predecessor-oriented
     when combined: every end of an edge is a node, flagged ground when no
     argument is a variable."""
     every = dict.fromkeys(nodes) | dict.fromkeys(a for ns in nodes.values() for a in ns)
     return PLgg(edges=_directed_edges(nodes, side), best=_best_incident_prob(nodes),
-                nodes={a: a.is_ground for a in every}, side=side,
-                store=VarConstraintStore() if store is None else store, domain=domain)
+                nodes={a: a.is_ground for a in every}, side=side, domain=domain)
 
 
 def combined_graph(goal_side, init_side):
     """What `combine` hands back for its two final sides: `_union`, then
     `_directed_edges` and `_best_incident_prob` of the union."""
-    return graph_of(_union(goal_side, init_side), SIDE_COMBINED, goal_side.store,
+    return graph_of(_union(goal_side, init_side), SIDE_COMBINED,
                     goal_side.domain or init_side.domain)
 
 
 def side_state(graph):
     """A `SideState` of a copy of the literal side `graph`, its kept state
     derived from scratch: each node's best incident probability, the
-    lifted nodes filed by `bucket_key`, each bucket by (-best, node), and
-    every node unharvested."""
-    state = SideState(graph.side, graph.store, graph.domain)
+    lifted nodes filed by `bucket_key`, each bucket by (-best, node), the
+    forbidden objects of the store's variables, and every node unharvested."""
+    state = SideState(graph.side, graph.domain)
+    state.forbidden = dict(graph.store._objects)
     state.nodes = {node: dict(neighbours) for node, neighbours in graph.nodes.items()}
     state.best = _best_incident_prob(state.nodes)
     for node in state.nodes:

@@ -13,12 +13,12 @@ from collections import Counter
 from plgg.pddl import Atom
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle, oracle_landmarks
 from plgg.plog import learn_plog, lift_atom, lift_edge
-from plgg.instantiate import VarConstraintStore, extract_result, instantiate_task, search_best_equiv
+from plgg.instantiate import extract_result, instantiate_task, search_best_equiv
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
-from conftest import (SideGraph, equivalent_atoms, param_distance, side_state,
-                      update_distinct_consts)
+from conftest import (SideGraph, VarConstraintStore, equivalent_atoms, param_distance,
+                      side_state, update_distinct_consts)
 
 TRAIN = ("p01", "p02", "p03", "p04")
 

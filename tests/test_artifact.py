@@ -86,6 +86,11 @@ def _duplicate_first(key):
     return lambda payload: {**payload, key: payload[key][:1] + payload[key]}
 
 
+def _first_edge_to_its_source(payload):
+    """The first edge of a landmark graph turned into a self-loop."""
+    return replaced(payload, ("edges", 0, 1), payload["edges"][0][0])
+
+
 def _repeat_first_edge(mu):
     """The first edge listed again after itself, with another `mu`."""
     return lambda payload: {**payload, "edges": payload["edges"][:1]
@@ -106,6 +111,9 @@ MALFORMED = [
                  id="plog-duplicate-log-count"),
     pytest.param("lgg", _set(("vertices", 0, "args"), ["?x"]), "/vertices/0",
                  id="lgg-lifted-vertex"),
+    # `extract_lgg` writes neither: a candidate is never its own landmark
+    pytest.param("lgg", _duplicate_first("edges"), "/edges/1", id="lgg-duplicate-edge"),
+    pytest.param("lgg", _first_edge_to_its_source, "/edges/0", id="lgg-self-loop"),
     pytest.param("plgg", _set(("edges", 0, "src"), -1), "/edges/0/src", id="plgg-negative-index"),
     pytest.param("plgg", _set(("edges", 0, "mu"), 7), "/edges/0/mu", id="plgg-mu-above-one"),
     pytest.param("plgg", _set(("vertices", 0, "args"), [1]), "/vertices/0/args",
@@ -121,6 +129,15 @@ def test_malformed_artifact_raises_format_error(artifact, kind, mutate, pointer)
     with pytest.raises(LggFormatError) as err:
         read(json.dumps(mutate(json.loads(text))))
     assert err.value.pointer == pointer
+
+
+def test_plgg_reader_accepts_a_self_loop(artifact):
+    # a rewrite can give an edge's two ends one grounding
+    payload = json.loads(artifact("plgg")[0])
+    loop = {**payload["edges"][0], "dst": payload["edges"][0]["src"]}
+    graph = plgg_from_json(json.dumps({**payload, "edges": [loop]}))
+    (src, dst), = graph.edges
+    assert src == dst
 
 
 # --- writing ------------------------------------------------------------------

@@ -15,26 +15,25 @@ import plgg.instantiate as instantiate_module
 from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, ground_task, is_variable, parse_problem
 from plgg.plog import LiftedEdge, PLog, learn_plog, plog_from_json, plog_to_json
-from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarConstraintStore, VarSource, _compile,
-                              _expand, apply_instantiation, combine, extract_result,
-                              generate_plgg_goal, generate_plgg_init, instantiate_task,
-                              instantiation, plgg_from_json, plgg_to_dot, plgg_to_json,
-                              search_best_equiv)
+from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarSource, _compile, _expand,
+                              apply_instantiation, combine, extract_result, generate_plgg_goal,
+                              generate_plgg_init, instantiate_task, instantiation,
+                              plgg_from_json, plgg_to_dot, plgg_to_json, search_best_equiv)
 
 import conftest
 from conftest import (CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, TRAIN, SideGraph,
-                      _best_incident_prob, blocksworld_problems, bucket_key, combined_graph,
+                      VarConstraintStore, _best_incident_prob, blocksworld_problems, bucket_key, combined_graph,
                       equivalent_atoms, equivalent_params, fresh_name, fresh_variables,
                       graph_of, param_distance, reference_generate, reference_instantiate_task,
                       renamed_shape, side_state, update_distinct_consts)
 
 
 def sides(plog, task):
-    """The goal and init sides of `task`, grown with one name supply and one
-    constraint store, as `instantiate_task` grows them."""
-    source, store = VarSource(), VarConstraintStore()
-    return (generate_plgg_goal(plog, task, var_source=source, store=store),
-            generate_plgg_init(plog, task, var_source=source, store=store))
+    """The goal and init sides of `task`, grown with one name supply, as
+    `instantiate_task` grows them."""
+    source = VarSource()
+    return (generate_plgg_goal(plog, task, var_source=source),
+            generate_plgg_init(plog, task, var_source=source))
 
 
 def parts(graph):
@@ -458,8 +457,7 @@ def test_init_generation_covers_initial_state(plog, make_task):
 def test_generation_records_constraints(plog, make_task):
     task = make_task("p06")
     plgg, _ = sides(plog, task)
-    constrained = [v for node in plgg.nodes for v in node.variables()
-                   if plgg.store.forbidden_objects(v)]
+    constrained = [v for node in plgg.nodes for v in node.variables() if plgg.forbidden.get(v)]
     assert constrained
 
 
@@ -554,17 +552,21 @@ def learned(load):
 
 
 def assert_generates_like_the_reference(plog, task):
-    """Both sides of `task`, grown in turn with one name supply and one
-    store, equal the per-neighbour reference's: the same nodes in the same
-    order, the same edge probabilities, the same forbidden sets, and the
-    same fresh names drawn.  The state generation builds equals the one
-    derived from scratch from the reference's graph: the same best incident
-    probabilities, the same buckets with the same members in the same rank
-    order, so the same lifted nodes, and every node unharvested."""
-    source, store = VarSource(), VarConstraintStore()
+    """Both sides of `task`, grown in turn with one name supply, equal the
+    per-neighbour reference's, which shares one store between them: the
+    same nodes in the same order, the same edge probabilities, the same
+    forbidden objects, and the same fresh names drawn.  Each side keeps the
+    forbidden objects of exactly the variables of its nodes, so the two
+    sides constrain no variable in common.  The state generation builds
+    equals the one derived from scratch from the reference's graph: the
+    same best incident probabilities, the same buckets with the same
+    members in the same rank order, so the same lifted nodes, and every
+    node unharvested."""
+    source = VarSource()
     ref_source, ref_store = VarSource(), VarConstraintStore()
+    forbidden = []
     for generate, side in ((generate_plgg_goal, SIDE_GOAL), (generate_plgg_init, SIDE_INIT)):
-        fast = generate(plog, task, var_source=source, store=store)
+        fast = generate(plog, task, var_source=source)
         reference = reference_generate(plog, task, side, ref_source, ref_store)
         assert list(fast.nodes) == list(reference.nodes), side
         assert fast.nodes == reference.nodes, side
@@ -575,9 +577,12 @@ def assert_generates_like_the_reference(plog, task):
         assert {node: node not in filed for node in fast.nodes} == \
             {node: node.is_ground for node in reference.nodes}, side
         assert sorted(fast.unharvested) == sorted(derived.unharvested), side
-        assert (fast.side, fast.store, fast.domain) == (side, store, plog.domain)
-    assert store._objects == ref_store._objects
-    assert store._variables == ref_store._variables
+        assert (fast.side, fast.domain) == (side, plog.domain)
+        assert fast.forbidden.keys() == {v for node in fast.nodes for v in node.variables()}, side
+        forbidden.append(fast.forbidden)
+    goal_forbidden, init_forbidden = forbidden
+    assert goal_forbidden.keys().isdisjoint(init_forbidden)
+    assert goal_forbidden | init_forbidden == ref_store._objects
     assert fresh_name(source) == fresh_name(ref_source)
 
 
@@ -690,23 +695,10 @@ def test_courier_combine_reaches_monotone_fixpoint(train, load):
             assert before <= after
 
 
-def test_combine_requires_one_shared_store(plog, make_task):
+def test_combine_of_sides_sharing_one_name_supply_matches_instantiate_task(plog, make_task):
     task = make_task("p09")
-    source = VarSource()
-    goal_side = generate_plgg_goal(plog, task, var_source=source, store=VarConstraintStore())
-    init_side = generate_plgg_init(plog, task, var_source=source, store=VarConstraintStore())
-    with pytest.raises(ValueError, match="share one constraint store"):
-        combine(goal_side, init_side, task)
-
-
-def test_combine_keeps_the_shared_store(plog, make_task):
-    task = make_task("p09")
-    source, store = VarSource(), VarConstraintStore()
-    goal_side = generate_plgg_goal(plog, task, var_source=source, store=store)
-    init_side = generate_plgg_init(plog, task, var_source=source, store=store)
-    assert goal_side.store is store and init_side.store is store
+    goal_side, init_side = sides(plog, task)
     combined = combine(goal_side, init_side, task)
-    assert combined.store is store
     whole = instantiate_task(plog, task)
     assert parts(combined) == parts(whole)
 
@@ -935,7 +927,7 @@ def test_plgg_json_roundtrip(plog, make_task):
 def test_plgg_json_side_orientation(plog, make_task):
     task = make_task("p01")
     for side in sides(plog, task):
-        graph = graph_of(side.nodes, side.side, side.store, side.domain)
+        graph = graph_of(side.nodes, side.side, side.domain)
         back = plgg_from_json(plgg_to_json(graph))
         assert back.side == side.side
         assert extract_result(back).orderings == extract_result(graph).orderings

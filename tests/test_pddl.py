@@ -411,6 +411,21 @@ EXACT_MESSAGES = [
      "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
     ("(define (domain d) (:predicates (p ?x) ()))",
      "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
+    # a problem without a goal points at its header
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init))",
+     "problem is missing its (:goal ...) section (line 1, column 9)"),
+    # a repeated section points at its second copy; only actions repeat
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) (:goal (and)) "
+     "(:goal (clear a)))",
+     "problem section :goal appears twice (line 1, column 86)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init (clear a)) (:init) "
+     "(:goal (and)))",
+     "problem section :init appears twice (line 1, column 82)"),
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:objects b - block) "
+     "(:init) (:goal (and)))",
+     "problem section :objects appears twice (line 1, column 64)"),
+    ("(define (domain d) (:predicates (p ?x)) (:predicates (q ?x)))",
+     "domain section :predicates appears twice (line 1, column 41)"),
     # a text that is not one define points at its first other form, if it has one
     ("(define (domain d)) (foo)",
      "expected a single (define (domain ...) ...) form (line 1, column 21)"),

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from plgg.instantiate import VarConstraintStore, apply_instantiation
+from plgg.instantiate import apply_instantiation
 from plgg.pddl import Atom
 
-from conftest import SideGraph, side_state, update_distinct_consts
+from conftest import SideGraph, VarConstraintStore, side_state, update_distinct_consts
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
