@@ -22,10 +22,11 @@ from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarSource, _compile, _expand
 
 import conftest
 from conftest import (CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, TRAIN, SideGraph,
-                      VarConstraintStore, _best_incident_prob, blocksworld_problems, bucket_key, combined_graph,
-                      equivalent_atoms, equivalent_params, fresh_name, fresh_variables,
-                      graph_of, param_distance, reference_generate, reference_instantiate_task,
-                      renamed_shape, side_state, update_distinct_consts)
+                      VarConstraintStore, _best_incident_prob, blocksworld_problems, bucket_key,
+                      combined_graph, equivalent_atoms, equivalent_params, fresh_name,
+                      fresh_variables, graph_of, param_distance, reference_generate,
+                      reference_instantiate_task, renamed_shape, side_state,
+                      update_distinct_consts)
 
 
 def sides(plog, task):
