@@ -5,16 +5,17 @@ greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
 immediately before L2 is first achieved.  Both halves read the task's
 index (`plgg.pddl.TaskIndex`).  Grounding's delete-relaxed levels, kept
 in the index, pick among a landmark's achievers the first achievers that
-extraction back-chains through from the goal.
+extraction back-chains through from the goal, and rise along every edge.
 
 Whether a candidate is a landmark is decided exactly in one of two ways.
 The brute-force oracle reruns the exploration with the candidate's
 achievers banned; `landmark_labels` answers for every fact at once with
 one greatest-fixpoint pass over the relaxed AND/OR graph (Zhu & Givan
 2003; Keyder, Richter & Helmert 2010).  Init and goal facts are landmarks
-by membership, and a precondition of every achiever of a landmark is one
-by back-chaining (`needed_facts`; Hoffmann, Porteous & Sebastia 2004);
-neither costs anything.  A pass costs a few explorations, so extraction
+by membership, and back-chaining accepts, without exploring, the
+preconditions shared by every achiever of a landmark (`needed_facts`;
+Hoffmann, Porteous & Sebastia 2004) or by every one that can come first
+(`first_adder_facts`).  A pass costs a few explorations, so extraction
 runs the oracle only while the candidates it knows it must still decide
 fit in `BRUTE_FORCE_VERDICTS` explorations, and otherwise computes the
 labels once; the output is the same either way.
@@ -26,7 +27,6 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from graphlib import CycleError, TopologicalSorter
 from operator import or_
 from pathlib import Path
 
@@ -40,10 +40,10 @@ ORDER_TYPE = "greedy_necessary"
 
 # Oracle explorations `extract_lgg` may spend on one task; a task that
 # needs more verdicts than this for candidates outside init, goal and
-# `needed_facts` gets one label pass instead (ski rental: a pass costs
-# about 4-6.5 explorations of the asked candidates on 20-50-block tasks;
-# generated full-tower goals need 0-4 such verdicts and one-atom goals
-# none, against 27-46 and 1 when only init and goal came free).
+# the back-chaining rules gets one label pass instead (ski rental: a pass
+# costs about 4-6.5 explorations of the asked candidates on 20-50-block
+# tasks; generated full-tower and one-atom goals need no such verdict,
+# against 27-46 and 1 when only init and goal came free).
 BRUTE_FORCE_VERDICTS = 8
 
 
@@ -160,6 +160,20 @@ def needed_facts(index: TaskIndex, f: int) -> set[int]:
     return _shared_pre(index, achievers) - {f} if achievers else set()
 
 
+def first_adder_facts(index: TaskIndex, f: int) -> set[int]:
+    """The facts other than f in the preconditions of every achiever of
+    fact f that can come first, by id: not one that needs f, or a fact
+    outside init that only actions needing f add.  When f is a landmark
+    outside init, each is a landmark: every relaxed plan first adds f by
+    an achiever that does not need f, and whose preconditions outside init
+    came from earlier actions not needing f, so it is always kept (a
+    one-step form of possibly-before achievers; Richter & Westphal 2010)."""
+    needs_f, level = set(index.consumers[f]), index.fact_level
+    firsts = [a for a in index.achievers[f] if a not in needs_f and not any(
+        level[p] > 0 and needs_f.issuperset(index.achievers[p]) for p in index.pre[a])]
+    return _shared_pre(index, firsts) - {f} if firsts else set()
+
+
 def _shared_pre(index: TaskIndex, actions: list[int]) -> set[int]:
     """The facts in the preconditions of every one of the nonempty `actions`."""
     return set(index.pre[actions[0]]).intersection(*map(index.pre.__getitem__, actions[1:]))
@@ -172,13 +186,16 @@ def extract_lgg(task: GroundTask) -> LGG:
     preconditions of all first achievers of L (achievers applicable
     strictly before L first holds in the relaxation) is a candidate;
     candidates that are landmarks become vertices with an edge into L and
-    are chained further.  Init and goal candidates are landmarks by
-    membership, and L's `needed_facts` are accepted when L is queued.  A
-    landmark's candidates are listed when it is queued, and `pending`
-    holds the undecided others of every queued landmark, each of which
-    will be asked: a candidate goes to the oracle only while the
-    explorations so far plus `pending` fit in `BRUTE_FORCE_VERDICTS`, and
-    otherwise `landmark_labels`, computed once, answers it and the rest.
+    are chained further.  A candidate's level is at most its first
+    achiever's, below L's, so levels rise along edges and no cycle forms.
+    Init and goal candidates are landmarks by membership, and L's
+    `needed_facts` are accepted when L is queued.  `pending` holds the
+    undecided candidates of every queued landmark.  Before one of L's goes
+    to the oracle or the labels, the `first_adder_facts` of L, and then of
+    every queued landmark, each among its own candidates, are accepted.
+    The oracle answers only while the explorations so far plus `pending`
+    fit in `BRUTE_FORCE_VERDICTS`; otherwise `landmark_labels`, computed
+    once, answers it and the rest.  A debug record counts the verdicts.
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
@@ -194,43 +211,56 @@ def extract_lgg(task: GroundTask) -> LGG:
     queue: deque[tuple[Atom, list[Atom]]] = deque()
     verdict_cache: dict[Atom, bool] = {}
     pending: set[Atom] = set()
-    explorations = 0
+    ruled: set[Atom] = set()  # landmarks whose first-adder facts are accepted
+    settled = dict.fromkeys(("needed facts", "first adders", "oracle", "label pass"), 0)
     landmark_bits = None
 
+    def accept(facts: set[int], rule: str) -> None:
+        for c in set(map(index.atoms.__getitem__, facts)) - trivial - verdict_cache.keys():
+            verdict_cache[c] = True
+            pending.discard(c)
+            settled[rule] += 1
+
     def enqueue(lm: Atom) -> None:
-        candidates = []
+        candidates, f = [], index.ids[lm]
         if lm not in task.init:
-            f = index.ids[lm]
             first_achievers = [a for a in index.achievers[f]
                                if action_level[a] < fact_level[f]]
             if first_achievers:
                 candidates = sorted(map(index.atoms.__getitem__,
                                         _shared_pre(index, first_achievers) - {f}))
-                for c in map(index.atoms.__getitem__, needed_facts(index, f)):
-                    verdict_cache[c] = True
-                    pending.discard(c)
-        queue.append((lm, candidates))
         pending.update(c for c in candidates if c not in trivial and c not in verdict_cache)
+        if not pending.isdisjoint(candidates):  # else each needed fact, a candidate, is decided
+            accept(needed_facts(index, f), "needed facts")
+        queue.append((lm, candidates))
 
     def passes(atom: Atom) -> bool:
-        nonlocal explorations, landmark_bits
+        nonlocal landmark_bits
         if atom in trivial:
             return True
+        if atom not in verdict_cache and landmark_bits is None:
+            for lm, candidates in queue:  # the landmark at work comes first
+                if lm not in ruled and any(c in pending for c in candidates):
+                    ruled.add(lm)
+                    accept(first_adder_facts(index, index.ids[lm]), "first adders")
+                if atom in verdict_cache:
+                    break
         if atom not in verdict_cache:
-            if landmark_bits is None and explorations + len(pending) <= BRUTE_FORCE_VERDICTS:
-                explorations += 1
+            if landmark_bits is None and settled["oracle"] + len(pending) <= BRUTE_FORCE_VERDICTS:
                 verdict_cache[atom] = is_landmark_oracle(task, atom).is_landmark
+                settled["oracle"] += 1
             else:
                 if landmark_bits is None:
                     landmark_bits = _landmark_bits(task)
                 verdict_cache[atom] = bool(landmark_bits >> index.ids[atom] & 1)
+                settled["label pass"] += 1
             pending.discard(atom)
         return verdict_cache[atom]
 
     for goal in sorted(task.goal):
         enqueue(goal)
     while queue:
-        lm, candidates = queue.popleft()
+        lm, candidates = queue[0]  # queued until its candidates are decided
         for cand in candidates:
             if not passes(cand):
                 continue
@@ -238,22 +268,12 @@ def extract_lgg(task: GroundTask) -> LGG:
             if cand not in vertices:
                 vertices.add(cand)
                 enqueue(cand)
+        queue.popleft()
 
-    lgg = LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
-    if _has_cycle(lgg):
-        logger.warning("landmark graph of %s contains an ordering cycle", task.name)
-    return lgg
-
-
-def _has_cycle(lgg: LGG) -> bool:
-    preds: dict[Atom, set[Atom]] = {}
-    for src, dst in lgg.edges:
-        preds.setdefault(dst, set()).add(src)
-    try:
-        TopologicalSorter(preds).prepare()  # its cycle search is iterative
-    except CycleError:
-        return True
-    return False
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("%s: verdicts by %s", task.name,
+                     ", ".join(f"{rule} {n}" for rule, n in settled.items()))
+    return LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
 
 
 # --- serialization ----------------------------------------------------------

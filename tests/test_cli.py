@@ -519,3 +519,21 @@ def test_debug_log_level_prints_one_line_per_pass(learned, bench_dir, paths, cap
     assert passes and all(re.fullmatch(r"plgg: debug: (init|goal) side pass: \d+ landmarks "
                                        r"searched, \d+ bindings reused", line) for line in passes)
     assert "plgg: debug: " not in default.err
+
+
+VERDICT_RECORD = re.compile(r"plgg: debug: (\w+): verdicts by needed facts \d+, "
+                            r"first adders \d+, oracle \d+, label pass \d+")
+
+
+def test_debug_log_level_prints_one_verdict_line_per_extracted_task(paths, bench_dir, tmp_path,
+                                                                     capsys, plgg_logger):
+    argv = ["extract", str(bench_dir / "domain.pddl"), paths("p01"), paths("p02"), paths("p03"),
+            "--out", str(tmp_path / "lggs")]
+    assert main(argv) == EXIT_OK
+    default = capsys.readouterr()
+    assert main(argv + ["--log-level", "debug"]) == EXIT_OK
+    debug = capsys.readouterr()
+    assert debug.out == default.out
+    records = [line for line in debug.err.splitlines() if line.startswith("plgg: debug: ")]
+    assert [VERDICT_RECORD.fullmatch(line)[1] for line in records] == ["p01", "p02", "p03"]
+    assert "plgg: debug: " not in default.err
