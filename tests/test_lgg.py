@@ -428,15 +428,14 @@ def propositional_task(init, goal, actions):
     given as (precondition names, add names) pairs."""
     names = sorted({*init, *goal, *(n for pre, add in actions for n in (*pre, *add))})
 
-    def conj(atoms):
-        return f"(and {' '.join(f'({n})' for n in atoms)})"
+    def atoms(names):
+        return " ".join(f"({n})" for n in names)
 
-    schemas = " ".join(f"(:action a{i} :parameters () :precondition {conj(pre)} "
-                       f":effect {conj(add)})" for i, (pre, add) in enumerate(actions))
-    domain = parse_domain(f"(define (domain props) (:predicates {conj(names)[5:-1]}) "
-                          f"{schemas})")
-    problem = (f"(define (problem props) (:domain props) (:init {conj(init)[5:-1]}) "
-               f"(:goal {conj(goal)}))")
+    schemas = " ".join(f"(:action a{i} :parameters () :precondition (and {atoms(pre)}) "
+                       f":effect (and {atoms(add)}))" for i, (pre, add) in enumerate(actions))
+    domain = parse_domain(f"(define (domain props) (:predicates {atoms(names)}) {schemas})")
+    problem = (f"(define (problem props) (:domain props) (:init {atoms(init)}) "
+               f"(:goal (and {atoms(goal)})))")
     return ground_task(domain, parse_problem(problem, domain))
 
 
