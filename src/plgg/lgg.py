@@ -7,18 +7,16 @@ index (`plgg.pddl.TaskIndex`).  Grounding's delete-relaxed levels, kept
 in the index, pick among a landmark's achievers the first achievers that
 extraction back-chains through from the goal, and rise along every edge.
 
-Whether a candidate is a landmark is decided exactly in one of two ways.
-The brute-force oracle reruns the exploration with the candidate's
-achievers banned; `landmark_labels` answers for every fact at once with
+Whether a candidate is a landmark is decided exactly.  Init and goal
+facts are landmarks by membership, and back-chaining accepts, without
+exploring, the preconditions shared by every achiever of a landmark
+(`needed_facts`; Hoffmann, Porteous & Sebastia 2004) or by every one that
+can come first (`first_adder_facts`).  A candidate neither rule settles
+is read from `landmark_labels`, which answers for every fact at once with
 one greatest-fixpoint pass over the relaxed AND/OR graph (Zhu & Givan
-2003; Keyder, Richter & Helmert 2010).  Init and goal facts are landmarks
-by membership, and back-chaining accepts, without exploring, the
-preconditions shared by every achiever of a landmark (`needed_facts`;
-Hoffmann, Porteous & Sebastia 2004) or by every one that can come first
-(`first_adder_facts`).  A pass costs a few explorations, so extraction
-runs the oracle only while the candidates it knows it must still decide
-fit in `BRUTE_FORCE_VERDICTS` explorations, and otherwise computes the
-labels once; the output is the same either way.
+2003; Keyder, Richter & Helmert 2010).  The brute-force oracle, which
+reruns the exploration with a candidate's achievers banned, stays as the
+definition that the tests hold the rules and the labels to.
 """
 
 from __future__ import annotations
@@ -37,14 +35,6 @@ from .pddl import Atom, GroundTask, PddlError, TaskIndex, read_file
 logger = logging.getLogger(__name__)
 
 ORDER_TYPE = "greedy_necessary"
-
-# Oracle explorations `extract_lgg` may spend on one task; a task that
-# needs more verdicts than this for candidates outside init, goal and
-# the back-chaining rules gets one label pass instead (ski rental: a pass
-# costs about 4-6.5 explorations of the asked candidates on 20-50-block
-# tasks; generated full-tower and one-atom goals need no such verdict,
-# against 27-46 and 1 when only init and goal came free).
-BRUTE_FORCE_VERDICTS = 8
 
 
 class UnsolvableTaskError(PddlError):
@@ -188,14 +178,13 @@ def extract_lgg(task: GroundTask) -> LGG:
     candidates that are landmarks become vertices with an edge into L and
     are chained further.  A candidate's level is at most its first
     achiever's, below L's, so levels rise along edges and no cycle forms.
-    Init and goal candidates are landmarks by membership, and L's
-    `needed_facts` are accepted when L is queued.  `pending` holds the
-    undecided candidates of every queued landmark.  Before one of L's goes
-    to the oracle or the labels, the `first_adder_facts` of L, and then of
-    every queued landmark, each among its own candidates, are accepted.
-    The oracle answers only while the explorations so far plus `pending`
-    fit in `BRUTE_FORCE_VERDICTS`; otherwise `landmark_labels`, computed
-    once, answers it and the rest.  A debug record counts the verdicts.
+    Init and goal candidates are landmarks by membership.  When L is
+    queued with a candidate undecided, L's `needed_facts` are accepted.
+    A candidate still undecided when it is asked first makes L's
+    `first_adder_facts` accepted; if they leave it open, `landmark_labels`,
+    computed at most once, answers it and every later one.  Each rule's
+    facts are among L's candidates.  A debug record counts the verdicts
+    of each kind.
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
@@ -205,20 +194,16 @@ def extract_lgg(task: GroundTask) -> LGG:
             f"task {task.name} is unsolvable: goal atom {missing[0]} is "
             "unreachable in the delete relaxation")
 
-    trivial = task.init | task.goal
     vertices: set[Atom] = set(task.goal)
     edges: set[tuple[Atom, Atom]] = set()
     queue: deque[tuple[Atom, list[Atom]]] = deque()
-    verdict_cache: dict[Atom, bool] = {}
-    pending: set[Atom] = set()
-    ruled: set[Atom] = set()  # landmarks whose first-adder facts are accepted
-    settled = dict.fromkeys(("needed facts", "first adders", "oracle", "label pass"), 0)
+    verdicts = dict.fromkeys(task.init | task.goal, True)
+    settled = dict.fromkeys(("needed facts", "first adders", "label pass"), 0)
     landmark_bits = None
 
     def accept(facts: set[int], rule: str) -> None:
-        for c in set(map(index.atoms.__getitem__, facts)) - trivial - verdict_cache.keys():
-            verdict_cache[c] = True
-            pending.discard(c)
+        for c in set(map(index.atoms.__getitem__, facts)) - verdicts.keys():
+            verdicts[c] = True
             settled[rule] += 1
 
     def enqueue(lm: Atom) -> None:
@@ -229,46 +214,34 @@ def extract_lgg(task: GroundTask) -> LGG:
             if first_achievers:
                 candidates = sorted(map(index.atoms.__getitem__,
                                         _shared_pre(index, first_achievers) - {f}))
-        pending.update(c for c in candidates if c not in trivial and c not in verdict_cache)
-        if not pending.isdisjoint(candidates):  # else each needed fact, a candidate, is decided
+        if not verdicts.keys() >= set(candidates):
             accept(needed_facts(index, f), "needed facts")
         queue.append((lm, candidates))
 
-    def passes(atom: Atom) -> bool:
+    def passes(atom: Atom, lm: Atom) -> bool:
         nonlocal landmark_bits
-        if atom in trivial:
-            return True
-        if atom not in verdict_cache and landmark_bits is None:
-            for lm, candidates in queue:  # the landmark at work comes first
-                if lm not in ruled and any(c in pending for c in candidates):
-                    ruled.add(lm)
-                    accept(first_adder_facts(index, index.ids[lm]), "first adders")
-                if atom in verdict_cache:
-                    break
-        if atom not in verdict_cache:
-            if landmark_bits is None and settled["oracle"] + len(pending) <= BRUTE_FORCE_VERDICTS:
-                verdict_cache[atom] = is_landmark_oracle(task, atom).is_landmark
-                settled["oracle"] += 1
-            else:
-                if landmark_bits is None:
-                    landmark_bits = _landmark_bits(task)
-                verdict_cache[atom] = bool(landmark_bits >> index.ids[atom] & 1)
-                settled["label pass"] += 1
-            pending.discard(atom)
-        return verdict_cache[atom]
+        verdict = verdicts.get(atom)
+        if verdict is None and landmark_bits is None:
+            accept(first_adder_facts(index, index.ids[lm]), "first adders")
+            verdict = verdicts.get(atom)
+        if verdict is None:
+            if landmark_bits is None:
+                landmark_bits = _landmark_bits(task)
+            verdict = verdicts[atom] = bool(landmark_bits >> index.ids[atom] & 1)
+            settled["label pass"] += 1
+        return verdict
 
     for goal in sorted(task.goal):
         enqueue(goal)
     while queue:
-        lm, candidates = queue[0]  # queued until its candidates are decided
+        lm, candidates = queue.popleft()
         for cand in candidates:
-            if not passes(cand):
+            if not passes(cand, lm):
                 continue
             edges.add((cand, lm))
             if cand not in vertices:
                 vertices.add(cand)
                 enqueue(cand)
-        queue.popleft()
 
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s: verdicts by %s", task.name,

@@ -280,7 +280,7 @@ def _parse_typed_list(items: list, what: str, known_types: dict[str, str | None]
     When `known_types` is given, every mentioned type must be declared.
     """
     pairs: list[tuple[str, str, _Tok]] = []
-    pending: list[_Tok] = []
+    untyped: list[_Tok] = []
     it = iter(items)
     for item in it:
         tok = _expect_symbol(item, f"a {what} name")
@@ -291,12 +291,12 @@ def _parse_typed_list(items: list, what: str, known_types: dict[str, str | None]
                 raise ParseError(f"dangling '-' in {what} list", tok) from None
             if known_types is not None and type_tok.text not in known_types:
                 raise ParseError(f"unknown type {type_tok.text}", type_tok)
-            for p in pending:
+            for p in untyped:
                 pairs.append((p.text, type_tok.text, p))
-            pending = []
+            untyped = []
         else:
-            pending.append(tok)
-    for p in pending:
+            untyped.append(tok)
+    for p in untyped:
         pairs.append((p.text, ROOT_TYPE, p))
     return pairs
 
@@ -309,14 +309,16 @@ def _check_requirements(section: _SList) -> None:
 
 
 def _check_declared(atom: Atom, predicates: Mapping[str, Predicate], where: str,
-                    form: _SList) -> None:
-    """The atom's predicate is declared, with the atom's arity."""
+                    form: _SList) -> Predicate:
+    """The declaration of the atom's predicate, which must have the atom's
+    arity."""
     decl = predicates.get(atom.pred)
     if decl is None:
         raise ParseError(f"unknown predicate {atom.pred} in {where}", form)
     if decl.arity != atom.arity:
         raise ParseError(f"arity mismatch for {atom.pred} in {where}: "
                          f"expected {decl.arity}, got {atom.arity}", form)
+    return decl
 
 
 def _read_define(text: str, kind: str) -> tuple[str, _SList, list]:
@@ -439,6 +441,8 @@ def _parse_action(section: _SList, types, predicates) -> ActionSchema:
         key = _expect_symbol(items[i], "an action keyword").text
         if key not in (":parameters", ":precondition", ":effect"):
             raise ParseError(f"unsupported action section {key}", items[i])
+        if key in fields:
+            raise ParseError(f"action {name} repeats {key}", items[i])
         if i + 1 >= len(items):
             raise ParseError(f"{key} without a body", items[i])
         fields[key] = items[i + 1]
@@ -528,13 +532,16 @@ def parse_problem(text: str, domain: Domain) -> Problem:
     domain_name = ""
 
     def check_ground_atom(atom: Atom, form: _SList, where: str) -> None:
-        _check_declared(atom, domain.predicates, where, form)
-        for a in atom.args:
+        decl = _check_declared(atom, domain.predicates, where, form)
+        for a, expected in zip(atom.args, decl.param_types):
             if is_variable(a):
                 raise ParseError(f"variable {a} is not allowed in {where}", form)
             otype = objects.get(a, domain.constants.get(a))
             if otype is None:
                 raise ParseError(f"unknown object {a} in {where}", form)
+            if otype != expected and not domain.is_subtype(otype, expected):
+                raise ParseError(f"{atom.pred} in {where} expects a {expected}, "
+                                 f"got {a} of type {otype}", form)
 
     for kind, section in _named_sections(sections, "problem"):
         if kind == ":domain":
@@ -567,7 +574,7 @@ def parse_problem(text: str, domain: Domain) -> Problem:
             raise _unsupported_section(section, "problem")
 
     if not domain_name:
-        raise ParseError("problem is missing its (:domain ...) section")
+        raise ParseError("problem is missing its (:domain ...) section", header)
     if goal is None:
         raise ParseError("problem is missing its (:goal ...) section", header)
     return Problem(name=name, domain_name=domain_name, objects=objects,

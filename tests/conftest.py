@@ -11,7 +11,7 @@ from plgg.instantiate import SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideStat
 from plgg.metrics import _prf, alpha_prf
 from plgg.pddl import (GroundTask, TaskIndex, explore, ground_task, is_variable, parse_domain,
                        parse_problem)
-from plgg.lgg import extract_lgg
+from plgg.lgg import LGG, extract_lgg, is_landmark_oracle
 from plgg.plog import LiftedEdge, learn_plog, lift_atom
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "blocksworld"
@@ -153,6 +153,35 @@ def relaxed_exploration(init, actions):
             consumers[f].append(a)
     fact_level, action_level = explore(init_ids, pre, add, consumers)
     return reached(ids, fact_level), reached(actions, action_level)
+
+
+def reference_extract_lgg(task):
+    """`extract_lgg` with the brute-force oracle deciding every candidate:
+    back-chain from the goal through the atoms, other than the landmark,
+    shared by the preconditions of all first achievers of each landmark
+    outside init (achievers applicable strictly before it first holds in
+    the relaxation)."""
+    index = task.index
+    verdicts = {}
+    vertices, edges = set(task.goal), set()
+    queue = deque(task.goal)
+    while queue:
+        lm = queue.popleft()
+        f = index.ids[lm]
+        firsts = [set(index.pre[a]) for a in index.achievers[f]
+                  if index.action_level[a] < index.fact_level[f]]
+        if lm in task.init or not firsts:
+            continue
+        for c in set.intersection(*firsts) - {f}:
+            cand = index.atoms[c]
+            if cand not in verdicts:
+                verdicts[cand] = is_landmark_oracle(task, cand).is_landmark
+            if verdicts[cand]:
+                edges.add((cand, lm))
+                if cand not in vertices:
+                    vertices.add(cand)
+                    queue.append(cand)
+    return LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
 
 
 def reference_ground_task(domain, problem):

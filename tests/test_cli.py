@@ -522,7 +522,7 @@ def test_debug_log_level_prints_one_line_per_pass(learned, bench_dir, paths, cap
 
 
 VERDICT_RECORD = re.compile(r"plgg: debug: (\w+): verdicts by needed facts \d+, "
-                            r"first adders \d+, oracle \d+, label pass \d+")
+                            r"first adders \d+, label pass \d+")
 
 
 def test_debug_log_level_prints_one_verdict_line_per_extracted_task(paths, bench_dir, tmp_path,

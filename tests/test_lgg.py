@@ -13,7 +13,8 @@ from plgg.lgg import (LggFormatError, UnsolvableTaskError, extract_lgg, first_ad
                       needed_facts, oracle_landmarks, relaxed_levels)
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
-                      GRIPPER_CORPUS, blocksworld_problems, reached, relaxed_exploration)
+                      GRIPPER_CORPUS, blocksworld_problems, reached, reference_extract_lgg,
+                      relaxed_exploration)
 
 
 def atom(s):
@@ -155,86 +156,45 @@ def test_labels_keep_facts_added_alongside(make_task):
         assert label[f] == 1 << f
 
 
-NEVER = float("inf")
-
-
-def extract_counted(task, k):
-    """`lgg_to_json(extract_lgg(task))` with `k` oracle explorations allowed
-    (NEVER: the labels are never computed), the atoms it sent to the
-    oracle in order, and the number of label passes it ran."""
-    asked, passes = [], []
-
-    def oracle(task, atom):
-        asked.append(atom)
-        return is_landmark_oracle(task, atom)
+def extract_counted(task):
+    """`lgg_to_json(extract_lgg(task))` and the number of label passes it ran."""
+    passes = []
 
     def labels(task):
         passes.append(task.name)
         return landmark_labels(task)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lgg_module, "BRUTE_FORCE_VERDICTS", k)
-        mp.setattr(lgg_module, "is_landmark_oracle", oracle)
         mp.setattr(lgg_module, "landmark_labels", labels)
-        return lgg_to_json(extract_lgg(task)), asked, len(passes)
+        return lgg_to_json(extract_lgg(task)), len(passes)
 
 
-def assert_switch_point_keeps_the_output(task):
-    reference = extract_counted(task, NEVER)[0]
-    for k in range(13):
-        text, asked, passes = extract_counted(task, k)
-        assert text == reference, k
-        assert len(asked) <= k and passes <= 1, k
+def assert_extracts_as_the_reference(task, passes=None):
+    """The graph equals the oracle-decided reference's, after at most one
+    label pass, or exactly `passes` when given."""
+    text, ran = extract_counted(task)
+    assert text == lgg_to_json(reference_extract_lgg(task))
+    assert ran <= 1 if passes is None else ran == passes
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
-def test_switch_point_keeps_the_output_on_every_task(case, load):
-    assert_switch_point_keeps_the_output(load(*case)[2])
+def test_extraction_matches_the_oracle_reference_on_every_task(case, load):
+    assert_extracts_as_the_reference(load(*case)[2])
 
 
 @given(blocksworld_problems())
 @settings(max_examples=60, deadline=None)
-def test_switch_point_keeps_the_output_on_drawn_tasks(domain, text):
-    assert_switch_point_keeps_the_output(ground_task(domain, parse_problem(text, domain)))
+def test_extraction_matches_the_oracle_reference_on_drawn_tasks(domain, text):
+    assert_extracts_as_the_reference(ground_task(domain, parse_problem(text, domain)))
 
 
-def assert_budget_holds(task):
-    """No init or goal atom reaches the oracle, which explores at most
-    `BRUTE_FORCE_VERDICTS` times; the labels are computed, once, exactly
-    when the task needs more verdicts than that, and otherwise the oracle
-    answers every one of them."""
-    budget = lgg_module.BRUTE_FORCE_VERDICTS
-    _, needed, passes = extract_counted(task, NEVER)
-    assert passes == 0
-    assert not set(needed) & (task.init | task.goal)
-    assert len(set(needed)) == len(needed)
-    _, asked, passes = extract_counted(task, budget)
-    assert len(asked) <= budget
-    if len(needed) > budget:
-        assert passes == 1 and asked == needed[:len(asked)]
-    else:
-        assert passes == 0 and asked == needed
-
-
-@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
-def test_budget_bounds_the_oracle_on_every_task(case, load):
-    assert_budget_holds(load(*case)[2])
-
-
-@given(blocksworld_problems())
-@settings(max_examples=60, deadline=None)
-def test_budget_bounds_the_oracle_on_drawn_tasks(domain, text):
-    assert_budget_holds(ground_task(domain, parse_problem(text, domain)))
-
-
-@pytest.mark.parametrize("directory,names,totals", [
-    (BENCH, CORPUS, (0, 0)), (GRIPPER, GRIPPER_CORPUS, (0, 0)),
-    (COURIER, COURIER_CORPUS, (10, 0))], ids=["blocksworld", "gripper", "courier"])
-def test_budget_totals_on_the_fixtures(directory, names, totals, load):
-    # (oracle explorations, label passes) over each domain's fixture tasks
-    counts = [extract_counted(load(directory, name)[2], lgg_module.BRUTE_FORCE_VERDICTS)
-              for name in names]
-    assert (sum(len(asked) for _, asked, _ in counts), sum(p for _, _, p in counts)) == totals
+@pytest.mark.parametrize("directory,names,passes", [
+    (BENCH, CORPUS, [0] * len(CORPUS)), (GRIPPER, GRIPPER_CORPUS, [0] * len(GRIPPER_CORPUS)),
+    (COURIER, COURIER_CORPUS, [0, 1, 1, 1, 1])], ids=["blocksworld", "gripper", "courier"])
+def test_label_passes_on_the_fixtures(directory, names, passes, load):
+    # the back-chaining rules settle every verdict on the blocksworld and
+    # gripper fixtures and on courier p01; p02-p05 leave some to the labels
+    assert [extract_counted(load(directory, name)[2])[1] for name in names] == passes
 
 
 def tower_problem(blocks):
@@ -247,13 +207,11 @@ def tower_problem(blocks):
             f"(:goal (and {goal})))")
 
 
-def test_full_tower_needs_no_verdict(domain):
+def test_full_tower_needs_no_label_pass(domain):
     # stack is the only achiever of each goal, and every candidate it
     # needs beyond holding its block is an init fact
     task = ground_task(domain, parse_problem(tower_problem(12), domain))
-    text, asked, passes = extract_counted(task, lgg_module.BRUTE_FORCE_VERDICTS)
-    assert (len(asked), passes) == (0, 0)
-    assert text == extract_counted(task, NEVER)[0]
+    assert_extracts_as_the_reference(task, passes=0)
 
 
 def buried_problem(height):
@@ -268,15 +226,13 @@ def buried_problem(height):
             f"(:goal (on {bottom} {free})))")
 
 
-@pytest.mark.parametrize("height,counts", [(10, (0, 0)), (12, (0, 0))])
-def test_buried_block_counts(height, counts, domain):
+@pytest.mark.parametrize("height", [10, 12])
+def test_buried_block_needs_no_label_pass(height, domain):
     # clear(b2) ... clear(b{height - 1}) each need a verdict beyond
     # `needed_facts`, since putdown and stack add them too; unstacking
     # comes first, so the first-adder rule accepts every one of them
     task = ground_task(domain, parse_problem(buried_problem(height), domain))
-    text, asked, passes = extract_counted(task, lgg_module.BRUTE_FORCE_VERDICTS)
-    assert (len(asked), passes) == counts
-    assert text == extract_counted(task, NEVER)[0]
+    assert_extracts_as_the_reference(task, passes=0)
 
 
 def courier_ring(places, parcels, shortcuts):
@@ -294,15 +250,12 @@ def courier_ring(places, parcels, shortcuts):
 
 def test_courier_ring_runs_the_label_pass(load):
     # whether the van, or a parcel aboard it, passes through a place the
-    # shortcuts lead round is left to a verdict; 10 of them outrun the
-    # budget, so one label pass decides the last of them
+    # shortcuts lead round is left to a verdict that no rule settles, so
+    # one label pass decides all of them
     domain = load(COURIER, COURIER_CORPUS[0])[0]
     ring = courier_ring(10, 8, [("x0", "x5"), ("x3", "x8"), ("x6", "x1"), ("x9", "x4")])
     task = ground_task(domain, parse_problem(ring, domain))
-    assert len(extract_counted(task, NEVER)[1]) == 10
-    text, asked, passes = extract_counted(task, lgg_module.BRUTE_FORCE_VERDICTS)
-    assert (len(asked), passes) == (5, 1)
-    assert text == extract_counted(task, NEVER)[0]
+    assert_extracts_as_the_reference(task, passes=1)
 
 
 def assert_needed_facts_are_landmarks(task):

@@ -379,6 +379,11 @@ EXACT_MESSAGES = [
      "constant b in effect of action a is not supported (line 1, column 77)"),
     (ACTION.format(":effect (not ())"),
      "(not ...) must wrap a single atom (line 1, column 77)"),
+    # a repeated action keyword points at its second copy
+    (ACTION.format(":precondition (p ?x) :precondition (p ?x) :effect (p ?x)"),
+     "action a repeats :precondition (line 1, column 90)"),
+    (ACTION.format(":effect (p ?x) :precondition (p ?x) :effect (p ?x)"),
+     "action a repeats :effect (line 1, column 105)"),
     ("(define (domain d) (:requirements :strips :adl))",
      "unsupported requirement :adl (line 1, column 43)"),
     ("(define (problem p) (:domain blocksworld) (:requirements :strips :fluents))",
@@ -411,9 +416,11 @@ EXACT_MESSAGES = [
      "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
     ("(define (domain d) (:predicates (p ?x) ()))",
      "expected a (name ?arg - type ...) predicate declaration (line 1, column 40)"),
-    # a problem without a goal points at its header
+    # a problem without a goal or a domain points at its header
     ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init))",
      "problem is missing its (:goal ...) section (line 1, column 9)"),
+    ("(define (problem p) (:objects a - block) (:init) (:goal (and)))",
+     "problem is missing its (:domain ...) section (line 1, column 9)"),
     # a repeated section points at its second copy; only actions repeat
     ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) (:goal (and)) "
      "(:goal (clear a)))",
@@ -463,6 +470,36 @@ def test_problem_errors(domain, text, fragment):
     with pytest.raises(ParseError) as err:
         parse_problem(text, domain)
     assert fragment in str(err.value).lower()
+
+
+COURIER_PROBLEM = ("(define (problem p) (:domain courier) (:objects a b - place v1 - van "
+                   "q1 - parcel) (:init (road a b) {}) (:goal {}))")
+MISTYPED_ATOMS = [
+    # a parcel in the van slot of the initial state
+    (COURIER_PROBLEM.format("(at q1 a) (waiting q1 a)", "(waiting q1 b)"),
+     "at in :init expects a van, got q1 of type parcel (line 1, column 101)"),
+    # a van waiting as a parcel would, in the goal
+    (COURIER_PROBLEM.format("(at v1 a) (empty v1) (waiting q1 a)", "(waiting v1 b)"),
+     "waiting in :goal expects a parcel, got v1 of type van (line 1, column 145)"),
+]
+
+
+@pytest.mark.parametrize("text,message", MISTYPED_ATOMS, ids=["init", "goal"])
+def test_ground_atoms_check_their_objects_types(text, message, load):
+    domain = load(COURIER, "p01")[0]
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, domain)
+    assert str(err.value) == message
+
+
+def test_ground_atoms_accept_objects_of_a_subtype():
+    domain = parse_domain("(define (domain d) (:types vehicle place - object van - vehicle) "
+                          "(:predicates (at ?v - vehicle ?x - place)))")
+    text = ("(define (problem p) (:domain d) (:objects a - place v1 - van) "
+            "(:init {}) (:goal (and)))")
+    assert parse_problem(text.format("(at v1 a)"), domain).init == {Atom("at", ("v1", "a"))}
+    with pytest.raises(ParseError, match="at in :init expects a vehicle, got a of type place"):
+        parse_problem(text.format("(at a a)"), domain)
 
 
 def test_read_text_names_undecodable_file(tmp_path):
@@ -516,10 +553,8 @@ def test_token_edits_parse_or_raise_a_pddl_error(case, edits):
         else:
             parse_problem(text, SHIPPED_DOMAINS[domain_path])
     except PddlError as exc:
-        # a parse error names its position unless it is about the file as a whole;
-        # an edited file always keeps a form to point at
-        assert getattr(exc, "line", None) is not None or str(exc).startswith(
-            "problem is missing its (:domain")
+        # an edited file always keeps a form to point at, if only its header
+        assert getattr(exc, "line", None) is not None, exc
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=4))
