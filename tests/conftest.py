@@ -269,6 +269,31 @@ def blocksworld_problems(draw):
             f"(:goal (and {' '.join(goal)})))")
 
 
+@st.composite
+def courier_problems(draw):
+    """PDDL text of a courier task: a one-way ring of 3-6 places with up
+    to three one-way shortcuts, one or two empty vans, one to three
+    waiting parcels, and some of the parcels, and maybe a van, to be at
+    drawn places.  The shortcuts give a van more than one way round, which
+    leaves verdicts that neither back-chaining rule settles."""
+    xs = [f"x{i}" for i in range(draw(st.integers(3, 6)))]
+    shortcuts = st.tuples(st.sampled_from(xs), st.sampled_from(xs)).filter(lambda r: r[0] != r[1])
+    roads = {*zip(xs, xs[1:] + xs[:1]), *draw(st.lists(shortcuts, max_size=3))}
+    vans = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
+    parcels = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    place = st.sampled_from(xs)
+    init = [f"(road {x} {y})" for x, y in sorted(roads)]
+    init += [f"(at {v} {draw(place)}) (empty {v})" for v in vans]
+    init += [f"(waiting {q} {draw(place)})" for q in parcels]
+    moved = draw(st.lists(st.sampled_from(parcels), min_size=1, unique=True))
+    goal = [f"(waiting {q} {draw(place)})" for q in moved]
+    if draw(st.booleans()):
+        goal.append(f"(at {draw(st.sampled_from(vans))} {draw(place)})")
+    return (f"(define (problem drawn) (:domain courier) (:objects {' '.join(xs)} - place "
+            f"{' '.join(vans)} - van {' '.join(parcels)} - parcel) (:init {' '.join(init)}) "
+            f"(:goal (and {' '.join(goal)})))")
+
+
 # --- reference graph forms --------------------------------------------------
 # What generation keeps in each `SideState` and what `combine` hands back,
 # derived from scratch from a side's adjacency.

@@ -13,8 +13,8 @@ from plgg.lgg import (LggFormatError, UnsolvableTaskError, extract_lgg, first_ad
                       needed_facts, oracle_landmarks, relaxed_levels)
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
-                      GRIPPER_CORPUS, blocksworld_problems, reached, reference_extract_lgg,
-                      relaxed_exploration)
+                      GRIPPER_CORPUS, blocksworld_problems, courier_problems, reached,
+                      reference_extract_lgg, relaxed_exploration)
 
 
 def atom(s):
@@ -26,6 +26,12 @@ def atom(s):
 def task_id(case):
     directory, name = case
     return f"{directory.name}-{name}"
+
+
+def courier_task(load, text):
+    """The ground task of courier problem `text`."""
+    domain = load(COURIER, COURIER_CORPUS[0])[0]
+    return ground_task(domain, parse_problem(text, domain))
 
 
 # --- oracle verdicts ------------------------------------------------------------
@@ -135,6 +141,13 @@ def test_labels_match_the_oracle_on_drawn_tasks(domain, text):
     assert oracle_landmarks(task) == brute_force_landmarks(task)
 
 
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_labels_match_the_oracle_on_drawn_courier_tasks(load, text):
+    task = courier_task(load, text)
+    assert oracle_landmarks(task) == brute_force_landmarks(task)
+
+
 def test_labels_on_a_relaxed_unsolvable_task_hold_every_fact(domain):
     # no plan reaches the goal, so banning any fact's achievers changes nothing
     task = ground_task(domain, parse_problem(IMPOSSIBLE, domain))
@@ -186,6 +199,14 @@ def test_extraction_matches_the_oracle_reference_on_every_task(case, load):
 @settings(max_examples=60, deadline=None)
 def test_extraction_matches_the_oracle_reference_on_drawn_tasks(domain, text):
     assert_extracts_as_the_reference(ground_task(domain, parse_problem(text, domain)))
+
+
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_extraction_matches_the_oracle_reference_on_drawn_courier_tasks(load, text):
+    # the drawn shortcuts leave verdicts to the label pass, which no
+    # drawn blocksworld task reaches
+    assert_extracts_as_the_reference(courier_task(load, text))
 
 
 @pytest.mark.parametrize("directory,names,passes", [
@@ -291,6 +312,12 @@ def test_needed_facts_pass_the_oracle_on_drawn_tasks(domain, text):
     assert_needed_facts_are_landmarks(ground_task(domain, parse_problem(text, domain)))
 
 
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_needed_facts_pass_the_oracle_on_drawn_courier_tasks(load, text):
+    assert_needed_facts_are_landmarks(courier_task(load, text))
+
+
 def assert_first_adder_facts_are_landmarks(task):
     """Every fact `first_adder_facts` gives for any landmark outside init
     passes the oracle."""
@@ -311,6 +338,47 @@ def test_first_adder_facts_pass_the_oracle_on_every_task(case, load):
 @settings(max_examples=60, deadline=None)
 def test_first_adder_facts_pass_the_oracle_on_drawn_tasks(domain, text):
     assert_first_adder_facts_are_landmarks(ground_task(domain, parse_problem(text, domain)))
+
+
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_first_adder_facts_pass_the_oracle_on_drawn_courier_tasks(load, text):
+    assert_first_adder_facts_are_landmarks(courier_task(load, text))
+
+
+def assert_rule_facts_nest_within_the_candidates(task):
+    """For every fact that the relaxation reaches outside init, its
+    `needed_facts` are among its `first_adder_facts`, and those among the
+    candidates `extract_lgg` draws for it: the atoms other than it shared
+    by the preconditions of its achievers applicable before it first
+    holds.  So either rule only ever accepts candidates, and the first
+    adders settle whatever the needed facts do."""
+    index = task.index
+    fact_level, action_level = relaxed_levels(task)
+    for f, level in enumerate(fact_level):
+        if level <= 0:
+            continue
+        firsts = [set(index.pre[a]) for a in index.achievers[f] if action_level[a] < level]
+        candidates = set.intersection(*firsts) - {f}
+        needed, first_adders = needed_facts(index, f), first_adder_facts(index, f)
+        assert needed <= first_adders <= candidates, index.atoms[f]
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_rule_facts_nest_within_the_candidates_on_every_task(case, load):
+    assert_rule_facts_nest_within_the_candidates(load(*case)[2])
+
+
+@given(blocksworld_problems())
+@settings(max_examples=60, deadline=None)
+def test_rule_facts_nest_within_the_candidates_on_drawn_tasks(domain, text):
+    assert_rule_facts_nest_within_the_candidates(ground_task(domain, parse_problem(text, domain)))
+
+
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_rule_facts_nest_within_the_candidates_on_drawn_courier_tasks(load, text):
+    assert_rule_facts_nest_within_the_candidates(courier_task(load, text))
 
 
 def atom_levels(task):
@@ -409,6 +477,12 @@ def test_first_adder_facts_pass_the_oracle_on_random_actions(task):
     assert_first_adder_facts_are_landmarks(task)
 
 
+@given(propositional_tasks())
+@settings(max_examples=300, deadline=None)
+def test_rule_facts_nest_within_the_candidates_on_random_actions(task):
+    assert_rule_facts_nest_within_the_candidates(task)
+
+
 @pytest.mark.parametrize("init,actions", [
     # a1 needs p, which only a3 adds after l; p is in init, so a1 can come first
     (["p"], [(["p"], ["l"]), (["c"], ["l"]), (["l"], ["p"]), ([], ["c"]), (["l"], ["g"])]),
@@ -484,6 +558,12 @@ def test_levels_rise_along_every_edge_on_every_task(case, load):
 @settings(max_examples=60, deadline=None)
 def test_levels_rise_along_every_edge_on_drawn_tasks(domain, text):
     assert_levels_rise_along_every_edge(ground_task(domain, parse_problem(text, domain)))
+
+
+@given(courier_problems())
+@settings(max_examples=60, deadline=None)
+def test_levels_rise_along_every_edge_on_drawn_courier_tasks(load, text):
+    assert_levels_rise_along_every_edge(courier_task(load, text))
 
 
 # --- serialization --------------------------------------------------------------
