@@ -13,8 +13,8 @@ checks, and both directions read it:
   check carries the encoder of its value, and each table of records is
   written through one template, built with the schema.
 
-Writers build the atom table with `atom_table`; the Graphviz renderers
-quote their labels with `dot_label`.
+Writers build the atom table with `atom_table`; `write_dot` renders a
+graph over that table in Graphviz.
 """
 
 from __future__ import annotations
@@ -60,9 +60,19 @@ def atom_table(atoms: Iterable[Atom]) -> tuple[list[Atom], dict[Atom, int]]:
     return table, {a: i for i, a in enumerate(table)}
 
 
-def dot_label(text: str) -> str:
-    """`text` as a Graphviz quoted string."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def write_dot(name: str, atoms: list[Atom], dashed: Callable[[Atom], bool],
+              edges: Iterable[tuple[int, int, float]]) -> str:
+    """The Graphviz text of the graph `name`: a node per atom of the table,
+    labelled with the atom as a quoted string and dashed where `dashed`
+    says, then an edge per (source index, destination index, mu), labelled
+    with mu."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    for i, atom in enumerate(atoms):
+        label = str(atom).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"{" style=dashed" if dashed(atom) else ""}];')
+    lines += (f'  n{s} -> n{d} [label="{mu:.2f}"];' for s, d, mu in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _kind(what: str, test: Callable[[Any], bool], convert: Callable = lambda v: v):
@@ -124,7 +134,7 @@ def one_of(*choices: str) -> Check:
                  _scalar(encode_basestring_ascii))
 
 
-def records(fields: dict[str | int, Check], unique: tuple[str | int, ...] = ()) -> Check:
+def records(fields: dict[str | int, Check], unique: tuple[str | int, ...]) -> Check:
     """An array of records, each a tuple of its fields in order: objects
     with the named keys, or arrays when the keys are 0, 1, ...
     Reading drops the fields that are not read.  No two records may agree
@@ -143,7 +153,7 @@ def records(fields: dict[str | int, Check], unique: tuple[str | int, ...] = ()) 
                 raise LggFormatError(f"expected {shape}", here)
             row = {k: r(entry[k], f"{here}/{k}", atoms) for k, r in reads.items()}
             key = tuple(row[k] for k in unique)
-            if unique and key in seen:
+            if key in seen:
                 raise LggFormatError(f"duplicate {', '.join(map(str, unique))}", here)
             seen.add(key)
             rows.append(tuple(row.values()))

@@ -42,8 +42,9 @@ fewest variables upward, since a node's distance to a ground landmark is
 its variable count; the first count with a match holds the closest
 equivalents, and the `top_n` best ranked of them supply its bindings.
 Every landmark searched is ground: `combine` harvests only the task's facts.
-`_bucket_key` is the one bucket key and `_object_patterns` the one
-enumeration of a ground atom's lifted shapes; scoring reads both too.
+`_bucket_key` is the one bucket key, `_own_key` the one a lifted node is
+filed under, and `_object_patterns` the one enumeration of a ground
+atom's lifted shapes; scoring reads all three too.
 
 A search reads nothing but its buckets, their order, their members' best
 probabilities and the side's forbidden objects, which generation alone
@@ -269,11 +270,16 @@ def _bucket_key(atom: Atom, fixed: tuple[int, ...]) -> tuple:
     return atom.pred, len(atom.args), fixed, tuple(atom.args[i] for i in fixed)
 
 
+def _own_key(atom: Atom) -> tuple:
+    """The `_bucket_key` of `atom` at its own object positions."""
+    return _bucket_key(atom, tuple(i for i, p in enumerate(atom.args) if not is_variable(p)))
+
+
 class SideState:
     """One side as generation builds it and `combine` rewrites it: `nodes`,
     each atom's predecessors (goal side) or successors (init side) with
     edge probabilities; `best`, each node's best incident probability;
-    `buckets`, the lifted nodes, each filed once under its `_bucket_key`,
+    `buckets`, the lifted nodes, each filed once under its `_own_key`,
     each bucket in `rank` order; `forbidden`, the objects that each
     variable the side drew may not take; `unharvested`, the nodes that no
     harvest has read yet; `kept`, the bindings of each (landmark, top_n)
@@ -399,9 +405,7 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
                     best[rewritten] = mu
                     raised.add(rewritten)
     state.unharvested += added
-    keys = {node: _bucket_key(node, tuple(i for i, p in enumerate(node.args)
-                                          if not is_variable(p)))
-            for node in raised.union(added) if not node.is_ground}
+    keys = {node: _own_key(node) for node in raised.union(added) if not node.is_ground}
     for node in added:
         if node in keys:
             state.buckets.setdefault(keys[node], []).append(node)
@@ -435,8 +439,7 @@ def instantiation(state: SideState, lms: Iterable[Atom], top_n: int = 1) -> None
     apply_instantiation(state, var_inst)
 
 
-def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, *,
-            iteration_log: list | None = None) -> PLgg:
+def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1) -> PLgg:
     """Alternate instantiation between the two sides until a fixpoint.
 
     Both sides must draw their fresh names from one `VarSource`, so that
@@ -453,16 +456,12 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, 
     """
     lms_init, lms_goal = set(task.init), set(task.goal)
     known = lms_init | lms_goal
-    if iteration_log is not None:
-        iteration_log.append(frozenset(known))
     while True:
         instantiation(init, lms_goal, top_n)
         lms_init |= init.harvest(task.facts)
         instantiation(goal, lms_init, top_n)
         lms_goal |= goal.harvest(task.facts)
         grown = known | lms_init | lms_goal
-        if iteration_log is not None:
-            iteration_log.append(frozenset(grown))
         if grown == known:
             break
         known = grown
@@ -477,14 +476,13 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1, 
                 domain=goal.domain or init.domain)
 
 
-def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1, *,
-                     iteration_log: list | None = None) -> PLgg:
+def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1) -> PLgg:
     """Full pipeline for one task: generate both sides from one fresh-name
     supply and combine them."""
     source = VarSource()
     goal_side = generate_plgg_goal(plog, task, var_source=source)
     init_side = generate_plgg_init(plog, task, var_source=source)
-    return combine(goal_side, init_side, task, top_n, iteration_log=iteration_log)
+    return combine(goal_side, init_side, task, top_n)
 
 
 # --- result extraction --------------------------------------------------------
@@ -571,11 +569,4 @@ def read_plgg(path: str | Path) -> PLgg:
 def plgg_to_dot(plgg: PLgg) -> str:
     """Graphviz rendering; lifted nodes are dashed, edges carry probabilities."""
     table, edges = _edge_table(plgg)
-    lines = ["digraph plgg {", "  rankdir=BT;"]
-    for i, a in enumerate(table):
-        style = " style=dashed" if not plgg.nodes[a] else ""
-        lines.append(f'  n{i} [label={artifact.dot_label(str(a))}{style}];')
-    for s, d, mu in edges:
-        lines.append(f'  n{s} -> n{d} [label="{mu:.2f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return artifact.write_dot("plgg", table, lambda atom: not plgg.nodes[atom], edges)

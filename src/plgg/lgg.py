@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import artifact
 from .artifact import LggFormatError
-from .pddl import Atom, GroundTask, PddlError, TaskIndex, read_file
+from .pddl import Atom, GroundTask, PddlError, TaskIndex, explore, read_file
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ class UnsolvableTaskError(PddlError):
 class LandmarkVerdict:
     atom: Atom
     is_landmark: bool
-    reason: str  # "in-init-or-goal" | "goal-unreachable-without" | "achievable-without"
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,11 @@ def is_landmark_oracle(task: GroundTask, atom: Atom) -> LandmarkVerdict:
     if atom not in task.facts:
         raise ValueError(f"{atom} is not a fact of task {task.name}")
     if atom in task.init or atom in task.goal:
-        return LandmarkVerdict(atom, True, "in-init-or-goal")
+        return LandmarkVerdict(atom, True)
     index = task.index
-    fact_level, _ = index.levels(banned=index.achievers[index.ids[atom]])
-    if all(fact_level[g] >= 0 for g in index.goal):
-        return LandmarkVerdict(atom, False, "achievable-without")
-    return LandmarkVerdict(atom, True, "goal-unreachable-without")
+    fact_level, _ = explore(index.init, index.pre, index.add, index.consumers,
+                            banned=index.achievers[index.ids[atom]])
+    return LandmarkVerdict(atom, any(fact_level[g] < 0 for g in index.goal))
 
 
 def landmark_labels(task: GroundTask) -> list[int]:

@@ -23,14 +23,13 @@ facet maps `precision`, `recall`, `f1`, `alpha`, `alpha_precision`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .instantiate import PlggContent, _bucket_key, _object_patterns
+from .instantiate import PlggContent, _bucket_key, _object_patterns, _own_key
 from .lgg import LGG
-from .pddl import Atom, is_variable
+from .pddl import Atom
 
 Edge = tuple[Atom, Atom]
 _pred = itemgetter(0)
@@ -59,13 +58,8 @@ def _prf(hits: int, predicted: int, reference: int) -> PRF:
 # --- likelihoods ----------------------------------------------------------------
 
 
-def _key(atom: Atom) -> tuple:
-    """The bucket key of `atom` at its own object positions."""
-    return _bucket_key(atom, tuple(i for i, p in enumerate(atom.args) if not is_variable(p)))
-
-
 def _keys(reference: Atom) -> list[tuple]:
-    """The `_key` of every atom equivalent to the ground `reference`."""
+    """The `_own_key` of every atom equivalent to the ground `reference`."""
     if not reference.is_ground:
         raise ValueError(f"scoring needs a ground reference, not {reference}")
     return [_bucket_key(reference, fixed) for level in _object_patterns(reference.arity)
@@ -82,7 +76,7 @@ def likelihood_atom(lifted: Atom, grounded: Atom) -> float:
     `grounded` is: 1 when fully grounded, halved by the first open
     variable, and so on.  A reference that is not ground, or an atom not
     equivalent to it, raises `ValueError`."""
-    if _key(lifted) not in _keys(grounded):
+    if _own_key(lifted) not in _keys(grounded):
         raise ValueError(f"{lifted} is not equivalent to {grounded}")
     return _credit((lifted,))
 
@@ -111,8 +105,8 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
 
     `ends` gives an item's atoms.  Each missed item is filed under every
     combination of its ends' `_keys`, and each lifted extra is looked up
-    once by its ends' `_key`s, each atom's built once per call; a missed
-    item averages the credit of the extras found, in their sorted order.
+    once by its ends' `_own_key`s; a missed item averages the credit of
+    the extras found, in their sorted order.
     A missed item with no equivalent lifted extra contributes 0, and an
     empty missed set yields 0 outright.
     """
@@ -130,9 +124,8 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
         for item, matches in found.items():
             for key in product(*map(_keys, ends(item))):
                 index.setdefault(key, []).append(matches)
-        key = cache(_key)  # the same lifted atoms end many extras
         for extra in extras:
-            for matches in index.get(tuple(map(key, ends(extra))), ()):
+            for matches in index.get(tuple(map(_own_key, ends(extra))), ()):
                 matches.append(extra)
         for item in sorted(missed):
             if found[item]:

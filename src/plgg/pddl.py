@@ -46,20 +46,14 @@ class ParseError(PddlError):
         super().__init__(message)
 
 
-def read_text(path: str | Path) -> str:
-    """Read an input file as UTF-8; undecodable bytes raise `PddlError`
-    naming the file."""
+def read_file(path: str | Path, parse: Callable[[str], Any]) -> Any:
+    """`parse` the text of the file at `path`, read as UTF-8.  Undecodable
+    bytes, and a `PddlError` from `parse`, such as a parse or schema error,
+    raise a `PddlError` that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise PddlError(f"{path}: {exc}") from exc
-
-
-def read_file(path: str | Path, parse: Callable[[str], Any]) -> Any:
-    """`parse` the text of the file at `path`.  A `PddlError` from `parse`,
-    such as a parse or schema error, names the file, as `read_text`'s
-    decode error does."""
-    text = read_text(path)
     try:
         return parse(text)
     except PddlError as exc:
@@ -84,8 +78,6 @@ class Atom(NamedTuple):
     args: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return f"{self.pred}()"
         return f"{self.pred}({', '.join(self.args)})"
 
     @property
@@ -190,10 +182,6 @@ class TaskIndex:
     delete: list[tuple[int, ...]]    # action id -> its delete ids
     fact_level: list[int]            # fact id -> relaxed level, -1 if unreached
     action_level: list[int]          # action id -> relaxed level
-
-    def levels(self, banned: Iterable[int] = ()) -> tuple[list[int], list[int]]:
-        """`explore` from the task's init, never applying the `banned` actions."""
-        return explore(self.init, self.pre, self.add, self.consumers, banned)
 
 
 @dataclass

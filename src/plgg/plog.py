@@ -158,10 +158,5 @@ def read_plog(path: str | Path) -> PLog:
 def plog_to_dot(plog: PLog) -> str:
     """Graphviz rendering with probability-labelled edges."""
     table, index = artifact.atom_table(plog.atoms)
-    lines = ["digraph plog {", "  rankdir=BT;"]
-    for a in table:
-        lines.append(f'  n{index[a]} [label={artifact.dot_label(str(a))} style=dashed];')
-    for e, mu in sorted(plog.probs.items()):
-        lines.append(f'  n{index[e.src]} -> n{index[e.dst]} [label="{mu:.2f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = sorted((index[e.src], index[e.dst], mu) for e, mu in plog.probs.items())
+    return artifact.write_dot("plog", table, lambda atom: True, edges)

@@ -539,22 +539,43 @@ def reference_instantiation(plgg, lms, top_n=1):
     return reference_rewrite(plgg, var_inst)
 
 
-def reference_combine(goal_side, init_side, task, top_n=1, iteration_log=None):
+def reference_combine(goal_side, init_side, task, top_n=1):
     lms_init, lms_goal = set(task.init), set(task.goal)
     known = lms_init | lms_goal
-    if iteration_log is not None:
-        iteration_log.append(frozenset(known))
     while True:
         init_side = reference_instantiation(init_side, lms_goal, top_n)
         lms_init |= {n for n in init_side.nodes if n.is_ground and n in task.facts}
         goal_side = reference_instantiation(goal_side, lms_init, top_n)
         lms_goal |= {n for n in goal_side.nodes if n.is_ground and n in task.facts}
         grown = known | lms_init | lms_goal
-        if iteration_log is not None:
-            iteration_log.append(frozenset(grown))
         if grown == known:
             return combined_graph(goal_side, init_side)
         known = grown
+
+
+def instantiation_passes(run):
+    """`run()`'s result, and the side and the landmarks of each pass of
+    `plgg.instantiate.instantiation` it made, in order."""
+    passes = []
+    original = instantiate.instantiation
+
+    def record(state, lms, top_n=1):
+        passes.append((state.side, frozenset(lms)))
+        return original(state, lms, top_n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instantiate, "instantiation", record)
+        return run(), passes
+
+
+def assert_monotone_fixpoint(passes, task, message=None):
+    """`combine` made at most one round per task fact, each round one
+    init-side pass, and each side's passes read ever more landmarks."""
+    assert sum(side == SIDE_INIT for side, _ in passes) <= len(task.facts), message
+    for side in (SIDE_INIT, SIDE_GOAL):
+        read = [lms for s, lms in passes if s == side]
+        for before, after in zip(read, read[1:]):
+            assert before <= after, message
 
 
 def reference_instantiate_task(plog, task, top_n=1):

@@ -17,8 +17,8 @@ from plgg.instantiate import extract_result, instantiate_task, search_best_equiv
 from plgg.metrics import PRF, alpha_prf, compare
 from plgg.instantiate import PlggContent
 
-from conftest import (SideGraph, VarConstraintStore, equivalent_atoms, param_distance,
-                      side_state, update_distinct_consts)
+from conftest import (SideGraph, VarConstraintStore, assert_monotone_fixpoint, equivalent_atoms,
+                      instantiation_passes, param_distance, side_state, update_distinct_consts)
 
 TRAIN = ("p01", "p02", "p03", "p04")
 
@@ -192,11 +192,9 @@ def test_criterion_08_fixpoint(make_task, corpus_names, domain):
         plog = learn_plog([extract_lgg(make_task(n)) for n in train],
                           domain=domain.name)
         task = make_task(test)
-        log = []
-        instantiate_task(plog, task, top_n=rng.choice([1, 2, 3]), iteration_log=log)
-        assert len(log) - 1 <= len(task.facts), test
-        for before, after in zip(log, log[1:]):
-            assert before <= after, test
+        top_n = rng.choice([1, 2, 3])
+        _, passes = instantiation_passes(lambda: instantiate_task(plog, task, top_n=top_n))
+        assert_monotone_fixpoint(passes, task, test)
 
 
 @criterion(9, "grounded-only predictions: alpha = 0 and alpha scores equal classical")

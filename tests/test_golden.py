@@ -4,7 +4,9 @@ text report, timing lines aside, must equal `tests/golden/corpus-evaluate.txt`.
 On the gripper and courier fixtures, whose rewrites add lifted nodes,
 `evaluate --json` must equal the reports in `tests/golden/`.  On one
 held-out task per fixture domain, `plgg instantiate` must print, and write
-with `--dot`, the bytes of the p-LGG JSON and DOT files in `tests/golden/`."""
+with `--dot`, the bytes of the p-LGG JSON and DOT files in `tests/golden/`,
+and `plgg learn --dot` must write the bytes of the blocksworld p-LOG DOT
+file there."""
 
 import json
 import re
@@ -77,8 +79,9 @@ INSTANTIATE_TASKS = {"blocksworld": (BENCH, "p06"), "gripper": (GRIPPER, "p02"),
 
 @pytest.fixture(scope="module")
 def plog_path(tmp_path_factory):
-    """Golden name -> the p-LOG file that `plgg extract` and `plgg learn`
-    write from the domain's training tasks, each built once."""
+    """Golden name -> the p-LOG file that `plgg extract` and `plgg learn
+    --dot` write from the domain's training tasks, each built once; its
+    Graphviz file lies beside it."""
     cache = {}
 
     def build(name):
@@ -91,11 +94,16 @@ def plog_path(tmp_path_factory):
                          "--out", str(work)]) == EXIT_OK
             lggs = [str(work / f"{stem}.lgg.json") for stem in train]
             assert main(["learn", *lggs, "--out", str(work / "plog.json"),
-                         "--domain", directory.name]) == EXIT_OK
+                         "--domain", directory.name, "--dot"]) == EXIT_OK
             cache[name] = work / "plog.json"
         return cache[name]
 
     return build
+
+
+def test_blocksworld_learn_dot_matches_golden_output(plog_path):
+    dot = plog_path("blocksworld").with_suffix(".dot")
+    assert dot.read_text() == (GOLDEN / "blocksworld-plog.dot").read_text()
 
 
 @pytest.mark.parametrize("suffix", sorted(OPTIONS), ids=["defaults", "top-n-2"])

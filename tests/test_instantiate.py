@@ -22,9 +22,10 @@ from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarSource, _compile, _expand
 
 import conftest
 from conftest import (CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, TRAIN, SideGraph,
-                      VarConstraintStore, _best_incident_prob, blocksworld_problems, bucket_key,
-                      combined_graph, equivalent_atoms, equivalent_params, fresh_name,
-                      fresh_variables, graph_of, param_distance, reference_generate,
+                      VarConstraintStore, _best_incident_prob, assert_monotone_fixpoint,
+                      blocksworld_problems, bucket_key, combined_graph, equivalent_atoms,
+                      equivalent_params, fresh_name, fresh_variables, graph_of,
+                      instantiation_passes, param_distance, reference_generate,
                       reference_instantiate_task, renamed_shape, side_state,
                       update_distinct_consts)
 
@@ -672,11 +673,8 @@ def test_one_plog_instantiates_tasks_in_turn_like_fresh_plogs(learned, load):
 
 def test_combine_reaches_monotone_fixpoint(plog, make_task):
     task = make_task("p06")
-    log = []
-    plgg = instantiate_task(plog, task, iteration_log=log)
-    assert len(log) - 1 <= len(task.facts)
-    for before, after in zip(log, log[1:]):
-        assert before <= after
+    plgg, passes = instantiation_passes(lambda: instantiate_task(plog, task))
+    assert_monotone_fixpoint(passes, task)
     grounded = {n for n in plgg.nodes if n.is_ground}
     expected = set(task.init) | set(task.goal) | {Atom("holding", ("a",)),
                                                   Atom("holding", ("b",))}
@@ -689,11 +687,8 @@ def test_courier_combine_reaches_monotone_fixpoint(train, load):
     plog = learn_plog([extract_lgg(load(COURIER, name)[2]) for name in train])
     for name in sorted(set(COURIER_CORPUS) - set(train)):
         task = load(COURIER, name)[2]
-        log = []
-        instantiate_task(plog, task, iteration_log=log)
-        assert len(log) - 1 <= len(task.facts)
-        for before, after in zip(log, log[1:]):
-            assert before <= after
+        _, passes = instantiation_passes(lambda: instantiate_task(plog, task))
+        assert_monotone_fixpoint(passes, task)
 
 
 def test_combine_of_sides_sharing_one_name_supply_matches_instantiate_task(plog, make_task):
@@ -855,13 +850,15 @@ PASS_RECORD = re.compile(r"^(init|goal) side pass: (\d+) landmarks searched, "
 
 def test_each_pass_logs_one_debug_record(plog, make_task, caplog):
     task = make_task("p06")
-    log = []
     with caplog.at_level("DEBUG", logger="plgg"):
-        _, calls = counted(lambda: instantiate_task(plog, task, iteration_log=log))
+        (_, passes), calls = counted(
+            lambda: instantiation_passes(lambda: instantiate_task(plog, task)))
     records = [PASS_RECORD.match(r.getMessage()) for r in caplog.records]
     assert all(records) and all(r.levelname == "DEBUG" for r in caplog.records)
     # each round instantiates the init side, then the goal side
-    assert [m[1] for m in records] == ["init", "goal"] * (len(log) - 1)
+    rounds = sum(side == SIDE_INIT for side, _ in passes)
+    assert [side for side, _ in passes] == ["init", "goal"] * rounds
+    assert [m[1] for m in records] == ["init", "goal"] * rounds
     assert len(records) == calls["passes"]
     assert sum(int(m[2]) for m in records) == calls["searches"]
     assert sum(int(m[3]) for m in records) > 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
 from plgg.pddl import (Atom, ParseError, PddlError, Problem, _tokenize, explore,
-                       ground_task, parse_domain, parse_problem, problem_to_pddl, read_text)
+                       ground_task, parse_domain, parse_problem, problem_to_pddl, read_file)
 from plgg.plog import LiftedEdge
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
@@ -502,14 +502,14 @@ def test_ground_atoms_accept_objects_of_a_subtype():
         parse_problem(text.format("(at a a)"), domain)
 
 
-def test_read_text_names_undecodable_file(tmp_path):
+def test_read_file_names_undecodable_file(tmp_path):
     good = tmp_path / "good.pddl"
     good.write_bytes("(define (domain caf\u00e9))".encode("utf-8"))
-    assert read_text(good) == "(define (domain caf\u00e9))"
+    assert read_file(good, str) == "(define (domain caf\u00e9))"
     bad = tmp_path / "bad.pddl"
     bad.write_bytes(b"\xff(define)")
     with pytest.raises(PddlError) as info:
-        read_text(bad)
+        read_file(bad, str)
     assert str(info.value).startswith(f"{bad}: ")
 
 
