@@ -28,7 +28,7 @@ from .experiment import (ConfigError, ExperimentConfig, check_distinct_stems, ch
                          result_to_json, run_experiment)
 from .instantiate import (extract_result, instantiate_task, plgg_to_dot, plgg_to_json,
                           write_plgg)
-from .lgg import extract_lgg, lgg_to_json, read_lgg
+from .lgg import extract_lgg, read_lgg, write_lgg
 from .pddl import PddlError, ground_task, parse_domain, parse_problem, read_file
 from .plog import VocabularyError, learn_plog, plog_to_dot, read_plog, write_plog
 
@@ -75,14 +75,14 @@ def _configure_logging(level: str) -> None:
 def cmd_extract(args) -> int:
     check_distinct_stems(args.problems)
     domain = read_file(args.domain, parse_domain)
-    outputs = []
+    # nothing is written until every task has been extracted
+    lggs = []
     for path in args.problems:
         task = ground_task(domain, read_file(path, partial(parse_problem, domain=domain)))
-        lgg = extract_lgg(task)
-        outputs.append((Path(args.out) / f"{Path(path).stem}.lgg.json", lgg_to_json(lgg)))
+        lggs.append((Path(args.out) / f"{Path(path).stem}.lgg.json", extract_lgg(task)))
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    for target, text in outputs:
-        target.write_text(text)
+    for target, lgg in lggs:
+        write_lgg(lgg, target)
         print(f"wrote {target}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
@@ -83,88 +83,70 @@ class ExperimentConfig:
         check_ranges(self.top_n, self.threshold)
 
 
-class _Corpus:
-    """Parsed domain plus lazily grounded and scored problems, shared
-    across repetitions so overlapping splits never redo work."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.domain = read_file(config.domain_path, parse_domain)
-        self.paths = sorted(config.problem_paths)
-        self._tasks: dict[str, GroundTask] = {}
-        self._native: dict[str, tuple[LGG, float]] = {}
-        self._references: dict[str, tuple[LGG, float]] = {}
-        self._oracles: dict[str, set] = {}
-
-    def task(self, path: str) -> GroundTask:
-        if path not in self._tasks:
-            problem = read_file(path, partial(parse_problem, domain=self.domain))
-            self._tasks[path] = ground_task(self.domain, problem)
-        return self._tasks[path]
-
-    def native_lgg(self, path: str) -> tuple[LGG, float]:
-        """The built-in extractor's graph and the seconds it took."""
-        if path not in self._native:
-            start = time.perf_counter()
-            lgg = extract_lgg(self.task(path))
-            self._native[path] = (lgg, time.perf_counter() - start)
-        return self._native[path]
-
-    def reference_lgg(self, path: str) -> tuple[LGG, float]:
-        """The native graph, or the reference directory's file if one is set."""
-        if self.config.reference_dir is None:
-            return self.native_lgg(path)
-        if path not in self._references:
-            ref = Path(self.config.reference_dir) / f"{Path(path).stem}.lgg.json"
-            if not ref.exists():
-                raise FileNotFoundError(f"no reference graph for {path}: {ref}")
-            self._references[path] = (read_lgg(ref), 0.0)
-        return self._references[path]
-
-    def oracle(self, path: str) -> set:
-        if path not in self._oracles:
-            self._oracles[path] = oracle_landmarks(self.task(path))
-        return self._oracles[path]
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the protocol and return its report, the object `result_to_json`
     prints: `overall` means, `oracle_recall` rows and `repetitions`."""
     config.validate()
-    corpus = _Corpus(config)
+    domain = read_file(config.domain_path, parse_domain)
+    paths = sorted(config.problem_paths)
+
+    # each problem is grounded, extracted, read and labelled at most once a run
+    @cache
+    def task(path: str) -> GroundTask:
+        return ground_task(domain, read_file(path, partial(parse_problem, domain=domain)))
+
+    @cache
+    def native_lgg(path: str) -> tuple[LGG, float]:
+        """The built-in extractor's graph and the seconds it took."""
+        start = time.perf_counter()
+        lgg = extract_lgg(task(path))
+        return lgg, time.perf_counter() - start
+
+    @cache
+    def reference_lgg(path: str) -> tuple[LGG, float]:
+        """The native graph, or the reference directory's file if one is set."""
+        if config.reference_dir is None:
+            return native_lgg(path)
+        ref = Path(config.reference_dir) / f"{Path(path).stem}.lgg.json"
+        if not ref.exists():
+            raise FileNotFoundError(f"no reference graph for {path}: {ref}")
+        return read_lgg(ref), 0.0
+
+    oracle = cache(lambda path: oracle_landmarks(task(path)))
+
     repetitions = []
     for rep in range(config.repetitions):
         rep_seed = config.seed + rep
         rng = random.Random(rep_seed)
-        order = rng.sample(corpus.paths, len(corpus.paths))
+        order = rng.sample(paths, len(paths))
         train = order[:config.train_count]
         test = order[config.train_count:config.train_count + config.test_count]
 
         extract_seconds = 0.0
         train_lggs = []
         for path in train:
-            lgg, seconds = corpus.reference_lgg(path)
+            lgg, seconds = reference_lgg(path)
             extract_seconds += seconds
             train_lggs.append(lgg)
         start = time.perf_counter()
-        plog = learn_plog(train_lggs, domain=corpus.domain.name)
+        plog = learn_plog(train_lggs, domain=domain.name)
         learn_seconds = time.perf_counter() - start
 
         tasks = []
         for path in test:
-            task = corpus.task(path)
+            grounded = task(path)
             start = time.perf_counter()
-            plgg = instantiate_task(plog, task, top_n=config.top_n)
+            plgg = instantiate_task(plog, grounded, top_n=config.top_n)
             seconds = time.perf_counter() - start
             content = extract_result(plgg, threshold=config.threshold)
-            reference, _ = corpus.reference_lgg(path)
+            reference, _ = reference_lgg(path)
             plgg_recall = native_recall = None
             if config.oracle_baseline:
-                oracle = corpus.oracle(path)
-                native = set(corpus.native_lgg(path)[0].vertices)
+                landmarks = oracle(path)
+                native = set(native_lgg(path)[0].vertices)
                 # an empty oracle set is recalled in full by a side that found nothing
                 plgg_recall, native_recall = (
-                    _prf(len(found & oracle), len(found), len(oracle)).recall
+                    _prf(len(found & landmarks), len(found), len(landmarks)).recall
                     for found in (content.landmarks_grounded, native))
             tasks.append({"task": Path(path).stem,
                           "instantiate_seconds": seconds,

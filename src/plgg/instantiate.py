@@ -5,9 +5,8 @@ generated: one backward from the goal (nodes point at predecessors) and one
 forward from the initial state (nodes point at successors).  Landmarks
 grounded on one side then drive variable bindings on the other, round after
 round, until no new ground landmark appears; the union of both sides, one
-directed edge map with each node's best incident probability and ground
-flag, is the task's probabilistic landmark graph.  Each round
-instantiates the init side first.
+directed edge map and each node's ground flag, is the task's probabilistic
+landmark graph.  Each round instantiates the init side first.
 
 Whenever an expansion introduces a variable next to known objects, those
 objects are recorded as forbidden values for that variable: a variable
@@ -95,13 +94,11 @@ class VarSource:
 class PLgg:
     """A task's probabilistic landmark graph, as `combine` returns it and a
     p-LGG file holds it: `edges`, each directed edge `(src, dst)` with its
-    probability; `best`, the best incident probability of each node that
-    has an edge; and `nodes`, each node with its ground flag.  `side` says
+    probability, and `nodes`, each node with its ground flag.  `side` says
     which side the graph is, or that it is the two sides combined.
     """
 
     edges: dict[tuple[Atom, Atom], float]
-    best: dict[Atom, float]
     nodes: dict[Atom, bool]
     side: str
     domain: str = ""
@@ -451,8 +448,8 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1) 
     ungroundable artifact and is not harvested), read as they are added.
     The loop stops when a full round adds no new ground landmark.  The
     returned graph is the union of both sides: each edge at the larger of
-    its two sides' probabilities, and each node at the larger of its two
-    sides' best incident probabilities.
+    its two sides' probabilities, and each node flagged ground unless a
+    side filed it as lifted.
     """
     lms_init, lms_goal = set(task.init), set(task.goal)
     known = lms_init | lms_goal
@@ -468,12 +465,10 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1) 
     edges = {(pred, node): mu for node, preds in goal.nodes.items() for pred, mu in preds.items()}
     for node, succs in init.nodes.items():
         edges.update({(node, s): mu for s, mu in succs.items() if edges.get((node, s), -1) < mu})
-    best = goal.best | {node: mu for node, mu in init.best.items() if goal.best.get(node, -1) < mu}
     nodes = dict.fromkeys(goal.nodes.keys() | init.nodes.keys(), True)
     nodes.update((node, False) for side in (goal, init)
                  for members in side.buckets.values() for node in members)
-    return PLgg(edges=edges, best=best, nodes=nodes, side=SIDE_COMBINED,
-                domain=goal.domain or init.domain)
+    return PLgg(edges=edges, nodes=nodes, side=SIDE_COMBINED, domain=goal.domain or init.domain)
 
 
 def instantiate_task(plog: PLog, task: GroundTask, top_n: int = 1) -> PLgg:
@@ -509,15 +504,22 @@ class PlggContent:
 def extract_result(plgg: PLgg, threshold: float = 0.0) -> PlggContent:
     """Keep nodes and edges whose probability clears the threshold.
 
-    An edge's probability is its own; a node's is the best over its incident
-    edges.  Nodes with no incident edges (the seeds) always survive.  The
-    graph's ground flags split the nodes.
+    An edge's probability is its own; a node's, the best of its incident
+    edges', so a node is dropped when it has edges and none clears the
+    threshold.  Seeds have none and survive; ground flags split the nodes.
     """
-    best, ground = plgg.best, plgg.nodes
-    kept = [a for a in ground if a not in best or best[a] >= threshold]
+    orderings, dropped = {}, set()
+    for edge, mu in plgg.edges.items():
+        if mu >= threshold:
+            orderings[edge] = mu
+        else:
+            dropped.update(edge)
+    dropped.difference_update(*orderings)
+    ground = plgg.nodes
+    kept = [a for a in ground if a not in dropped]
     return PlggContent(landmarks_grounded={a for a in kept if ground[a]},
                        landmarks_lifted={a for a in kept if not ground[a]},
-                       orderings={e: mu for e, mu in plgg.edges.items() if mu >= threshold})
+                       orderings=orderings)
 
 
 # --- serialization ------------------------------------------------------------
@@ -550,11 +552,8 @@ def plgg_to_json(plgg: PLgg) -> str:
 def plgg_from_json(text: str) -> PLgg:
     """Read a p-LGG."""
     data = artifact.read_artifact(text, SCHEMA)
-    edges = {(src, dst): mu for src, dst, mu in data["edges"]}
-    best: dict[Atom, float] = {}
-    for (src, dst), mu in edges.items():
-        best[src], best[dst] = max(mu, best.get(src, mu)), max(mu, best.get(dst, mu))
-    return PLgg(edges=edges, best=best, nodes={a: a.is_ground for a in data["vertices"]},
+    return PLgg(edges={(src, dst): mu for src, dst, mu in data["edges"]},
+                nodes={a: a.is_ground for a in data["vertices"]},
                 side=data["side"], domain=data["domain"])
 
 

@@ -122,15 +122,9 @@ def landmark_labels(task: GroundTask) -> list[int]:
 
 
 def _landmark_bits(task: GroundTask) -> int:
-    """init | goal | the goal facts' labels, as one bitset over fact ids."""
-    index = task.index
-    label = landmark_labels(task)
-    bits = 0
-    for f in index.init:
-        bits |= 1 << f
-    for g in index.goal:
-        bits |= label[g]
-    return bits
+    """The init and goal facts' labels, ORed into one bitset over fact ids."""
+    label, index = landmark_labels(task), task.index
+    return reduce(or_, map(label.__getitem__, (*index.init, *index.goal)), 0)
 
 
 def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:

@@ -33,6 +33,15 @@ FIXTURE_PLOGS = {BENCH: TRAIN, GRIPPER: ("p01", "p05", "p06"),
                  COURIER: ("p01", "p03", "p05")}
 
 
+def without_seconds(value):
+    """A JSON report without its `*_seconds` timings, at any depth."""
+    if isinstance(value, dict):
+        return {k: without_seconds(v) for k, v in value.items() if not k.endswith("_seconds")}
+    if isinstance(value, list):
+        return [without_seconds(v) for v in value]
+    return value
+
+
 @pytest.fixture(scope="session")
 def bench_dir():
     return BENCH
@@ -363,13 +372,13 @@ def graph_of(nodes, side, domain=""):
     when combined: every end of an edge is a node, flagged ground when no
     argument is a variable."""
     every = dict.fromkeys(nodes) | dict.fromkeys(a for ns in nodes.values() for a in ns)
-    return PLgg(edges=_directed_edges(nodes, side), best=_best_incident_prob(nodes),
-                nodes={a: a.is_ground for a in every}, side=side, domain=domain)
+    return PLgg(edges=_directed_edges(nodes, side), nodes={a: a.is_ground for a in every},
+                side=side, domain=domain)
 
 
 def combined_graph(goal_side, init_side):
     """What `combine` hands back for its two final sides: `_union`, then
-    `_directed_edges` and `_best_incident_prob` of the union."""
+    `graph_of` the union."""
     return graph_of(_union(goal_side, init_side), SIDE_COMBINED,
                     goal_side.domain or init_side.domain)
 

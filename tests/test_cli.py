@@ -3,14 +3,18 @@
 import json
 import logging
 import re
+from collections import Counter
 
 import pytest
 
+import plgg.experiment as experiment
 from plgg.cli import _HANDLER, EXIT_OK, EXIT_TASK, EXIT_USAGE, _mu_histogram, main
 from plgg.experiment import ExperimentConfig
 from plgg.instantiate import instantiate_task, plgg_from_json, plgg_to_json
 from plgg.pddl import parse_problem
 from plgg.plog import read_plog
+
+from conftest import without_seconds
 
 
 @pytest.fixture()
@@ -420,17 +424,49 @@ def test_evaluate_rejects_repeated_problem_stem(bench_dir, paths, tmp_path, caps
 
 
 def test_evaluate_with_reference_dir(bench_dir, paths, tmp_path, capsys):
+    """Scored against the files that `plgg extract` wrote, `evaluate`
+    reports what it reports against its own extraction, timings aside, and
+    takes no seconds to extract."""
     names = ["p01", "p02", "p03", "p04", "p05", "p06"]
     refs = tmp_path / "refs"
     main(["extract", str(bench_dir / "domain.pddl")] + [paths(n) for n in names]
          + ["--out", str(refs)])
+    argv = (["evaluate", str(bench_dir / "domain.pddl")] + [paths(n) for n in names]
+            + ["--train", "4", "--test", "2", "--reps", "2", "--json"])
     capsys.readouterr()
-    code = main(["evaluate", str(bench_dir / "domain.pddl")]
-                + [paths(n) for n in names]
-                + ["--train", "4", "--test", "2", "--reps", "1",
-                   "--reference-dir", str(refs), "--no-oracle"])
-    assert code == EXIT_OK
-    assert "landmarks" in capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    native = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--reference-dir", str(refs)]) == EXIT_OK
+    referenced = json.loads(capsys.readouterr().out)
+    assert without_seconds(referenced) == without_seconds(native)
+    assert native["oracle_recall"]
+    assert [rep["extract_seconds"] for rep in referenced["repetitions"]] == [0.0, 0.0]
+
+
+def test_evaluate_grounds_extracts_and_labels_each_problem_once(bench_dir, monkeypatch):
+    """However many repetitions draw a problem, one run grounds it, extracts
+    its graph and computes its oracle landmarks at most once."""
+    calls = {fn: Counter() for fn in ("ground_task", "extract_lgg", "oracle_landmarks")}
+
+    def counting(fn, name_of):
+        original = getattr(experiment, fn)
+
+        def counted(*args):
+            calls[fn][name_of(*args)] += 1
+            return original(*args)
+        monkeypatch.setattr(experiment, fn, counted)
+
+    counting("ground_task", lambda domain, problem: problem.name)
+    counting("extract_lgg", lambda task: task.name)
+    counting("oracle_landmarks", lambda task: task.name)
+    problems = [str(p) for p in sorted(bench_dir.glob("p*.pddl"))]
+    report = experiment.run_experiment(
+        ExperimentConfig(domain_path=str(bench_dir / "domain.pddl"), problem_paths=problems))
+    assert len(report["repetitions"]) == 5
+    tested = {t["task"] for rep in report["repetitions"] for t in rep["tasks"]}
+    for fn, counts in calls.items():
+        assert counts and max(counts.values()) == 1, fn
+    assert len(calls["oracle_landmarks"]) == len(tested)
 
 
 def test_evaluate_missing_reference_exits_2(bench_dir, paths, tmp_path, capsys):

@@ -2,7 +2,9 @@
 fields aside, must equal the reference the benchmark checks against, and the
 text report, timing lines aside, must equal `tests/golden/corpus-evaluate.txt`.
 On the gripper and courier fixtures, whose rewrites add lifted nodes,
-`evaluate --json` must equal the reports in `tests/golden/`.  On one
+`evaluate --json` must equal the reports in `tests/golden/`, with the
+defaults, at `--top-n 2`, and at `--threshold 0.6`, where nodes and
+orderings are dropped.  On one
 held-out task per fixture domain, `plgg instantiate` must print, and write
 with `--dot`, the bytes of the p-LGG JSON and DOT files in `tests/golden/`,
 and `plgg learn --dot` must write the bytes of the blocksworld p-LOG DOT
@@ -16,21 +18,13 @@ import pytest
 
 from plgg.cli import EXIT_OK, main
 
-from conftest import BENCH, COURIER, FIXTURE_PLOGS, GRIPPER
+from conftest import BENCH, COURIER, FIXTURE_PLOGS, GRIPPER, without_seconds
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "references"
              / "corpus-evaluate.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TEXT_REFERENCE = GOLDEN / "corpus-evaluate.txt"
 TIMING_LINE = re.compile(r"^rep\d+: learn .* ms/task\n", re.MULTILINE)
-
-
-def without_seconds(value):
-    if isinstance(value, dict):
-        return {k: without_seconds(v) for k, v in value.items() if not k.endswith("_seconds")}
-    if isinstance(value, list):
-        return [without_seconds(v) for v in value]
-    return value
 
 
 def corpus_argv(bench_dir):
@@ -58,14 +52,19 @@ FIXTURE_SPLITS = {"gripper": (GRIPPER, ["--train", "3", "--test", "3"]),
 
 # golden file suffix -> the options it was written with
 OPTIONS = {"": [], "-top-n-2": ["--top-n", "2"]}
+# the p-LGG files of `instantiate` do not depend on the threshold, but the
+# nodes and orderings that `evaluate` scores do
+EVALUATE_OPTIONS = OPTIONS | {"-threshold-0.6": ["--threshold", "0.6"]}
 
 
-@pytest.mark.parametrize("suffix", sorted(OPTIONS), ids=["defaults", "top-n-2"])
+@pytest.mark.parametrize("suffix", sorted(EVALUATE_OPTIONS),
+                         ids=["defaults", "threshold-0.6", "top-n-2"])
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPLITS))
 def test_fixture_evaluate_matches_golden_output(name, suffix, capsys):
     directory, split = FIXTURE_SPLITS[name]
     problems = sorted(str(p) for p in directory.glob("p*.pddl"))
-    argv = ["evaluate", str(directory / "domain.pddl"), *problems, *split, *OPTIONS[suffix]]
+    argv = ["evaluate", str(directory / "domain.pddl"), *problems, *split,
+            *EVALUATE_OPTIONS[suffix]]
     assert main(argv + ["--json"]) == EXIT_OK
     report = without_seconds(json.loads(capsys.readouterr().out))
     assert report == json.loads((GOLDEN / f"{name}-evaluate{suffix}.json").read_text())

@@ -39,8 +39,8 @@ def sides(plog, task):
 
 
 def parts(graph):
-    """What a combined graph holds: its edges, best probabilities and flags."""
-    return graph.edges, graph.best, graph.nodes
+    """What a combined graph holds: its edges and its nodes' ground flags."""
+    return graph.edges, graph.nodes
 
 
 def rewrite(plgg, bindings):
@@ -819,7 +819,6 @@ def check_every_pass(plog, task, top_n):
             assert all(side.nodes[node][n] >= mu for n, mu in neighbours.items()), node
     reference = combined_graph(goal_side, init_side)
     assert combined.edges == reference.edges
-    assert combined.best == reference.best
     assert combined.nodes == reference.nodes
     whole = instantiate_task(plog, task, top_n)
     assert parts(combined) == parts(whole)
@@ -920,6 +919,27 @@ def test_plgg_json_roundtrip(plog, make_task):
     a, b = extract_result(plgg), extract_result(back)
     assert (a.landmarks_grounded, a.landmarks_lifted, a.orderings) == (
         b.landmarks_grounded, b.landmarks_lifted, b.orderings)
+
+
+@pytest.mark.parametrize("fixture", conftest.ALL_TASKS, ids=lambda t: f"{t[0].name}-{t[1]}")
+def test_extract_result_keeps_the_nodes_whose_best_edge_clears_the_threshold(
+        fixture, learned, load):
+    """At each threshold, `extract_result` keeps exactly the nodes with no
+    incident edge or whose largest incident `mu` reaches it, and the graph
+    read back from its p-LGG file gives the same content."""
+    directory, name = fixture
+    plgg = instantiate_task(learned(directory, FIXTURE_PLOGS[directory]), load(directory, name)[2])
+    best = {}
+    for edge, mu in plgg.edges.items():
+        for node in edge:
+            best[node] = max(mu, best.get(node, mu))
+    back = plgg_from_json(plgg_to_json(plgg))
+    for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
+        content = extract_result(plgg, threshold)
+        kept = {a for a in plgg.nodes if a not in best or best[a] >= threshold}
+        assert content.landmarks_grounded == {a for a in kept if plgg.nodes[a]}, threshold
+        assert content.landmarks_lifted == {a for a in kept if not plgg.nodes[a]}, threshold
+        assert extract_result(back, threshold) == content, threshold
 
 
 def test_plgg_json_side_orientation(plog, make_task):

@@ -14,16 +14,23 @@ PARENT and CHANGE name the same commit, the result is an A/A run, which
 shows how far two runs of identical code spread.  A run that exits
 non-zero, or whose last line is not a JSON object with ``"correct": true``
 and ``"failed": 0``, stops the runner with a non-zero exit that names its
-pair and side, and no result is written.
+pair and side, and no result is written.  Beside that line, each run
+records the ``speed`` and the ``measured`` times that ``perfbench/run.py``
+prints above it: the machine speed against the reference, by which it
+scales every time, and each time before scaling ("(measured X)").
 
 The result, written to ``--out`` (default ``BENCH_ab_<workload>.json``), has
 a fixed layout: ``parent`` and ``change`` (the commit ids), ``aa``,
 ``how``, ``workload``, ``pairs``, ``seconds``, ``runs`` (per pair, the order
-and each side's last output line) and ``metrics``.  For each end-to-end
+and each side's last output line, with its ``speed`` and ``measured``) and
+``metrics``.  For each end-to-end
 metric of the parent's ``BENCHMARK.json``, ``metrics`` holds ``better``,
 each side's median and inclusive quartiles, the per-pair ratios
 change / parent with their median, and ``change_wins``, the pairs in which
-the change is strictly better.
+the change is strictly better.  A metric that every run also measured
+unscaled, each time metric of ``perfbench/run.py``, holds the same figures
+for the measured values under ``measured``.  The probe's speed moves more
+than the program's, so cite both; where they disagree, say so.
 """
 
 from __future__ import annotations
@@ -31,11 +38,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# what perfbench/run.py prints above its result line: the machine speed,
+# and each scaled time with its measured value
+SPEED = re.compile(r"machine speed (\S+) of the reference")
+MEASURED = re.compile(r"^\s+(\S+)\s+\S+\s+\S+\s+\(measured (\S+)\)$")
+
 
 def git(*args: str, cwd: Path) -> bytes:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True).stdout
@@ -48,8 +62,17 @@ def export(repo: Path, commit: str, target: Path) -> None:
                    check=True)
 
 
+def read_output(lines: list[str]) -> tuple[float | None, dict[str, float]]:
+    """The machine speed and the measured times, by metric name, that a
+    run printed above its result line; None and {} where it printed none."""
+    speeds = [float(m[1]) for m in map(SPEED.search, lines) if m]
+    measured = {m[1]: float(m[2]) for m in map(MEASURED.match, lines) if m}
+    return (speeds[-1] if speeds else None), measured
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, pair: int) -> dict:
-    """The last line of one benchmark run in `checkout`, as JSON; a run that
+    """The last line of one benchmark run in `checkout`, as JSON, with the
+    `speed` and `measured` times the run printed above it; a run that
     fails, or whose line is not a JSON object with `"correct": true` and
     `"failed": 0`, ends the A/B run, naming the pair and the side."""
     benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -72,6 +95,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, pair: int
         sys.exit(f"ab: pair {pair}, {checkout.name}: the run is not correct "
                  f"(correct: {result.get('correct')}, failed: {result.get('failed')}):\n"
                  f"{lines[-1]}")
+    result["speed"], result["measured"] = read_output(lines[:-1])
     return result
 
 
@@ -81,24 +105,33 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def paired(parent: list[float], change: list[float], lower: bool) -> dict:
+    """Each side's median and quartiles, the per-pair ratios change /
+    parent with their median, and the pairs the change wins."""
+    ratios = [c / p if p else None for p, c in zip(parent, change)]
+    known = [r for r in ratios if r is not None]
+    return {
+        "parent": {"median": statistics.median(parent), "quartiles": quartiles(parent)},
+        "change": {"median": statistics.median(change), "quartiles": quartiles(change)},
+        "ratios": ratios,
+        "ratio_median": statistics.median(known) if known else None,
+        "change_wins": sum(c < p if lower else c > p for p, c in zip(parent, change)),
+    }
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, the
-    per-pair ratios change / parent, and the pairs the change wins."""
+    """Per end-to-end metric, its `paired` figures; a metric that every run
+    also measured unscaled has those figures under `measured` too."""
     out = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [run["parent"]["metrics"][name]["value"] for run in runs]
         change = [run["change"]["metrics"][name]["value"] for run in runs]
-        ratios = [c / p if p else None for p, c in zip(parent, change)]
-        known = [r for r in ratios if r is not None]
-        out[name] = {
-            "better": metric["better"],
-            "parent": {"median": statistics.median(parent), "quartiles": quartiles(parent)},
-            "change": {"median": statistics.median(change), "quartiles": quartiles(change)},
-            "ratios": ratios,
-            "ratio_median": statistics.median(known) if known else None,
-            "change_wins": sum(c < p if lower else c > p for p, c in zip(parent, change)),
-        }
+        out[name] = {"better": metric["better"], **paired(parent, change, lower)}
+        if all(name in run[side]["measured"] for run in runs for side in ("parent", "change")):
+            parent = [run["parent"]["measured"][name] for run in runs]
+            change = [run["change"]["measured"][name] for run in runs]
+            out[name]["measured"] = paired(parent, change, lower)
     return out
 
 
@@ -143,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"with --workload {args.workload} --seed {args.seed} --seconds {seconds:g} "
                 f"--trace 0, from the checkout's root; pair i runs both sides under "
                 f"PYTHONHASHSEED=i, odd pairs the parent first, even pairs the change first; "
-                f"ratios are change / parent per pair; quartiles are inclusive"),
+                f"ratios are change / parent per pair; quartiles are inclusive; "
+                f"measured blocks hold the times before the machine-speed scaling"),
         "workload": args.workload,
         "pairs": args.pairs,
         "seconds": seconds,
