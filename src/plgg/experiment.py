@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .lgg import LGG, extract_lgg, oracle_landmarks, read_lgg
 from .instantiate import extract_result, instantiate_task
-from .metrics import _prf, align_columns, compare, mean_reports, render_table
+from .metrics import _prf, align_columns, compare, mean, mean_reports, render_table
 from .pddl import GroundTask, ground_task, parse_domain, parse_problem, read_file
 from .plog import learn_plog
 
@@ -192,9 +192,8 @@ def render_oracle_report(report: dict) -> str:
         return "oracle baseline disabled\n"
     lines = [[str(row["repetition"]), row["task"],
               f"{row['plgg_recall']:.3f}", f"{row['native_recall']:.3f}"] for row in rows]
-    plgg_mean = sum(r["plgg_recall"] for r in rows) / len(rows)
-    native_mean = sum(r["native_recall"] for r in rows) / len(rows)
-    lines.append(["mean", "-", f"{plgg_mean:.3f}", f"{native_mean:.3f}"])
+    lines.append(["mean", "-"] + [f"{mean([row[key] for row in rows]):.3f}"
+                                  for key in ("plgg_recall", "native_recall")])
     return align_columns("rep  task  plgg_recall  native_recall".split(), lines)
 
 

@@ -20,19 +20,19 @@ Each side expands an atom at most once up to variable renaming: a renamed
 copy of an expanded atom still gets its node and its edge, but is not
 expanded again, so cycles in the learned graph end.
 
-Each learned edge is compiled once per direction into the neighbour it
-gives an expanded atom, and planned once per variable pattern of that atom
-(which arguments are variables, numbered by first appearance): the plan
-says which of the neighbour's arguments are objects, so the neighbour's
-shape up to renaming and its bucket take no look at its arguments.  A
-p-LOG keeps both tables for every task it instantiates.
+Each learned edge is compiled into one plan per variable pattern of the
+atom an expansion starts from (which arguments are variables, numbered by
+first appearance): where each of the neighbour's arguments comes from, and
+which of them are objects, so the neighbour's shape up to renaming and its
+bucket take no look at its arguments.  A p-LOG keeps its edges grouped by
+that atom's lifted form, and the plans, for every task it instantiates.
 
 Generation builds the state that `combine` keeps across its passes, which
 only add nodes and raise edge probabilities: each side's adjacency, each
-node's best incident probability, the lifted nodes in buckets, and the
-nodes that no harvest has read yet.  A lifted node is filed once, when it
-joins the side, under its predicate, arity, object positions and the
-objects at those positions: `on(?x3, b)` sits in `("on", 2, (1,), ("b",))`.
+node's best incident probability and the lifted nodes in buckets.  A lifted
+node is filed once, when it joins the side, under its predicate, arity,
+object positions and the objects at those positions: `on(?x3, b)` sits in
+`("on", 2, (1,), ("b",))`.
 Each bucket is kept in rank order, by higher best incident probability,
 then lexicographically; a rewrite re-sorts the nearly sorted buckets that
 gained a node or hold one whose best probability rose.  A ground landmark
@@ -40,7 +40,8 @@ looks its equivalents up in the buckets of its own objects, from the
 fewest variables upward, since a node's distance to a ground landmark is
 its variable count; the first count with a match holds the closest
 equivalents, and the `top_n` best ranked of them supply its bindings.
-Every landmark searched is ground: `combine` harvests only the task's facts.
+Every landmark searched is ground: a pass reads only the task's facts
+among the other side's nodes.
 `_bucket_key` is the one bucket key, `_own_key` the one a lifted node is
 filed under, and `_object_patterns` the one enumeration of a ground
 atom's lifted shapes; scoring reads all three too.
@@ -110,27 +111,6 @@ class PLgg:
 _Template = tuple[str, int, tuple[int, ...], tuple[str, ...], tuple[int, ...]]
 
 
-def _compile(edge: LiftedEdge, backward: bool) -> _Template:
-    """Compile `edge` for expansions from its destination (backward) or its
-    source, the start atom.  An expansion draws one fresh name per variable
-    of the edge, in order of first appearance in the destination's
-    arguments then the source's, as renaming the edge would.  A neighbour
-    argument that the start atom also holds takes the expanded atom's
-    argument at the start's last such position, any other variable its
-    fresh name, and any other constant itself."""
-    start, neighbour = (edge.dst, edge.src) if backward else (edge.src, edge.dst)
-    names = list(dict.fromkeys(p for p in edge.dst.args + edge.src.args if is_variable(p)))
-    at = {p: i for i, p in enumerate(start.args)}
-    held = sorted({names.index(p) for p in neighbour.args if p not in at and is_variable(p)})
-    consts = tuple(dict.fromkeys(p for p in neighbour.args if p not in at and not is_variable(p)))
-    offset = len(start.args) + len(held)
-    where = tuple(at[p] if p in at
-                  else len(start.args) + held.index(names.index(p)) if is_variable(p)
-                  else offset + consts.index(p)
-                  for p in neighbour.args)
-    return neighbour.pred, len(names), tuple(held), consts, where
-
-
 def _expand(template: _Template, lm: Atom, source: VarSource) -> tuple[Atom, tuple[str, ...]]:
     """The neighbour that a compiled edge gives the expanded atom `lm`, and
     the fresh names it holds: its only variables that `lm` does not hold."""
@@ -147,44 +127,59 @@ def _lift_key(atom: Atom) -> tuple:
     return atom.pred, tuple(map(atom.args.index, atom.args))
 
 
-def _edges_from(plog: PLog, backward: bool) -> dict[tuple, list[tuple[_Template, float]]]:
-    """Learned edges, compiled, with their probabilities, keyed by the
-    `_lift_key` of the atom an expansion starts from: the destination when
-    growing backward, the source when growing forward.  Each p-LOG compiles
-    each direction once and keeps it for every task it instantiates."""
+def _edges_from(plog: PLog, backward: bool) -> dict[tuple, list[LiftedEdge]]:
+    """Learned edges keyed by the `_lift_key` of the atom an expansion
+    starts from: the destination when growing backward, the source when
+    growing forward.  Each p-LOG groups each direction once and keeps it
+    for every task it instantiates."""
     index = plog.derived.get((__name__, backward))
     if index is None:
         index = plog.derived[__name__, backward] = {}
         for edge in sorted(plog.probs):
-            index.setdefault(_lift_key(edge.dst if backward else edge.src), []).append(
-                (_compile(edge, backward), plog.probs[edge]))
+            index.setdefault(_lift_key(edge.dst if backward else edge.src), []).append(edge)
     return index
 
 
-def _plan(template: _Template, mu: float, pattern: tuple[int, ...]) -> tuple:
-    """The plan of `template` for expanding an atom whose arguments
-    `pattern` numbers, each variable by its first appearance and each
-    object -1: the template and `mu`, the neighbour's object positions, its
-    bucket key less the objects (None when it is ground), and its predicate
-    with its own pattern, which with its objects is its shape up to renaming."""
-    pred, _, held, _, where = template
-    count = len(pattern)
+def _plan(edge: LiftedEdge, backward: bool, pattern: tuple[int, ...]) -> tuple:
+    """`edge` compiled for expanding, from its destination (backward) or its
+    source, an atom whose arguments `pattern` numbers, each variable by its
+    first appearance and each object -1: the template, the neighbour's
+    object positions, its bucket key less the objects (None when it is
+    ground), and its predicate with its own pattern, which with its objects
+    is its shape up to renaming.
+
+    An expansion draws one fresh name per variable of the edge, in order of
+    first appearance in the destination's arguments then the source's, as
+    renaming the edge would.  A neighbour argument that the start atom also
+    holds takes the expanded atom's argument at the start's last such
+    position, any other variable its fresh name, and any other constant
+    itself."""
+    start, neighbour = (edge.dst, edge.src) if backward else (edge.src, edge.dst)
+    names = list(dict.fromkeys(p for p in edge.dst.args + edge.src.args if is_variable(p)))
+    at = {p: i for i, p in enumerate(start.args)}
+    held = tuple(sorted({names.index(p) for p in neighbour.args
+                         if p not in at and is_variable(p)}))
+    consts = tuple(dict.fromkeys(p for p in neighbour.args if p not in at and not is_variable(p)))
+    count = len(start.args)
+    where = tuple(at[p] if p in at
+                  else count + held.index(names.index(p)) if is_variable(p)
+                  else count + len(held) + consts.index(p)
+                  for p in neighbour.args)
     # per neighbour argument: -1 for an object, else the expanded atom's
     # variable number (below `count`) or the fresh name's index (above)
     ids = [pattern[w] if w < count else w if w < count + len(held) else -1 for w in where]
     fixed = tuple(i for i, v in enumerate(ids) if v < 0)
     numbers: dict[int, int] = {}
     own = tuple(v if v < 0 else numbers.setdefault(v, len(numbers)) for v in ids)
-    bucket = (pred, len(where), fixed) if len(fixed) < len(where) else None
-    return template, mu, fixed, bucket, (pred, own)
+    bucket = (neighbour.pred, len(where), fixed) if len(fixed) < len(where) else None
+    return (neighbour.pred, len(names), held, consts, where), fixed, bucket, (neighbour.pred, own)
 
 
-def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
-              source: VarSource) -> SideState:
+def _generate(plog: PLog, task: GroundTask, side: str, source: VarSource) -> SideState:
     backward = side == SIDE_GOAL
     index = _edges_from(plog, backward)
     plans = plog.derived.setdefault((__name__, backward, _plan.__name__), {})
-    blocked = task.init if backward else task.goal
+    seeds, blocked = (task.goal, task.init) if backward else (task.init, task.goal)
 
     state = SideState(side, plog.domain)
     nodes, best, buckets, forbidden = state.nodes, state.best, state.buckets, state.forbidden
@@ -192,7 +187,6 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
     # an atom up to renaming: its predicate and pattern, and its objects;
     # the seeds are task facts, so ground
     queue = deque((seed, ((seed.pred, (-1,) * seed.arity), seed.args)) for seed in sorted(seeds))
-    seed_set = frozenset(seeds)
     while queue:
         lm, shape = queue.popleft()
         if shape in expanded:
@@ -205,12 +199,12 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
         key = (_lift_key(lm), head)
         entries = plans.get(key)
         if entries is None:
-            entries = plans[key] = [_plan(template, mu, head[1])
-                                    for template, mu in index.get(key[0], ())]
-        if not entries and lm in seed_set:
+            entries = plans[key] = [(*_plan(edge, backward, head[1]), plog.probs[edge])
+                                    for edge in index.get(key[0], ())]
+        if not entries and lm in seeds:
             logger.warning("no learned orderings touch %s; keeping it isolated", lm)
         objects = frozenset(objs)
-        for template, mu, fixed, bucket, own in entries:
+        for template, fixed, bucket, own, mu in entries:
             neighbour, fresh = _expand(template, lm, source)
             # a fresh name differs from every object of the atom it stands next to
             for name in fresh:
@@ -231,7 +225,6 @@ def _generate(plog: PLog, task: GroundTask, seeds: Iterable[Atom], side: str,
             best[lm] = top
     for members in buckets.values():
         members.sort(key=state.rank)
-    state.unharvested = list(nodes)
     return state
 
 
@@ -247,12 +240,12 @@ def generate_plgg_goal(plog: PLog, task: GroundTask, *, var_source: VarSource) -
     name's forbidden objects go to the side's own state.  The side comes
     back as the state that `combine` keeps.
     """
-    return _generate(plog, task, task.goal, SIDE_GOAL, var_source)
+    return _generate(plog, task, SIDE_GOAL, var_source)
 
 
 def generate_plgg_init(plog: PLog, task: GroundTask, *, var_source: VarSource) -> SideState:
     """Mirror of the goal side: forward from init along learned out-edges."""
-    return _generate(plog, task, task.init, SIDE_INIT, var_source)
+    return _generate(plog, task, SIDE_INIT, var_source)
 
 
 # --- equivalence and instantiation -------------------------------------------
@@ -278,11 +271,11 @@ class SideState:
     edge probabilities; `best`, each node's best incident probability;
     `buckets`, the lifted nodes, each filed once under its `_own_key`,
     each bucket in `rank` order; `forbidden`, the objects that each
-    variable the side drew may not take; `unharvested`, the nodes that no
-    harvest has read yet; `kept`, the bindings of each (landmark, top_n)
-    searched since a bucket it read last changed; and `readers`, the
-    (landmark, top_n) pairs whose search looked each bucket key up, empty
-    or not."""
+    variable the side drew may not take; `kept`, the bindings of each
+    (landmark, top_n) searched since a bucket it read last changed; and
+    `readers`, the (landmark, top_n) pairs whose search looked each bucket
+    key up, empty or not.  Nodes are only ever added, so the task facts
+    among `nodes` only grow from pass to pass."""
 
     def __init__(self, side: str, domain: str = ""):
         self.side, self.domain = side, domain
@@ -290,19 +283,12 @@ class SideState:
         self.best: dict[Atom, float] = {}
         self.buckets: dict[tuple, list[Atom]] = {}
         self.forbidden: dict[str, frozenset[str]] = {}
-        self.unharvested: list[Atom] = []
         self.kept: dict[tuple[Atom, int], dict[str, str]] = {}
         self.readers: dict[tuple, set[tuple[Atom, int]]] = {}
 
     def rank(self, node: Atom) -> tuple[float, Atom]:
         """Higher best incident probability first, then lexicographically."""
         return -self.best.get(node, 0.0), node
-
-    def harvest(self, facts: frozenset[Atom]) -> set[Atom]:
-        """The task facts among the nodes added since the last harvest."""
-        found = {node for node in self.unharvested if node in facts}
-        self.unharvested = []
-        return found
 
 
 _Pattern = tuple[tuple[int, ...], tuple[int, ...]]
@@ -366,11 +352,11 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
     rewritten node has no bound variable left, so no node that this
     rewrite changes is rewritten again, in whatever order the nodes are
     rewritten; the best incident probabilities of both ends of every edge
-    it adds or raises are raised with it.  The nodes it added wait for the
-    next harvest, and the lifted ones are filed.  Each bucket that gained a
-    node or holds one whose best probability rose is re-sorted, which is
-    cheap since only those nodes move, and the kept bindings of its
-    readers are dropped: a search reads nothing else that a rewrite changes.
+    it adds or raises are raised with it, and the lifted nodes it added are
+    filed.  Each bucket that gained a node or holds one whose best
+    probability rose is re-sorted, which is cheap since only those nodes
+    move, and the kept bindings of its readers are dropped: a search reads
+    nothing else that a rewrite changes.
     """
     safe: dict[str, str] = {}
     for var, obj in sorted(bindings.items()):
@@ -401,7 +387,6 @@ def apply_instantiation(state: SideState, bindings: Mapping[str, str]) -> None:
                 if best.get(rewritten, -1.0) < mu:
                     best[rewritten] = mu
                     raised.add(rewritten)
-    state.unharvested += added
     keys = {node: _own_key(node) for node in raised.union(added) if not node.is_ground}
     for node in added:
         if node in keys:
@@ -443,25 +428,24 @@ def combine(goal: SideState, init: SideState, task: GroundTask, top_n: int = 1) 
     no variable is on both.  The passes rewrite the two states in place, so
     the sides given are consumed: afterwards they hold their final graphs.
     Each round instantiates the init side from the goal side's ground
-    landmarks, then the goal side from the init side's; a side's ground
-    landmarks are its nodes that are facts of the task (anything else is an
-    ungroundable artifact and is not harvested), read as they are added.
-    The loop stops when a full round adds no new ground landmark.  The
+    landmarks, then the goal side from the init side's.  A side's ground
+    landmarks are the task's facts among its nodes, read after its pass
+    (any other node is an ungroundable artifact); every seed is one, so the
+    first init pass reads exactly the task's goal.  The loop stops when a
+    full round adds no new ground landmark.  The
     returned graph is the union of both sides: each edge at the larger of
     its two sides' probabilities, and each node flagged ground unless a
     side filed it as lifted.
     """
-    lms_init, lms_goal = set(task.init), set(task.goal)
-    known = lms_init | lms_goal
+    lms_goal, known = task.goal, task.init | task.goal
     while True:
         instantiation(init, lms_goal, top_n)
-        lms_init |= init.harvest(task.facts)
+        lms_init = task.facts.intersection(init.nodes)
         instantiation(goal, lms_init, top_n)
-        lms_goal |= goal.harvest(task.facts)
-        grown = known | lms_init | lms_goal
-        if grown == known:
+        lms_goal = task.facts.intersection(goal.nodes)
+        if lms_init | lms_goal == known:
             break
-        known = grown
+        known = lms_init | lms_goal
     edges = {(pred, node): mu for node, preds in goal.nodes.items() for pred, mu in preds.items()}
     for node, succs in init.nodes.items():
         edges.update({(node, s): mu for s, mu in succs.items() if edges.get((node, s), -1) < mu})

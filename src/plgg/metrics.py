@@ -23,9 +23,10 @@ facet maps `precision`, `recall`, `f1`, `alpha`, `alpha_precision`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from operator import add, itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .instantiate import PlggContent, _bucket_key, _object_patterns, _own_key
 from .lgg import LGG
@@ -40,6 +41,13 @@ class PRF:
     precision: float
     recall: float
     f1: float
+
+
+def mean(values: Sequence[float]) -> float:
+    """The mean of `values`, summed left to right.  From Python 3.12 on,
+    `sum` of floats compensates its rounding, so a report's last digit
+    would depend on the interpreter."""
+    return reduce(add, values, 0.0) / len(values)
 
 
 def _prf(hits: int, predicted: int, reference: int) -> PRF:
@@ -68,7 +76,7 @@ def _keys(reference: Atom) -> list[tuple]:
 
 def _credit(ends: tuple[Atom, ...]) -> float:
     """The mean over the lifted `ends` of 1 / (1 + open variables)."""
-    return sum(1.0 / (1 + len(end.variables())) for end in ends) / len(ends)
+    return mean([1.0 / (1 + len(end.variables())) for end in ends])
 
 
 def likelihood_atom(lifted: Atom, grounded: Atom) -> float:
@@ -129,8 +137,7 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
                 matches.append(extra)
         for item in sorted(missed):
             if found[item]:
-                values = [_credit(ends(extra)) for extra in sorted(found[item])]
-                total += sum(values) / len(values)
+                total += mean([_credit(ends(extra)) for extra in sorted(found[item])])
     alpha = total / len(missed) if missed else 0.0
     folded = alpha_prf(prf, alpha)
     return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1,
@@ -159,8 +166,7 @@ def mean_reports(reports: Iterable[dict]) -> dict:
         raise ValueError("no reports to average")
     out: dict = {}
     for facet in ("landmarks", "orderings"):
-        out[facet] = {key: sum(d[facet][key] for d in dicts) / len(dicts)
-                      for key in dicts[0][facet]}
+        out[facet] = {key: mean([d[facet][key] for d in dicts]) for key in dicts[0][facet]}
     return out
 
 

@@ -386,8 +386,8 @@ def combined_graph(goal_side, init_side):
 def side_state(graph):
     """A `SideState` of a copy of the literal side `graph`, its kept state
     derived from scratch: each node's best incident probability, the
-    lifted nodes filed by `bucket_key`, each bucket by (-best, node), the
-    forbidden objects of the store's variables, and every node unharvested."""
+    lifted nodes filed by `bucket_key`, each bucket by (-best, node), and
+    the forbidden objects of the store's variables."""
     state = SideState(graph.side, graph.domain)
     state.forbidden = dict(graph.store._objects)
     state.nodes = {node: dict(neighbours) for node, neighbours in graph.nodes.items()}
@@ -397,7 +397,6 @@ def side_state(graph):
             state.buckets.setdefault(bucket_key(node), []).append(node)
     for members in state.buckets.values():
         members.sort(key=lambda n: (-state.best.get(n, 0.0), n))
-    state.unharvested = list(state.nodes)
     return state
 
 

@@ -15,7 +15,7 @@ import plgg.instantiate as instantiate_module
 from plgg.lgg import extract_lgg, lgg_from_json, lgg_to_json
 from plgg.pddl import Atom, ground_task, is_variable, parse_problem
 from plgg.plog import LiftedEdge, PLog, learn_plog, plog_from_json, plog_to_json
-from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarSource, _compile, _expand,
+from plgg.instantiate import (SIDE_GOAL, SIDE_INIT, VarSource, _expand, _plan,
                               apply_instantiation, combine, extract_result, generate_plgg_goal,
                               generate_plgg_init, instantiate_task, instantiation,
                               plgg_from_json, plgg_to_dot, plgg_to_json, search_best_equiv)
@@ -86,6 +86,12 @@ EDGE_ATOMS = st.builds(Atom, st.sampled_from(["p", "q"]),
                        st.integers(0, 3).flatmap(lambda n: st.tuples(*[EDGE_PARAMS] * n)))
 
 
+def numbered(atom):
+    """`atom`'s variable pattern: the numbers of its `renamed_shape`, and
+    -1 for each object."""
+    return tuple(-1 if isinstance(p, str) else p for p in renamed_shape(atom)[1])
+
+
 @given(st.builds(LiftedEdge, EDGE_ATOMS, EDGE_ATOMS), st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_compiled_edge_matches_renaming_and_substitution(edge, backward, data):
@@ -100,11 +106,17 @@ def test_compiled_edge_matches_renaming_and_substitution(edge, backward, data):
     renamed = fresh_variables(edge, renaming)
     anchor, other = (renamed.dst, renamed.src) if backward else (renamed.src, renamed.dst)
     expected = other.substitute(dict(zip(anchor.args, lm.args)))
-    neighbour, fresh = _expand(_compile(edge, backward), lm, compiled)
+    template, fixed, bucket, own = _plan(edge, backward, numbered(lm))
+    neighbour, fresh = _expand(template, lm, compiled)
     assert neighbour == expected
     # the only variables of the neighbour that the expanded atom lacks
     assert sorted(fresh) == sorted(expected.variables() - set(lm.args))
     assert fresh_name(compiled) == fresh_name(renaming)
+    # the plan files the neighbour without a look at its arguments
+    key = bucket_key(neighbour)
+    assert fixed == key[2]
+    assert bucket == (None if neighbour.is_ground else key[:3])
+    assert own == (neighbour.pred, numbered(neighbour))
 
 
 # --- equivalence ----------------------------------------------------------------
@@ -370,15 +382,14 @@ def raised_without_a_new_node():
 @settings(max_examples=300, deadline=None)
 def test_kept_bindings_stay_fresh_over_passes(case, top_n):
     # the rewrites of each pass add nodes and raise best probabilities in
-    # buckets that earlier searches read; the harvest grows the landmarks
+    # buckets that earlier searches read; the ground nodes grow the landmarks
     plgg, lms = case
     state = side_state(plgg)
     for _ in range(4):
         instantiation(state, lms, top_n)
         assert_kept_bindings_are_fresh(state)
         assert_buckets_are_ranked(state)
-        lms = sorted(set(lms) | {node for node in state.harvest(frozenset(state.nodes))
-                                 if node.is_ground})
+        lms = sorted(set(lms) | {node for node in state.nodes if node.is_ground})
 
 
 def test_first_binding_wins_across_landmarks():
@@ -562,8 +573,7 @@ def assert_generates_like_the_reference(plog, task):
     sides constrain no variable in common.  The state generation builds
     equals the one derived from scratch from the reference's graph: the
     same best incident probabilities, the same buckets with the same
-    members in the same rank order, so the same lifted nodes, and every
-    node unharvested."""
+    members in the same rank order, so the same lifted nodes."""
     source = VarSource()
     ref_source, ref_store = VarSource(), VarConstraintStore()
     forbidden = []
@@ -578,7 +588,6 @@ def assert_generates_like_the_reference(plog, task):
         filed = {node for members in fast.buckets.values() for node in members}
         assert {node: node not in filed for node in fast.nodes} == \
             {node: node.is_ground for node in reference.nodes}, side
-        assert sorted(fast.unharvested) == sorted(derived.unharvested), side
         assert (fast.side, fast.domain) == (side, plog.domain)
         assert fast.forbidden.keys() == {v for node in fast.nodes for v in node.variables()}, side
         forbidden.append(fast.forbidden)
@@ -689,6 +698,30 @@ def test_courier_combine_reaches_monotone_fixpoint(train, load):
         task = load(COURIER, name)[2]
         _, passes = instantiation_passes(lambda: instantiate_task(plog, task))
         assert_monotone_fixpoint(passes, task)
+
+
+@pytest.mark.parametrize("top_n", [1, 2, 3])
+@pytest.mark.parametrize("fixture", conftest.ALL_TASKS, ids=lambda t: f"{t[0].name}-{t[1]}")
+def test_each_pass_reads_the_facts_among_the_other_sides_nodes(fixture, top_n, learned, load):
+    # the first init pass reads the goal alone; every later pass, the task
+    # facts among the other side's nodes as they stand when it starts
+    directory, name = fixture
+    plog, task = learned(directory, FIXTURE_PLOGS[directory]), load(directory, name)[2]
+    goal, init = sides(plog, task)
+    other = {SIDE_INIT: goal, SIDE_GOAL: init}
+    facts_before = []
+    original = instantiate_module.instantiation
+
+    def snapshot(state, lms, top_n=1):
+        facts_before.append(task.facts.intersection(other[state.side].nodes))
+        return original(state, lms, top_n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instantiate_module, "instantiation", snapshot)
+        _, passes = instantiation_passes(lambda: combine(goal, init, task, top_n))
+    assert [side for side, _ in passes] == [SIDE_INIT, SIDE_GOAL] * (len(passes) // 2)
+    assert passes[0][1] == task.goal
+    assert [lms for _, lms in passes[1:]] == facts_before[1:]
 
 
 def test_combine_of_sides_sharing_one_name_supply_matches_instantiate_task(plog, make_task):

@@ -298,6 +298,16 @@ def test_report_round_numbers():
     assert means["landmarks"]["alpha_recall"] == 0.75
 
 
+def test_mean_reports_sum_left_to_right():
+    # ten reports of 0.1 sum left to right to 0.9999999999999999; a
+    # compensated sum, as Python 3.12's `sum` of floats, gives 1.0, so
+    # the JSON report would depend on the interpreter
+    facet = dict.fromkeys(["precision", "recall"], 0.1)
+    means = mean_reports([{"landmarks": facet, "orderings": facet}] * 10)
+    assert means["landmarks"]["precision"] == 0.09999999999999999
+    assert means["orderings"]["recall"] == 0.09999999999999999
+
+
 FACET_KEYS = {"precision", "recall", "f1", "alpha", "alpha_precision", "alpha_recall",
               "alpha_f1", "hits", "misses", "extras"}
 
