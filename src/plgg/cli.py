@@ -242,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reference-dir", default=None,
                    help="directory of pre-extracted .lgg.json reference graphs")
     p.add_argument("--no-oracle", action="store_true",
-                   help="skip the brute-force oracle recall baseline")
+                   help="skip the oracle recall baseline, one landmark-label pass per test task")
     p.add_argument("--json", action="store_true", help="print the full JSON report")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)

@@ -186,7 +186,8 @@ def render_score_report(report: dict) -> str:
 
 
 def render_oracle_report(report: dict) -> str:
-    """Grounded-landmark recall vs the brute-force oracle, per test task."""
+    """Grounded-landmark recall per test task against the oracle's landmarks,
+    which one `landmark_labels` pass on the task gives."""
     rows = report["oracle_recall"]
     if not rows:
         return "oracle baseline disabled\n"

@@ -10,10 +10,11 @@ that line and column.
 
 `ground_task` grounds column by column and leaves a `TaskIndex` on the task:
 the fact table and the fact ids, keyed by the atom itself (an `Atom` is a
-named tuple), each kept action's name, args and fact ids, per fact its
-consumers and achievers, and the levels of grounding's own exploration
-`explore`, the counter-based one of FF, which the landmark oracle reruns.
-The task's `GroundAction`s are a view built from the index on first read.
+named tuple, interned once per fact), each kept action's fact ids, per fact
+its consumers, and the levels of grounding's own exploration `explore`, the
+counter-based one of FF, which the landmark oracle reruns.  The achievers,
+the kept actions' names, args and deletes, and the task's `GroundAction`s
+are built on first read.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class ParseError(PddlError):
 
     def __init__(self, message: str, at: _Tok | _SList | None = None):
         self.line = self.column = None
-        if at is not None:
-            self.line, self.column = at.line, at.col
-            message = f"{message} (line {at.line}, column {at.col})"
+        if at is not None:  # counted from the offset only here
+            self.line = at.src.count("\n", 0, at.pos) + 1
+            self.column = at.pos - at.src.rfind("\n", 0, at.pos)
+            message = f"{message} (line {self.line}, column {self.column})"
         super().__init__(message)
 
 
@@ -159,6 +161,16 @@ class Problem:
     goal: frozenset[Atom]
 
 
+class _SchemaRows(NamedTuple):
+    """One schema's candidates: the rows of the product of its `pools` that
+    `ok` marks, those whose adds and deletes do not clash."""
+
+    name: str
+    pools: tuple[tuple[str, ...], ...]
+    ok: list[bool]
+    delete: list[list[int]]
+
+
 @dataclass(frozen=True)
 class TaskIndex:
     """Integer view of a ground task, built once by `ground_task`.
@@ -166,22 +178,51 @@ class TaskIndex:
     Fact ids number `atoms`, every atom grounding met; action ids number
     the kept actions in (name, args) order, and the per-fact tables list
     them in increasing order.  The levels are grounding's own `explore`'s,
-    restricted to the kept actions: unreached candidates never fire.
+    restricted to the kept actions: unreached candidates never fire.  The
+    four cached properties are built from `schemas` and `kept` when first
+    read: only extraction and the label pass read `achievers`, and only the
+    `GroundTask.actions` view the other three.
     """
 
     atoms: tuple[Atom, ...]          # fact id -> atom
-    ids: dict[Atom, int]             # atom -> fact id; an atom is its own key
+    ids: dict[Atom, int]             # atom -> fact id; its keys are the atoms of `atoms`
     init: tuple[int, ...]
     goal: tuple[int, ...]
     pre: list[tuple[int, ...]]       # action id -> its distinct precondition ids
     add: list[tuple[int, ...]]       # action id -> its add ids
     consumers: list[list[int]]       # fact id -> actions with it as a precondition
-    achievers: list[list[int]]       # fact id -> actions that add it
-    names: list[str]                 # action id -> schema name
-    args: list[tuple[str, ...]]      # action id -> objects
-    delete: list[tuple[int, ...]]    # action id -> its delete ids
     fact_level: list[int]            # fact id -> relaxed level, -1 if unreached
     action_level: list[int]          # action id -> relaxed level
+    schemas: tuple[_SchemaRows, ...] = field(repr=False)  # the candidates, in name order
+    kept: list[bool] | None = field(repr=False)  # candidate -> reached; None when all are
+
+    @cached_property
+    def achievers(self) -> list[list[int]]:
+        """Fact id -> actions that add it."""
+        return _by_fact(len(self.atoms), self.add)
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Action id -> schema name."""
+        return self._rows(lambda s: itertools.repeat(s.name))
+
+    @cached_property
+    def args(self) -> list[tuple[str, ...]]:
+        """Action id -> objects."""
+        return self._rows(lambda s: itertools.product(*s.pools))
+
+    @cached_property
+    def delete(self) -> list[tuple[int, ...]]:
+        """Action id -> its distinct delete ids."""
+        return self._rows(lambda s: map(tuple, map(dict.fromkeys, zip(*s.delete)))
+                          if s.delete else itertools.repeat(()))
+
+    def _rows(self, rows: Callable[[_SchemaRows], Iterable]) -> list:
+        """The table whose rows over schema `s`'s product are `rows(s)`,
+        cut to the kept actions."""
+        out = itertools.chain.from_iterable(
+            itertools.compress(rows(s), s.ok) for s in self.schemas)
+        return list(out if self.kept is None else itertools.compress(out, self.kept))
 
 
 @dataclass
@@ -207,46 +248,54 @@ class GroundTask:
 
 # --- tokenizer / s-expression reader ---------------------------------------
 
-_TOKEN_RE = re.compile(r"\(|\)|[^()\s;]+")
+# a paren, a ``;`` comment up to the end of its line, or a symbol
+_TOKEN_RE = re.compile(r"\(|\)|;[^\n]*|[^()\s;]+")
 
 
-@dataclass(frozen=True)
 class _Tok:
-    text: str
-    line: int
-    col: int
+    """A lower-cased symbol, or a paren, at offset `pos` of the text `src`."""
+
+    __slots__ = ("text", "src", "pos")
+
+    def __init__(self, text: str, src: str, pos: int):
+        self.text, self.src, self.pos = text, src, pos
 
 
 class _SList(list):
-    """A parenthesised group; carries the position of its opening paren."""
+    """A parenthesised group; its opening paren is at offset `pos` of `src`."""
 
-    line = 0
-    col = 0
+    __slots__ = ("src", "pos")
 
 
 def _tokenize(text: str) -> Iterator[_Tok]:
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        body = line.split(";", 1)[0]
-        for m in _TOKEN_RE.finditer(body):
-            yield _Tok(m.group(0).lower(), lineno, m.start() + 1)
+    for m in _TOKEN_RE.finditer(text):
+        token = m.group()
+        if token[0] != ";":
+            # one token at a time: a whole text lower-cased could shift the offsets
+            yield _Tok(token.lower(), text, m.start())
 
 
 def _read_sexprs(text: str) -> list:
     stack: list[list] = [[]]
-    for tok in _tokenize(text):
-        if tok.text == "(":
+    top = stack[0]
+    for m in _TOKEN_RE.finditer(text):
+        token = m.group()
+        if token == "(":
             node = _SList()
-            node.line, node.col = tok.line, tok.col
-            stack[-1].append(node)
+            node.src, node.pos = text, m.start()
+            top.append(node)
             stack.append(node)
-        elif tok.text == ")":
+            top = node
+        elif token == ")":
             if len(stack) == 1:
-                raise ParseError("unbalanced ')'", tok)
+                raise ParseError("unbalanced ')'", _Tok(token, text, m.start()))
             stack.pop()
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:  # an open paren was read, so `tok` is bound
-        raise ParseError("unbalanced '(': input ended inside a form", tok)
+            top = stack[-1]
+        elif token[0] != ";":
+            top.append(_Tok(token.lower(), text, m.start()))
+    if len(stack) != 1:  # an open paren was read, so there is a last token
+        *_, last = _tokenize(text)
+        raise ParseError("unbalanced '(': input ended inside a form", last)
     return stack[0]
 
 
@@ -664,7 +713,8 @@ def _column(ids: dict, pred: str, pools: tuple, slots: tuple[int, ...],
     if list(slots) != used:  # repeated or reordered slots
         values = map(itemgetter(*map(used.index, slots)), values)
     keys = list(zip(itertools.repeat(pred), values))
-    ids.update(zip(list(itertools.filterfalse(ids.__contains__, keys)),
+    new = itertools.filterfalse(ids.__contains__, keys)
+    ids.update(zip(list(map(tuple.__new__, itertools.repeat(Atom), new)),  # `Atom._make`, unchecked
                    itertools.count(len(ids))))
     col = list(map(ids.__getitem__, keys))
     run = 1  # rows per value of the current slot
@@ -692,14 +742,14 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     product of its parameter pools, in order, and each schema atom reads
     the distinct slots its arguments use.  Its distinct projections are
     the product of those slots' pools, in the order the rows first meet
-    them; each is interned once by its (pred, args) key, equal to its atom,
-    and the column of fact ids is spread from that small table to every
-    row by repetition alone.  A column is computed once per predicate,
-    slots and pools and shared by every atom and schema that asks for it
-    again.  The task's atoms are the fact table's.  The candidates are
-    explored by id over their consumer table; when every candidate is
-    reached, the task's `index` keeps the candidate tables as they are, and
-    otherwise it holds the kept actions' tables, rebuilt.
+    them; each new one is interned once, as the fact's `Atom`, and the
+    column of fact ids is spread from that small table to every row by
+    repetition alone.  A column is computed once per predicate, slots and
+    pools and shared by every atom and schema that asks for it again.  The
+    task's atoms are the fact table's.  The candidates are explored by id
+    over their consumer table; when every candidate is reached, the task's
+    `index` keeps the candidate tables as they are, and otherwise it holds
+    the kept actions' tables, rebuilt.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
@@ -717,7 +767,7 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
 
     # Schemas in name order and substitutions drawn from sorted pools list
     # the candidates in (name, args) order, the order of `GroundAction`.
-    names, combos, pres, adds, deletes = [], [], [], [], []
+    schemas, pres, adds, loose = [], [], [], []
     for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
         pools = tuple(tuple(sorted(o for o, ot in objects.items()
                                    if domain.is_subtype(ot, ptype)))
@@ -730,31 +780,39 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                    in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
                    if a.pred == d.pred]
         ok = list(reduce(partial(map, and_), clashes)) if clashes else [True] * len(s_combos)
-        names += itertools.compress(itertools.repeat(schema.name), ok)
-        combos += itertools.compress(s_combos, ok)
-        for table, part, part_cols in zip((pres, adds, deletes), parts, cols):
+        for table, part, part_cols in zip((pres, adds), parts, cols):
             part_rows = zip(*part_cols) if part_cols else itertools.repeat(())
             if len({a.pred for a in part}) < len(part):  # two atoms may ground alike
                 part_rows = map(tuple, map(dict.fromkeys, part_rows))
             table.extend(itertools.compress(part_rows, ok))
+        schemas.append(_SchemaRows(schema.name, pools, ok, cols[2]))
+        # a deleted precondition's fact is reached whenever its action is kept
+        loose.append([col for d, col in zip(parts[2], cols[2]) if d not in schema.pre])
 
     init = tuple(map(ids.__getitem__, problem.init))
     goal = tuple(map(ids.__getitem__, problem.goal))
     consumers = _by_fact(len(ids), pres)
     fact_level, action_level = explore(init, pres, adds, consumers)
+    kept = None
     if -1 in action_level:  # drop the unreached candidates from every table
         kept = [level >= 0 for level in action_level]
-        pres, adds, deletes, names, combos, action_level = (
-            list(itertools.compress(table, kept))
-            for table in (pres, adds, deletes, names, combos, action_level))
+        pres, adds, action_level = (list(itertools.compress(table, kept))
+                                    for table in (pres, adds, action_level))
         consumers = _by_fact(len(ids), pres)
-    atoms = tuple(map(tuple.__new__, itertools.repeat(Atom), ids))  # `Atom._make`, unchecked
+    atoms = tuple(ids)
     fact_ids = set(itertools.compress(itertools.count(), map((0).__le__, fact_level)))
-    fact_ids.update(goal, itertools.chain.from_iterable(deletes))
+    fact_ids.update(goal)
+    start = 0  # the schema's first candidate
+    for rows, cols in zip(schemas, loose):
+        size = sum(rows.ok)
+        for col in cols:
+            deleted = itertools.compress(col, rows.ok)
+            fact_ids.update(deleted if kept is None
+                            else itertools.compress(deleted, kept[start:start + size]))
+        start += size
     index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
-                      consumers=consumers, achievers=_by_fact(len(atoms), adds),
-                      names=names, args=combos, delete=deletes,
-                      fact_level=fact_level, action_level=action_level)
+                      consumers=consumers, fact_level=fact_level, action_level=action_level,
+                      schemas=tuple(schemas), kept=kept)
     return GroundTask(name=problem.name,
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),
                       init=frozenset(map(atoms.__getitem__, init)),

@@ -1,7 +1,10 @@
+import re
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain, combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
@@ -193,6 +196,15 @@ def reference_extract_lgg(task):
     return LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
 
 
+def reference_tokens(text):
+    """(text, line, column) of each token of `text`, read a line at a time:
+    a line ends at ``\\n``, a ``;`` comment runs to the end of its line, and
+    each token is lower-cased on its own."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        for m in re.finditer(r"\(|\)|[^()\s;]+", line.split(";", 1)[0]):
+            yield m.group(0).lower(), lineno, m.start() + 1
+
+
 def reference_ground_task(domain, problem):
     """`ground_task` written row by row: a fact id is handed out the first
     time a substitution grounds an atom to it, with the schemas in name
@@ -232,22 +244,30 @@ def reference_ground_task(domain, problem):
     atoms = tuple(ids)
     facts = {f for f, level in enumerate(fact_level) if level >= 0}
     facts.update(goal, *deletes)
-    index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
-                      consumers=by_fact(pres), achievers=by_fact(adds), names=names,
-                      args=combos, delete=deletes, fact_level=fact_level,
-                      action_level=action_level)
+    index = SimpleNamespace(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
+                            consumers=by_fact(pres), achievers=by_fact(adds), names=names,
+                            args=combos, delete=deletes, fact_level=fact_level,
+                            action_level=action_level)
     return GroundTask(name=problem.name, facts=frozenset(atoms[f] for f in facts),
                       init=frozenset(problem.init), goal=frozenset(problem.goal), index=index)
 
 
+# every table of a `TaskIndex`, by name: its fields but `schemas` and `kept`,
+# which only build its lazy tables, and those, its cached properties
+INDEX_TABLES = ([f.name for f in fields(TaskIndex) if f.name not in ("schemas", "kept")]
+                + [name for name, value in vars(TaskIndex).items()
+                   if isinstance(value, cached_property)])
+
+
 def assert_grounds_as_the_reference(domain, problem):
-    """`ground_task` gives the reference's task and index, field for field,
+    """`ground_task` gives the reference's task and index, table for table,
     with the fact ids handed out in the same order."""
     task, reference = ground_task(domain, problem), reference_ground_task(domain, problem)
     assert task == reference
     assert list(task.index.ids.items()) == list(reference.index.ids.items())
-    for field in fields(TaskIndex):
-        assert getattr(task.index, field.name) == getattr(reference.index, field.name), field.name
+    assert sorted(INDEX_TABLES) == sorted(vars(reference.index))
+    for name in INDEX_TABLES:
+        assert getattr(task.index, name) == getattr(reference.index, name), name
 
 
 @st.composite

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
-from plgg.pddl import (Atom, ParseError, PddlError, Problem, _tokenize, explore,
-                       ground_task, parse_domain, parse_problem, problem_to_pddl, read_file)
-from plgg.plog import LiftedEdge
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, _read_sexprs, _Tok, _tokenize,
+                       explore, ground_task, parse_domain, parse_problem, problem_to_pddl,
+                       read_file)
+from plgg.plog import LiftedEdge, learn_plog
 
-from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
-                      GRIPPER_CORPUS, assert_grounds_as_the_reference)
+from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER,
+                      GRIPPER_CORPUS, assert_grounds_as_the_reference, reference_tokens)
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
@@ -177,6 +178,28 @@ def test_pipeline_leaves_the_action_view_unbuilt(domain, bench_dir, plog):
     assert "actions" not in vars(task)
     assert ([(a.name, a.args) for a in task.actions]
             == sorted(naive_ground_actions(domain, problem)))
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_index_tables_are_built_when_first_read(case, load):
+    # instantiation reads none of the four lazy tables, and extraction only
+    # the achievers, so on a freshly grounded task the others stay unbuilt
+    directory, name = case
+    domain, problem, _ = load(directory, name)
+    plog = learn_plog([extract_lgg(load(directory, stem)[2]) for stem in FIXTURE_PLOGS[directory]],
+                      domain=domain.name)
+    task = ground_task(domain, problem)
+    instantiate_task(plog, task)
+    assert not {"achievers", "names", "args", "delete"} & set(vars(task.index))
+    extract_lgg(task)
+    assert not {"names", "args", "delete"} & set(vars(task.index))
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_each_fact_is_interned_once_as_its_atom(case, load):
+    index = load(*case)[2].index
+    assert len(index.ids) == len(index.atoms)
+    assert all(key is atom and type(key) is Atom for key, atom in zip(index.ids, index.atoms))
 
 
 # Substitutions with ?x = ?y collapse join's two preconditions into one, so
@@ -555,6 +578,70 @@ def test_token_edits_parse_or_raise_a_pddl_error(case, edits):
     except PddlError as exc:
         # an edited file always keeps a form to point at, if only its header
         assert getattr(exc, "line", None) is not None, exc
+
+
+def position(node):
+    """The line and column of a token or form, as a `ParseError` at it counts them."""
+    error = ParseError("", node)
+    return error.line, error.column
+
+
+def read_positions(forms):
+    """(text, line, column) of each opening paren and symbol of `forms`, in
+    reading order."""
+    for node in forms:
+        if isinstance(node, _Tok):
+            yield node.text, *position(node)
+        else:
+            yield "(", *position(node)
+            yield from read_positions(node)
+
+
+def assert_positions_match_the_line_reader(text):
+    """Every token of `text` has the line reader's text, line and column;
+    the forms read from it keep them, and where the reader fails, it points
+    at the first ')' that closes nothing or, with a form left open, at the
+    last token."""
+    tokens = list(reference_tokens(text))
+    assert [(tok.text, *position(tok)) for tok in _tokenize(text)] == tokens
+    depth, error = 0, None
+    for token, line, col in tokens:
+        depth += (token == "(") - (token == ")")
+        if depth < 0:
+            error = ("unbalanced ')'", line, col)
+            break
+    else:
+        if depth:
+            error = ("unbalanced '('", *tokens[-1][1:])
+    try:
+        forms = _read_sexprs(text)
+    except ParseError as exc:
+        assert error is not None and str(exc).startswith(error[0])
+        assert (exc.line, exc.column) == error[1:]
+        assert str(exc).endswith(f"(line {exc.line}, column {exc.column})")
+    else:
+        assert error is None
+        assert list(read_positions(forms)) == [t for t in tokens if t[0] != ")"]
+
+
+@pytest.mark.parametrize("path", sorted({path for _, path in SHIPPED}),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_shipped_token_positions_match_the_line_reader(path):
+    assert_positions_match_the_line_reader(path.read_text())
+
+
+# pieces of PDDL-like text: comments, tabs, CRLF endings, blank lines, and
+# capitals whose lower case is longer (U+0130 lowers to two code points)
+TEXT_PIECES = ["(", ")", " ", "\t", "\n", "\r\n", "\n\n", ";", "; a (comment) ;\n",
+               "\u0130", "\u0130X", "DEFINE", "?X", "-", "pick-up", "\u00df", "\u2028", "\x0b"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TEXT_PIECES),
+                          st.text("a\u0130;()\t\r\n -?", max_size=4)), max_size=40))
+@example(["(", "\u0130", "\u0130", ";", "\r\n", "\t", "A", ")", "("])
+@settings(max_examples=300, deadline=None)
+def test_token_positions_match_the_line_reader(pieces):
+    assert_positions_match_the_line_reader("".join(pieces))
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=4))
