@@ -225,7 +225,8 @@ def build_parser() -> _Parser:
     p.add_argument("domain")
     p.add_argument("problem")
     p.add_argument("--top-n", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, default=0.0,
+                   help="least probability the summary counts; the p-LGG keeps every edge")
     p.add_argument("--out", default=None, help="output p-LGG JSON file")
     p.add_argument("--dot", action="store_true", help="also write a Graphviz file")
     p.set_defaults(func=cmd_instantiate)

@@ -11,10 +11,10 @@ that line and column.
 `ground_task` grounds column by column and leaves a `TaskIndex` on the task:
 the fact table and the fact ids, keyed by the atom itself (an `Atom` is a
 named tuple, interned once per fact), each kept action's fact ids, per fact
-its consumers, and the levels of grounding's own exploration `explore`, the
-counter-based one of FF, which the landmark oracle reruns.  The achievers,
-the kept actions' names, args and deletes, and the task's `GroundAction`s
-are built on first read.
+its consumers, the levels of grounding's own exploration `explore`, the
+counter-based one of FF, which the landmark oracle reruns, and per schema
+the mask of its kept rows.  The achievers, and the task's `GroundAction`s
+read from those rows, are built on first read.
 """
 
 from __future__ import annotations
@@ -162,8 +162,9 @@ class Problem:
 
 
 class _SchemaRows(NamedTuple):
-    """One schema's candidates: the rows of the product of its `pools` that
-    `ok` marks, those whose adds and deletes do not clash."""
+    """One schema's actions: the rows of the product of its `pools` that
+    `ok` marks, those whose adds and deletes do not clash and that grounding
+    reached, and per deleted atom its column of fact ids over every row."""
 
     name: str
     pools: tuple[tuple[str, ...], ...]
@@ -178,10 +179,9 @@ class TaskIndex:
     Fact ids number `atoms`, every atom grounding met; action ids number
     the kept actions in (name, args) order, and the per-fact tables list
     them in increasing order.  The levels are grounding's own `explore`'s,
-    restricted to the kept actions: unreached candidates never fire.  The
-    four cached properties are built from `schemas` and `kept` when first
-    read: only extraction and the label pass read `achievers`, and only the
-    `GroundTask.actions` view the other three.
+    restricted to the kept actions: unreached candidates never fire.
+    `achievers` is built when first read, since only extraction and the
+    label pass read it; the `GroundTask.actions` view reads `schemas`.
     """
 
     atoms: tuple[Atom, ...]          # fact id -> atom
@@ -193,36 +193,12 @@ class TaskIndex:
     consumers: list[list[int]]       # fact id -> actions with it as a precondition
     fact_level: list[int]            # fact id -> relaxed level, -1 if unreached
     action_level: list[int]          # action id -> relaxed level
-    schemas: tuple[_SchemaRows, ...] = field(repr=False)  # the candidates, in name order
-    kept: list[bool] | None = field(repr=False)  # candidate -> reached; None when all are
+    schemas: tuple[_SchemaRows, ...] = field(repr=False)  # the actions, in name order
 
     @cached_property
     def achievers(self) -> list[list[int]]:
         """Fact id -> actions that add it."""
         return _by_fact(len(self.atoms), self.add)
-
-    @cached_property
-    def names(self) -> list[str]:
-        """Action id -> schema name."""
-        return self._rows(lambda s: itertools.repeat(s.name))
-
-    @cached_property
-    def args(self) -> list[tuple[str, ...]]:
-        """Action id -> objects."""
-        return self._rows(lambda s: itertools.product(*s.pools))
-
-    @cached_property
-    def delete(self) -> list[tuple[int, ...]]:
-        """Action id -> its distinct delete ids."""
-        return self._rows(lambda s: map(tuple, map(dict.fromkeys, zip(*s.delete)))
-                          if s.delete else itertools.repeat(()))
-
-    def _rows(self, rows: Callable[[_SchemaRows], Iterable]) -> list:
-        """The table whose rows over schema `s`'s product are `rows(s)`,
-        cut to the kept actions."""
-        out = itertools.chain.from_iterable(
-            itertools.compress(rows(s), s.ok) for s in self.schemas)
-        return list(out if self.kept is None else itertools.compress(out, self.kept))
 
 
 @dataclass
@@ -240,10 +216,13 @@ class GroundTask:
         """The kept actions in (name, args) order, built from the index when first read."""
         index = self.index
         atom = index.atoms.__getitem__
+        rows = itertools.chain.from_iterable(
+            itertools.compress(zip(itertools.repeat(s.name), itertools.product(*s.pools),
+                                   zip(*s.delete) if s.delete else itertools.repeat(())), s.ok)
+            for s in index.schemas)
         return tuple(GroundAction(name, args, frozenset(map(atom, pre)),
                                   frozenset(map(atom, add)), frozenset(map(atom, delete)))
-                     for name, args, pre, add, delete
-                     in zip(index.names, index.args, index.pre, index.add, index.delete))
+                     for (name, args, delete), pre, add in zip(rows, index.pre, index.add))
 
 
 # --- tokenizer / s-expression reader ---------------------------------------
@@ -267,14 +246,6 @@ class _SList(list):
     __slots__ = ("src", "pos")
 
 
-def _tokenize(text: str) -> Iterator[_Tok]:
-    for m in _TOKEN_RE.finditer(text):
-        token = m.group()
-        if token[0] != ";":
-            # one token at a time: a whole text lower-cased could shift the offsets
-            yield _Tok(token.lower(), text, m.start())
-
-
 def _read_sexprs(text: str) -> list:
     stack: list[list] = [[]]
     top = stack[0]
@@ -294,8 +265,9 @@ def _read_sexprs(text: str) -> list:
         elif token[0] != ";":
             top.append(_Tok(token.lower(), text, m.start()))
     if len(stack) != 1:  # an open paren was read, so there is a last token
-        *_, last = _tokenize(text)
-        raise ParseError("unbalanced '(': input ended inside a form", last)
+        *_, last = (m for m in _TOKEN_RE.finditer(text) if m.group()[0] != ";")
+        raise ParseError("unbalanced '(': input ended inside a form",
+                         _Tok(last.group().lower(), text, last.start()))
     return stack[0]
 
 
@@ -506,11 +478,12 @@ def _parse_action(section: _SList, types, predicates) -> ActionSchema:
             if not is_variable(a):
                 raise ParseError(f"constant {a} in {where} is not supported", form)
 
-    pre = frozenset(_parse_conjunction(fields.get(":precondition"), allow_not=False,
+    # PDDL's `()` precondition or effect has no atoms, as a missing precondition has none
+    pre = frozenset(_parse_conjunction(fields.get(":precondition") or None, allow_not=False,
                                        check=partial(check_atom, part="precondition")))
     if ":effect" not in fields:
         raise ParseError(f"action {name} has no :effect", section)
-    literals = _parse_conjunction(fields[":effect"], allow_not=True,
+    literals = _parse_conjunction(fields[":effect"] or None, allow_not=True,
                                   check=partial(check_atom, part="effect"))
     add = frozenset(a for a, positive in literals if positive)
     delete = frozenset(a for a, positive in literals if not positive)
@@ -749,7 +722,8 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     task's atoms are the fact table's.  The candidates are explored by id
     over their consumer table; when every candidate is reached, the task's
     `index` keeps the candidate tables as they are, and otherwise it holds
-    the kept actions' tables, rebuilt.
+    the kept actions' tables, rebuilt, and each schema's `ok` mask marks
+    only its kept rows.
     """
     objects = dict(domain.constants)
     objects.update(problem.objects)
@@ -793,26 +767,23 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
     goal = tuple(map(ids.__getitem__, problem.goal))
     consumers = _by_fact(len(ids), pres)
     fact_level, action_level = explore(init, pres, adds, consumers)
-    kept = None
-    if -1 in action_level:  # drop the unreached candidates from every table
+    if -1 in action_level:  # drop the unreached candidates from every table and mask
         kept = [level >= 0 for level in action_level]
         pres, adds, action_level = (list(itertools.compress(table, kept))
                                     for table in (pres, adds, action_level))
         consumers = _by_fact(len(ids), pres)
+        reached = iter(kept)
+        for rows in schemas:
+            rows.ok[:] = [ok and next(reached) for ok in rows.ok]
     atoms = tuple(ids)
     fact_ids = set(itertools.compress(itertools.count(), map((0).__le__, fact_level)))
     fact_ids.update(goal)
-    start = 0  # the schema's first candidate
     for rows, cols in zip(schemas, loose):
-        size = sum(rows.ok)
         for col in cols:
-            deleted = itertools.compress(col, rows.ok)
-            fact_ids.update(deleted if kept is None
-                            else itertools.compress(deleted, kept[start:start + size]))
-        start += size
+            fact_ids.update(itertools.compress(col, rows.ok))
     index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
                       consumers=consumers, fact_level=fact_level, action_level=action_level,
-                      schemas=tuple(schemas), kept=kept)
+                      schemas=tuple(schemas))
     return GroundTask(name=problem.name,
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),
                       init=frozenset(map(atoms.__getitem__, init)),

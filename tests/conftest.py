@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import plgg.instantiate as instantiate
 from plgg.instantiate import SIDE_COMBINED, SIDE_GOAL, SIDE_INIT, PLgg, SideState, VarSource
 from plgg.metrics import _prf, alpha_prf
-from plgg.pddl import (GroundTask, TaskIndex, explore, ground_task, is_variable, parse_domain,
-                       parse_problem)
+from plgg.pddl import (GroundAction, GroundTask, TaskIndex, explore, ground_task, is_variable,
+                       parse_domain, parse_problem)
 from plgg.lgg import LGG, extract_lgg, is_landmark_oracle
 from plgg.plog import LiftedEdge, learn_plog, lift_atom
 
@@ -209,7 +209,8 @@ def reference_ground_task(domain, problem):
     """`ground_task` written row by row: a fact id is handed out the first
     time a substitution grounds an atom to it, with the schemas in name
     order, each schema's atoms in sorted pre, add, delete order and each
-    atom's substitutions in product order, and every table is a plain scan."""
+    atom's substitutions in product order, and every table is a plain scan.
+    Its task's `actions` are the reference's own, not a view of the index."""
     objects = {**domain.constants, **problem.objects}
     ids = {}
     for atom in chain(problem.init, problem.goal):
@@ -245,29 +246,38 @@ def reference_ground_task(domain, problem):
     facts = {f for f, level in enumerate(fact_level) if level >= 0}
     facts.update(goal, *deletes)
     index = SimpleNamespace(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
-                            consumers=by_fact(pres), achievers=by_fact(adds), names=names,
-                            args=combos, delete=deletes, fact_level=fact_level,
-                            action_level=action_level)
-    return GroundTask(name=problem.name, facts=frozenset(atoms[f] for f in facts),
+                            consumers=by_fact(pres), achievers=by_fact(adds),
+                            fact_level=fact_level, action_level=action_level)
+    task = GroundTask(name=problem.name, facts=frozenset(atoms[f] for f in facts),
                       init=frozenset(problem.init), goal=frozenset(problem.goal), index=index)
+    task.actions = tuple(GroundAction(name, args, *(frozenset(atoms[f] for f in row)
+                                                    for row in (pre, add, delete)))
+                         for name, args, pre, add, delete
+                         in zip(names, combos, pres, adds, deletes))
+    return task
 
 
-# every table of a `TaskIndex`, by name: its fields but `schemas` and `kept`,
-# which only build its lazy tables, and those, its cached properties
-INDEX_TABLES = ([f.name for f in fields(TaskIndex) if f.name not in ("schemas", "kept")]
+# every table of a `TaskIndex`, by name: its fields but `schemas`, which only
+# the action view reads, and its cached property `achievers`
+INDEX_TABLES = ([f.name for f in fields(TaskIndex) if f.name != "schemas"]
                 + [name for name, value in vars(TaskIndex).items()
                    if isinstance(value, cached_property)])
 
 
 def assert_grounds_as_the_reference(domain, problem):
     """`ground_task` gives the reference's task and index, table for table,
-    with the fact ids handed out in the same order."""
+    with the fact ids handed out in the same order, and its actions."""
     task, reference = ground_task(domain, problem), reference_ground_task(domain, problem)
     assert task == reference
     assert list(task.index.ids.items()) == list(reference.index.ids.items())
     assert sorted(INDEX_TABLES) == sorted(vars(reference.index))
     for name in INDEX_TABLES:
         assert getattr(task.index, name) == getattr(reference.index, name), name
+
+    def rows(actions):
+        return [(a.name, a.args, a.pre, a.add, a.delete) for a in actions]
+
+    assert rows(task.actions) == rows(reference.actions)
 
 
 @st.composite

@@ -188,6 +188,20 @@ def test_instantiate_threshold_one_keeps_only_certainties(learned, bench_dir, pa
     assert all(mu == 1.0 for mu in content.orderings.values())
 
 
+def test_instantiate_threshold_sets_only_the_summary(learned, bench_dir, paths, tmp_path,
+                                                     capsys):
+    # the p-LGG written holds every node and edge; only the summary line's counts move
+    outs = [tmp_path / f"{name}.plgg.json" for name in ("all", "high")]
+    for out, extra in zip(outs, ([], ["--threshold", "0.9"])):
+        assert main(["instantiate", str(learned), str(bench_dir / "domain.pddl"), paths("p06"),
+                     "--out", str(out), "--dot", *extra]) == EXIT_OK
+    counts = [line.split(": ", 1)[1].split(" at threshold")[0]
+              for line in capsys.readouterr().out.splitlines()[::3]]
+    assert counts[0] != counts[1]
+    for suffix in (".json", ".dot"):
+        assert outs[0].with_suffix(suffix).read_bytes() == outs[1].with_suffix(suffix).read_bytes()
+
+
 def test_instantiate_vocabulary_mismatch_exits_2(learned, tmp_path, capsys):
     other = tmp_path / "other-domain.pddl"
     other.write_text("(define (domain gripper) (:requirements :strips) "

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
-from plgg.pddl import (Atom, ParseError, PddlError, Problem, _read_sexprs, _Tok, _tokenize,
-                       explore, ground_task, parse_domain, parse_problem, problem_to_pddl,
-                       read_file)
+from plgg.pddl import (Atom, ParseError, PddlError, Problem, _read_sexprs, _Tok, explore,
+                       ground_task, parse_domain, parse_problem, problem_to_pddl, read_file)
 from plgg.plog import LiftedEdge, learn_plog
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER,
@@ -137,8 +136,7 @@ def assert_index_matches_scan(task, domain):
                                       if atom in action.add]
     assert {index.atoms[f] for f in index.init} == task.init
     assert {index.atoms[f] for f in index.goal} == task.goal
-    for a, action in enumerate(task.actions):
-        assert sorted(index.delete[a]) == sorted({index.ids[d] for d in action.delete})
+    for action in task.actions:
         schema = domain.schemas[action.name]
         binding = {v: obj for (v, _), obj in zip(schema.params, action.args)}
         for part in ("pre", "add", "delete"):
@@ -182,17 +180,17 @@ def test_pipeline_leaves_the_action_view_unbuilt(domain, bench_dir, plog):
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
 def test_index_tables_are_built_when_first_read(case, load):
-    # instantiation reads none of the four lazy tables, and extraction only
-    # the achievers, so on a freshly grounded task the others stay unbuilt
+    # instantiation reads neither the achievers nor the action view, and
+    # extraction only the achievers, so on a freshly grounded task the view stays unbuilt
     directory, name = case
     domain, problem, _ = load(directory, name)
     plog = learn_plog([extract_lgg(load(directory, stem)[2]) for stem in FIXTURE_PLOGS[directory]],
                       domain=domain.name)
     task = ground_task(domain, problem)
     instantiate_task(plog, task)
-    assert not {"achievers", "names", "args", "delete"} & set(vars(task.index))
+    assert "achievers" not in vars(task.index) and "actions" not in vars(task)
     extract_lgg(task)
-    assert not {"names", "args", "delete"} & set(vars(task.index))
+    assert "actions" not in vars(task)
 
 
 @pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
@@ -461,6 +459,15 @@ EXACT_MESSAGES = [
      "expected a single (define (domain ...) ...) form (line 1, column 21)"),
     ("(foo)", "expected a single (define (domain ...) ...) form (line 1, column 1)"),
     ("; no form at all", "expected a single (define (domain ...) ...) form"),
+    # a form left open points at the last token, not into a comment after it
+    ("(define (domain d) ; open",
+     "unbalanced '(': input ended inside a form (line 1, column 18)"),
+    # only an action's precondition and effect may be an empty form
+    ("(define (problem p) (:domain blocksworld) (:objects a - block) (:init) (:goal ()))",
+     "expected an atom, (not ...), or (and ...) (line 1, column 79)"),
+    (ACTION.format(":precondition (and ()) :effect (p ?x)"),
+     "expected an atom, (not ...), or (and ...) (line 1, column 88)"),
+    (ACTION.format(":precondition ()"), "action a has no :effect (line 1, column 41)"),
 ]
 
 
@@ -472,6 +479,18 @@ def test_check_messages_are_exact(domain, text, message):
         else:
             parse_domain(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("body", [":precondition () :effect (p ?x)",
+                                  ":precondition (p ?x) :effect ()",
+                                  ":precondition () :effect ()", ":effect ()"])
+def test_empty_precondition_or_effect_reads_as_no_atoms(body):
+    """PDDL's ``<emptyOr ...>``: an action's ``()`` precondition or effect
+    reads as ``(and)``."""
+    domain = parse_domain(ACTION.format(body))
+    assert domain == parse_domain(ACTION.format(body.replace("()", "(and)")))
+    schema = domain.schemas["a"]
+    assert not schema.delete and len(schema.pre | schema.add) == body.count("(p ?x)")
 
 
 BAD_PROBLEMS = [
@@ -545,7 +564,8 @@ def test_parse_error_carries_position():
 # (domain file, file) for every shipped domain and problem file
 SHIPPED = [(directory / "domain.pddl", path) for directory in (BENCH, GRIPPER, COURIER)
            for path in sorted(directory.glob("*.pddl"))]
-SHIPPED_TOKENS = {path: [tok.text for tok in _tokenize(path.read_text())] for _, path in SHIPPED}
+SHIPPED_TOKENS = {path: [text for text, _, _ in reference_tokens(path.read_text())]
+                  for _, path in SHIPPED}
 SHIPPED_DOMAINS = {domain: parse_domain(domain.read_text()) for domain, _ in SHIPPED}
 # (op, position, pick): delete, insert or replace the token at `position`,
 # modulo the token count; the new token is the file's `pick`-th distinct one
@@ -598,12 +618,10 @@ def read_positions(forms):
 
 
 def assert_positions_match_the_line_reader(text):
-    """Every token of `text` has the line reader's text, line and column;
-    the forms read from it keep them, and where the reader fails, it points
-    at the first ')' that closes nothing or, with a form left open, at the
-    last token."""
+    """The forms read from `text` keep the line reader's text, line and
+    column of each token, and where the reader fails, it points at the first
+    ')' that closes nothing or, with a form left open, at the last token."""
     tokens = list(reference_tokens(text))
-    assert [(tok.text, *position(tok)) for tok in _tokenize(text)] == tokens
     depth, error = 0, None
     for token, line, col in tokens:
         depth += (token == "(") - (token == ")")
