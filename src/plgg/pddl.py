@@ -8,13 +8,18 @@ problem files share one ``define`` reader; malformed text raises
 `ParseError` at the token or form it is about, and its message ends with
 that line and column.
 
-`ground_task` grounds column by column and leaves a `TaskIndex` on the task:
-the fact table and the fact ids, keyed by the atom itself (an `Atom` is a
-named tuple, interned once per fact), each kept action's fact ids, per fact
-its consumers, the levels of grounding's own exploration `explore`, the
-counter-based one of FF, which the landmark oracle reruns, and per schema
-the mask of its kept rows.  The achievers, and the task's `GroundAction`s
-read from those rows, are built on first read.
+`ground_task` grounds in two parts.  What the object set alone decides is
+built once per object set and kept on the domain, for the last set it
+grounded: the fact table, numbered column by column (an `Atom` is a named
+tuple, interned once per fact and its own key), and per schema its
+parameter pools, the mask of the rows whose adds and deletes do not clash
+and its precondition, add and delete columns.  Tasks over the same objects
+share these tables and never change them.  Each task then reads its init
+and goal, builds its kept actions' fact ids and per fact its consumers,
+runs grounding's own exploration `explore`, the counter-based one of FF,
+which the landmark oracle reruns, and leaves a `TaskIndex`.  The
+achievers, and the task's `GroundAction`s read from the schema rows, are
+built on first read.
 """
 
 from __future__ import annotations
@@ -136,11 +141,17 @@ class GroundAction:
 
 @dataclass
 class Domain:
+    """A parsed domain.  `grounding` holds the tables `ground_task` built
+    for the last object set it grounded over this domain, so that the next
+    task over the same objects reuses them; they are read-only and assume
+    the types and schemas stay as parsed."""
+
     name: str
     types: dict[str, str | None]          # type name -> parent (None for the root)
     predicates: dict[str, Predicate]
     schemas: dict[str, ActionSchema]
     constants: dict[str, str]             # constant name -> type
+    grounding: _Grounding | None = field(default=None, init=False, repr=False, compare=False)
 
     def is_subtype(self, sub: str, ancestor: str) -> bool:
         """True when `sub` equals `ancestor` or descends from it."""
@@ -163,25 +174,48 @@ class Problem:
 
 class _SchemaRows(NamedTuple):
     """One schema's actions: the rows of the product of its `pools` that
-    `ok` marks, those whose adds and deletes do not clash and that grounding
-    reached, and per deleted atom its column of fact ids over every row."""
+    `ok` marks, and per atom of its sorted preconditions, adds and deletes
+    its column of fact ids over every row.  Over an object set, `ok` marks
+    the rows whose adds and deletes do not clash; a task whose grounding
+    cuts unreached candidates holds a copy whose `ok` marks its kept rows."""
 
     name: str
     pools: tuple[tuple[str, ...], ...]
     ok: list[bool]
+    pre: list[list[int]]
+    add: list[list[int]]
     delete: list[list[int]]
+    loose: list[list[int]]      # the delete columns of atoms that are no precondition
+    folds: tuple[bool, bool]    # two preconditions, or two adds, share a predicate
+
+
+class _Grounding(NamedTuple):
+    """The tables that only the object set decides: the fact table of every
+    atom the schema columns ground, numbered in column order, and each
+    schema's rows, in name order, with their clash masks.  Every task over
+    `objects` shares them, and nothing changes them once built."""
+
+    objects: dict[str, str]          # object -> type, the domain's constants included
+    ids: dict[Atom, int]
+    atoms: tuple[Atom, ...]
+    schemas: tuple[_SchemaRows, ...]
 
 
 @dataclass(frozen=True)
 class TaskIndex:
     """Integer view of a ground task, built once by `ground_task`.
 
-    Fact ids number `atoms`, every atom grounding met; action ids number
-    the kept actions in (name, args) order, and the per-fact tables list
-    them in increasing order.  The levels are grounding's own `explore`'s,
-    restricted to the kept actions: unreached candidates never fire.
-    `achievers` is built when first read, since only extraction and the
-    label pass read it; the `GroundTask.actions` view reads `schemas`.
+    Fact ids number `atoms`, every atom grounding met: first the atoms of
+    the schema columns, in the order the columns ground them, then the
+    task's init and goal atoms that no schema grounds.  A task without such
+    atoms shares `ids` and `atoms` with every task over its object set, and
+    `schemas` too unless its grounding cuts candidates; these are read-only.
+    Action ids number the kept actions in (name, args) order, and the
+    per-fact tables list them in increasing order.  The levels are
+    grounding's own `explore`'s, restricted to the kept actions: unreached
+    candidates never fire.  `achievers` is built when first read, since
+    only extraction and the label pass read it; the `GroundTask.actions`
+    view reads `schemas`.
     """
 
     atoms: tuple[Atom, ...]          # fact id -> atom
@@ -703,31 +737,10 @@ def _column(ids: dict, pred: str, pools: tuple, slots: tuple[int, ...],
     return col
 
 
-def ground_task(domain: Domain, problem: Problem) -> GroundTask:
-    """Ground a problem over its delete-relaxed-reachable fact set.
-
-    Substitutions are enumerated per schema over type-compatible objects.
-    A substitution that makes an add and a delete collide is discarded (it
-    has no consistent STRIPS reading); everything else is kept exactly when
-    its preconditions become reachable in the delete relaxation of the task.
-
-    Grounding runs column by column.  A schema's substitutions are the
-    product of its parameter pools, in order, and each schema atom reads
-    the distinct slots its arguments use.  Its distinct projections are
-    the product of those slots' pools, in the order the rows first meet
-    them; each new one is interned once, as the fact's `Atom`, and the
-    column of fact ids is spread from that small table to every row by
-    repetition alone.  A column is computed once per predicate, slots and
-    pools and shared by every atom and schema that asks for it again.  The
-    task's atoms are the fact table's.  The candidates are explored by id
-    over their consumer table; when every candidate is reached, the task's
-    `index` keeps the candidate tables as they are, and otherwise it holds
-    the kept actions' tables, rebuilt, and each schema's `ok` mask marks
-    only its kept rows.
-    """
-    objects = dict(domain.constants)
-    objects.update(problem.objects)
-    ids = {a: i for i, a in enumerate(dict.fromkeys(itertools.chain(problem.init, problem.goal)))}
+def _ground_objects(domain: Domain, objects: dict[str, str]) -> _Grounding:
+    """The tables that grounding over `objects` builds before it reads a
+    task: the fact table and each schema's rows, columns and clash mask."""
+    ids: dict[Atom, int] = {}
     columns: dict[tuple, list[int]] = {}
 
     def column(atom: Atom, slot: dict[str, int], pools: tuple, combos: list) -> list[int]:
@@ -741,7 +754,7 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
 
     # Schemas in name order and substitutions drawn from sorted pools list
     # the candidates in (name, args) order, the order of `GroundAction`.
-    schemas, pres, adds, loose = [], [], [], []
+    schemas = []
     for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
         pools = tuple(tuple(sorted(o for o, ot in objects.items()
                                    if domain.is_subtype(ot, ptype)))
@@ -749,20 +762,68 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
         slot = {v: i for i, (v, _) in enumerate(schema.params)}
         s_combos = list(itertools.product(*pools))
         parts = [sorted(atoms) for atoms in (schema.pre, schema.add, schema.delete)]
-        cols = [[column(a, slot, pools, s_combos) for a in part] for part in parts]
+        pre, add, delete = ([column(a, slot, pools, s_combos) for a in part] for part in parts)
         clashes = [map(ne, add_col, del_col) for (a, add_col), (d, del_col)
-                   in itertools.product(zip(parts[1], cols[1]), zip(parts[2], cols[2]))
+                   in itertools.product(zip(parts[1], add), zip(parts[2], delete))
                    if a.pred == d.pred]
         ok = list(reduce(partial(map, and_), clashes)) if clashes else [True] * len(s_combos)
-        for table, part, part_cols in zip((pres, adds), parts, cols):
-            part_rows = zip(*part_cols) if part_cols else itertools.repeat(())
-            if len({a.pred for a in part}) < len(part):  # two atoms may ground alike
-                part_rows = map(tuple, map(dict.fromkeys, part_rows))
-            table.extend(itertools.compress(part_rows, ok))
-        schemas.append(_SchemaRows(schema.name, pools, ok, cols[2]))
-        # a deleted precondition's fact is reached whenever its action is kept
-        loose.append([col for d, col in zip(parts[2], cols[2]) if d not in schema.pre])
+        schemas.append(_SchemaRows(
+            schema.name, pools, ok, pre, add, delete,
+            # a deleted precondition's fact is reached whenever its action is kept
+            [col for d, col in zip(parts[2], delete) if d not in schema.pre],
+            # two atoms of one predicate may ground alike
+            tuple(len({a.pred for a in part}) < len(part) for part in parts[:2])))
+    return _Grounding(objects, ids, tuple(ids), tuple(schemas))
 
+
+def ground_task(domain: Domain, problem: Problem) -> GroundTask:
+    """Ground a problem over its delete-relaxed-reachable fact set.
+
+    Substitutions are enumerated per schema over type-compatible objects.
+    A substitution that makes an add and a delete collide is discarded (it
+    has no consistent STRIPS reading); everything else is kept exactly when
+    its preconditions become reachable in the delete relaxation of the task.
+
+    Grounding runs column by column.  A schema's substitutions are the
+    product of its parameter pools, in order, and each schema atom reads
+    the distinct slots its arguments use.  Its distinct projections are
+    the product of those slots' pools, in the order the rows first meet
+    them; each new one is numbered and interned once, as the fact's
+    `Atom`, and the column of fact ids is spread from that small table to
+    every row by repetition alone.  A column is computed once per
+    predicate, slots and pools and shared by every atom and schema that
+    asks for it again.  These tables and the clash masks depend on the
+    objects alone: `domain.grounding` keeps them for the last object set
+    (constants included), and a task over another set drops them before
+    building its own.  Init and goal atoms that no column grounds are
+    numbered after the columns' facts, in a copy of the fact table that is
+    the task's own.  The candidates are explored by id over their consumer
+    table; when every candidate is reached, the task's `index` keeps the
+    candidate tables and the shared schema rows as they are, and otherwise
+    it holds the kept actions' tables, rebuilt, and copies of the schema
+    rows whose `ok` masks mark only the kept rows.
+    """
+    objects = dict(domain.constants)
+    objects.update(problem.objects)
+    shared = domain.grounding
+    if shared is None or shared.objects != objects:
+        domain.grounding = None  # the last object set's tables go before these are built
+        shared = domain.grounding = _ground_objects(domain, objects)
+    ids, atoms, schemas = shared.ids, shared.atoms, shared.schemas
+    extra = [a for a in dict.fromkeys(itertools.chain(problem.init, problem.goal))
+             if a not in ids]
+    if extra:
+        ids = dict(ids)
+        ids.update(zip(extra, itertools.count(len(ids))))
+        atoms += tuple(extra)
+
+    pres, adds = [], []
+    for rows in schemas:
+        for table, cols, folds in zip((pres, adds), (rows.pre, rows.add), rows.folds):
+            part_rows = zip(*cols) if cols else itertools.repeat(())
+            if folds:
+                part_rows = map(tuple, map(dict.fromkeys, part_rows))
+            table.extend(itertools.compress(part_rows, rows.ok))
     init = tuple(map(ids.__getitem__, problem.init))
     goal = tuple(map(ids.__getitem__, problem.goal))
     consumers = _by_fact(len(ids), pres)
@@ -773,17 +834,16 @@ def ground_task(domain: Domain, problem: Problem) -> GroundTask:
                                     for table in (pres, adds, action_level))
         consumers = _by_fact(len(ids), pres)
         reached = iter(kept)
-        for rows in schemas:
-            rows.ok[:] = [ok and next(reached) for ok in rows.ok]
-    atoms = tuple(ids)
+        schemas = tuple(rows._replace(ok=[ok and next(reached) for ok in rows.ok])
+                        for rows in schemas)
     fact_ids = set(itertools.compress(itertools.count(), map((0).__le__, fact_level)))
     fact_ids.update(goal)
-    for rows, cols in zip(schemas, loose):
-        for col in cols:
+    for rows in schemas:
+        for col in rows.loose:
             fact_ids.update(itertools.compress(col, rows.ok))
     index = TaskIndex(atoms=atoms, ids=ids, init=init, goal=goal, pre=pres, add=adds,
                       consumers=consumers, fact_level=fact_level, action_level=action_level,
-                      schemas=tuple(schemas))
+                      schemas=schemas)
     return GroundTask(name=problem.name,
                       facts=frozenset(map(atoms.__getitem__, fact_ids)),
                       init=frozenset(map(atoms.__getitem__, init)),

@@ -209,12 +209,11 @@ def reference_ground_task(domain, problem):
     """`ground_task` written row by row: a fact id is handed out the first
     time a substitution grounds an atom to it, with the schemas in name
     order, each schema's atoms in sorted pre, add, delete order and each
-    atom's substitutions in product order, and every table is a plain scan.
-    Its task's `actions` are the reference's own, not a view of the index."""
+    atom's substitutions in product order, then to each init and goal atom
+    that no substitution grounds, and every table is a plain scan.  Its
+    task's `actions` are the reference's own, not a view of the index."""
     objects = {**domain.constants, **problem.objects}
     ids = {}
-    for atom in chain(problem.init, problem.goal):
-        ids.setdefault(atom, len(ids))
     names, combos, pres, adds, deletes = [], [], [], [], []
     for schema in sorted(domain.schemas.values(), key=lambda s: s.name):
         pools = [sorted(o for o, t in objects.items() if domain.is_subtype(t, ptype))
@@ -231,6 +230,8 @@ def reference_ground_task(domain, problem):
             combos.append(tuple(b[v] for v, _ in schema.params))
             for table, row in zip((pres, adds, deletes), (pre, add, delete)):
                 table.append(tuple(dict.fromkeys(row)))
+    for atom in chain(problem.init, problem.goal):
+        ids.setdefault(atom, len(ids))
     init = tuple(ids[a] for a in problem.init)
     goal = tuple(ids[a] for a in problem.goal)
 
@@ -264,20 +265,26 @@ INDEX_TABLES = ([f.name for f in fields(TaskIndex) if f.name != "schemas"]
                    if isinstance(value, cached_property)])
 
 
-def assert_grounds_as_the_reference(domain, problem):
-    """`ground_task` gives the reference's task and index, table for table,
-    with the fact ids handed out in the same order, and its actions."""
-    task, reference = ground_task(domain, problem), reference_ground_task(domain, problem)
-    assert task == reference
-    assert list(task.index.ids.items()) == list(reference.index.ids.items())
-    assert sorted(INDEX_TABLES) == sorted(vars(reference.index))
+def assert_grounds_alike(task, other):
+    """The two tasks, every table of their indexes with the fact ids in the
+    same order, and every action of their `GroundAction` views are equal."""
+    assert task == other
+    assert list(task.index.ids.items()) == list(other.index.ids.items())
     for name in INDEX_TABLES:
-        assert getattr(task.index, name) == getattr(reference.index, name), name
+        assert getattr(task.index, name) == getattr(other.index, name), name
 
     def rows(actions):
         return [(a.name, a.args, a.pre, a.add, a.delete) for a in actions]
 
-    assert rows(task.actions) == rows(reference.actions)
+    assert rows(task.actions) == rows(other.actions)
+
+
+def assert_grounds_as_the_reference(domain, problem):
+    """`ground_task` gives the reference's task and index, table for table,
+    with the fact ids handed out in the same order, and its actions."""
+    reference = reference_ground_task(domain, problem)
+    assert sorted(INDEX_TABLES) == sorted(vars(reference.index))
+    assert_grounds_alike(ground_task(domain, problem), reference)
 
 
 @st.composite
@@ -309,17 +316,19 @@ def blocksworld_problems(draw):
 
 
 @st.composite
-def courier_problems(draw):
+def courier_problems(draw, n_places=st.integers(3, 6), n_vans=st.integers(1, 2),
+                     n_parcels=st.integers(1, 3)):
     """PDDL text of a courier task: a one-way ring of 3-6 places with up
     to three one-way shortcuts, one or two empty vans, one to three
     waiting parcels, and some of the parcels, and maybe a van, to be at
     drawn places.  The shortcuts give a van more than one way round, which
-    leaves verdicts that neither back-chaining rule settles."""
-    xs = [f"x{i}" for i in range(draw(st.integers(3, 6)))]
+    leaves verdicts that neither back-chaining rule settles.  `n_places`,
+    `n_vans` and `n_parcels` draw how many there are of each."""
+    xs = [f"x{i}" for i in range(draw(n_places))]
     shortcuts = st.tuples(st.sampled_from(xs), st.sampled_from(xs)).filter(lambda r: r[0] != r[1])
     roads = {*zip(xs, xs[1:] + xs[:1]), *draw(st.lists(shortcuts, max_size=3))}
-    vans = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
-    parcels = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    vans = [f"v{i}" for i in range(draw(n_vans))]
+    parcels = [f"q{i}" for i in range(draw(n_parcels))]
     place = st.sampled_from(xs)
     init = [f"(road {x} {y})" for x, y in sorted(roads)]
     init += [f"(at {v} {draw(place)}) (empty {v})" for v in vans]

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plgg import pddl
 from plgg.instantiate import instantiate_task
 from plgg.lgg import extract_lgg, oracle_landmarks
 from plgg.pddl import (Atom, ParseError, PddlError, Problem, _read_sexprs, _Tok, explore,
@@ -13,7 +14,8 @@ from plgg.pddl import (Atom, ParseError, PddlError, Problem, _read_sexprs, _Tok,
 from plgg.plog import LiftedEdge, learn_plog
 
 from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER,
-                      GRIPPER_CORPUS, assert_grounds_as_the_reference, reference_tokens)
+                      GRIPPER_CORPUS, assert_grounds_alike, assert_grounds_as_the_reference,
+                      courier_problems, reference_tokens)
 from test_lgg import assert_levels_match_definition, atom_levels, task_id
 
 
@@ -324,6 +326,107 @@ def test_partial_columns_ground_as_the_reference(types, init, goal):
     task = ground_task(SLOTS, problem)
     assert {(a.name, a.args) for a in task.actions} == naive_ground_actions(SLOTS, problem)
     assert not any(atom.pred == "v" for atom in task.index.atoms)
+
+
+# Courier with a predicate that no schema reads or writes: its init and goal
+# atoms are the ones no column grounds, numbered after the columns' facts.
+SEALED_COURIER = (COURIER / "domain.pddl").read_text().replace(
+    "(:predicates", "(:predicates (sealed ?p - parcel)")
+
+
+def with_sealed(text, sections):
+    """Problem text with ``(sealed q0)`` first in each of the named sections."""
+    for head in sections:
+        text = text.replace(head, f"{head}(sealed q0) ")
+    return text
+
+
+@st.composite
+def grounding_runs(draw):
+    """Courier problem texts over object sets of up to three drawn sizes, so
+    that a run both repeats and changes its object set; each may hold a
+    `sealed` atom in its init, its goal or both."""
+    sizes = draw(st.lists(st.tuples(st.integers(3, 4), st.integers(1, 2), st.integers(1, 2)),
+                          min_size=1, max_size=3, unique=True))
+    run = []
+    for size in draw(st.lists(st.sampled_from(sizes), min_size=2, max_size=6)):
+        text = draw(courier_problems(*map(st.just, size)))
+        run.append(with_sealed(text, draw(st.sets(st.sampled_from(["(:init ", "(:goal (and "])))))
+    return run
+
+
+# Grounding keeps the last object set's tables on the domain; a task must
+# ground through them exactly as through a freshly parsed domain, and no
+# later task may change what an earlier one holds.  Courier grounding cuts
+# unreached candidates on almost every drawn task.
+@given(grounding_runs())
+@settings(max_examples=100, deadline=None)
+def test_one_domain_grounds_each_task_as_a_fresh_domain_does(run):
+    domain = parse_domain(SEALED_COURIER)
+    tasks = [ground_task(domain, parse_problem(text, domain)) for text in run]
+    for text, task in zip(run, tasks):
+        fresh = parse_domain(SEALED_COURIER)
+        assert_grounds_alike(task, ground_task(fresh, parse_problem(text, fresh)))
+
+
+def test_tasks_over_one_object_set_share_its_tables():
+    domain = parse_domain((BENCH / "domain.pddl").read_text())
+    first, *rest = [ground_task(domain, parse_problem((BENCH / f"{name}.pddl").read_text(),
+                                                      domain))
+                    for name in ("p06", "p07", "p08", "p09", "p14")]
+    for task in rest:  # all over a-e, and blocksworld grounding cuts nothing
+        assert task.index.ids is first.index.ids
+        assert task.index.atoms is first.index.atoms
+        assert task.index.schemas is first.index.schemas
+    other = ground_task(domain, parse_problem((BENCH / "p01.pddl").read_text(), domain))
+    assert other.index.ids is not first.index.ids
+    assert domain.grounding.ids is other.index.ids
+
+
+def test_a_new_object_set_drops_the_last_tables_before_building(monkeypatch):
+    domain = parse_domain((BENCH / "domain.pddl").read_text())
+    kept = []
+    build = pddl._ground_objects
+
+    def spy(domain, objects):
+        kept.append(domain.grounding)
+        return build(domain, objects)
+
+    monkeypatch.setattr(pddl, "_ground_objects", spy)
+    for name in ("p01", "p06", "p07", "p01", "p02"):  # over a-c, a-e, a-e, a-c, a-c
+        ground_task(domain, parse_problem((BENCH / f"{name}.pddl").read_text(), domain))
+    assert kept == [None, None, None]
+
+
+def test_a_task_s_own_atoms_and_cut_masks_stay_its_own():
+    # one object set: `own` seals its parcel, so its fact table is a copy
+    # with one more atom, and its van can only drive round the ring, so its
+    # grounding cuts more candidates than `open`'s, whose roads run both ways
+    objects = "(:objects x0 x1 x2 - place v0 - van q0 - parcel)"
+    ring = "(road x0 x1) (road x1 x2) (road x2 x0)"
+    own_text = with_sealed(
+        f"(define (problem own) (:domain courier) {objects} (:init {ring} (at v0 x0) (empty v0) "
+        "(waiting q0 x1)) (:goal (and (waiting q0 x0))))", ["(:init ", "(:goal (and "])
+    open_text = (f"(define (problem open) (:domain courier) {objects} (:init {ring} (road x1 x0) "
+                 "(road x2 x1) (road x0 x2) (at v0 x1) (empty v0) (waiting q0 x2)) "
+                 "(:goal (and (waiting q0 x1))))")
+    domain = parse_domain(SEALED_COURIER)
+    sealed = Atom("sealed", ("q0",))
+    own, open_, own_again = (ground_task(domain, parse_problem(text, domain))
+                             for text in (own_text, open_text, own_text))
+    assert sealed in own.index.ids and sealed not in open_.index.ids
+    assert sealed not in domain.grounding.ids and own.index.ids is not domain.grounding.ids
+    assert open_.index.ids is domain.grounding.ids
+    assert len(own.actions) < len(open_.actions)
+    masks = [[rows.ok for rows in task.index.schemas] for task in (own, open_)]
+    assert masks[0] != masks[1]
+    for task, text in ((own, own_text), (open_, open_text), (own_again, own_text)):
+        fresh = parse_domain(SEALED_COURIER)
+        assert_grounds_alike(task, ground_task(fresh, parse_problem(text, fresh)))
+    fresh = parse_domain(SEALED_COURIER)
+    ground_task(fresh, parse_problem(own_text, fresh))
+    assert domain.grounding == fresh.grounding
+    assert list(domain.grounding.ids.items()) == list(fresh.grounding.ids.items())
 
 
 def test_grounding_edge_cases_by_hand():
