@@ -2,9 +2,9 @@
 
 A landmark generation graph (LGG) collects ground landmarks of a task and
 greedy-necessary orderings between them: an edge (L1, L2) says L1 holds
-immediately before L2 is first achieved.  Both halves read the task's
-index (`plgg.pddl.TaskIndex`).  Grounding's delete-relaxed levels, kept
-in the index, pick among a landmark's achievers the first achievers that
+immediately before L2 is first achieved.  Both halves work in the fact ids
+of the task's index (`plgg.pddl.TaskIndex`) and return atoms.  Its relaxed
+levels pick among a landmark's achievers the first achievers that
 extraction back-chains through from the goal, and rise along every edge.
 
 Whether a candidate is a landmark is decided exactly.  Init and goal
@@ -128,9 +128,10 @@ def _landmark_bits(task: GroundTask) -> int:
 
 
 def oracle_landmarks(task: GroundTask) -> frozenset[Atom]:
-    """Every fact the oracle accepts, read from one `landmark_labels` pass."""
-    bits, ids = _landmark_bits(task), task.index.ids
-    return frozenset(f for f in task.facts if bits >> ids[f] & 1)
+    """Every fact the oracle accepts: the task facts among the set bits of
+    `_landmark_bits`, read once.  An unreached goal's label holds every id."""
+    digits = f"{_landmark_bits(task):b}"[::-1]
+    return frozenset(a for a, d in zip(task.index.atoms, digits) if d == "1") & task.facts
 
 
 def needed_facts(index: TaskIndex, f: int) -> set[int]:
@@ -164,7 +165,7 @@ def _shared_pre(index: TaskIndex, actions: list[int]) -> set[int]:
 def extract_lgg(task: GroundTask) -> LGG:
     """Back-chain greedy-necessary landmarks from the goal.
 
-    For a landmark L outside init, every atom other than L shared by the
+    For a landmark L outside init, every fact other than L shared by the
     preconditions of all first achievers of L (achievers applicable
     strictly before L first holds in the relaxation) is a candidate;
     candidates that are landmarks become vertices with an edge into L and
@@ -175,55 +176,53 @@ def extract_lgg(task: GroundTask) -> LGG:
     A candidate still undecided when it is asked first makes L's
     `first_adder_facts` accepted; if they leave it open, `landmark_labels`,
     computed at most once, answers it and every later one.  Each rule's
-    facts are among L's candidates.  A debug record counts the verdicts
-    of each kind.
+    facts are among L's candidates, which are asked, like the goals, in
+    their atoms' order.  A debug record counts the verdicts of each kind.
     """
     fact_level, action_level = relaxed_levels(task)
     index = task.index
-    missing = sorted(g for g in task.goal if fact_level[index.ids[g]] < 0)
+    atom = index.atoms.__getitem__
+    missing = sorted(atom(g) for g in index.goal if fact_level[g] < 0)
     if missing:
         raise UnsolvableTaskError(
             f"task {task.name} is unsolvable: goal atom {missing[0]} is "
             "unreachable in the delete relaxation")
 
-    vertices: set[Atom] = set(task.goal)
-    edges: set[tuple[Atom, Atom]] = set()
-    queue: deque[tuple[Atom, list[Atom]]] = deque()
-    verdicts = dict.fromkeys(task.init | task.goal, True)
+    vertices: set[int] = set(index.goal)
+    edges: set[tuple[int, int]] = set()
+    queue: deque[tuple[int, list[int]]] = deque()
+    verdicts = dict.fromkeys((*index.init, *index.goal), True)
     settled = dict.fromkeys(("needed facts", "first adders", "label pass"), 0)
     landmark_bits = None
 
     def accept(facts: set[int], rule: str) -> None:
-        for c in set(map(index.atoms.__getitem__, facts)) - verdicts.keys():
+        for c in facts - verdicts.keys():
             verdicts[c] = True
             settled[rule] += 1
 
-    def enqueue(lm: Atom) -> None:
-        candidates, f = [], index.ids[lm]
-        if lm not in task.init:
-            first_achievers = [a for a in index.achievers[f]
-                               if action_level[a] < fact_level[f]]
-            if first_achievers:
-                candidates = sorted(map(index.atoms.__getitem__,
-                                        _shared_pre(index, first_achievers) - {f}))
+    def enqueue(f: int) -> None:
+        candidates = []
+        if fact_level[f]:  # outside init, a reached f has an achiever one level below it
+            first_achievers = [a for a in index.achievers[f] if action_level[a] < fact_level[f]]
+            candidates = sorted(_shared_pre(index, first_achievers) - {f}, key=atom)
         if not verdicts.keys() >= set(candidates):
             accept(needed_facts(index, f), "needed facts")
-        queue.append((lm, candidates))
+        queue.append((f, candidates))
 
-    def passes(atom: Atom, lm: Atom) -> bool:
+    def passes(c: int, lm: int) -> bool:
         nonlocal landmark_bits
-        verdict = verdicts.get(atom)
+        verdict = verdicts.get(c)
         if verdict is None and landmark_bits is None:
-            accept(first_adder_facts(index, index.ids[lm]), "first adders")
-            verdict = verdicts.get(atom)
+            accept(first_adder_facts(index, lm), "first adders")
+            verdict = verdicts.get(c)
         if verdict is None:
             if landmark_bits is None:
                 landmark_bits = _landmark_bits(task)
-            verdict = verdicts[atom] = bool(landmark_bits >> index.ids[atom] & 1)
+            verdict = verdicts[c] = bool(landmark_bits >> c & 1)
             settled["label pass"] += 1
         return verdict
 
-    for goal in sorted(task.goal):
+    for goal in sorted(index.goal, key=atom):
         enqueue(goal)
     while queue:
         lm, candidates = queue.popleft()
@@ -238,7 +237,8 @@ def extract_lgg(task: GroundTask) -> LGG:
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("%s: verdicts by %s", task.name,
                      ", ".join(f"{rule} {n}" for rule, n in settled.items()))
-    return LGG(task=task.name, vertices=frozenset(vertices), edges=frozenset(edges))
+    return LGG(task=task.name, vertices=frozenset(map(atom, vertices)),
+               edges=frozenset((atom(s), atom(d)) for s, d in edges))
 
 
 # --- serialization ----------------------------------------------------------

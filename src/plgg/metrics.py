@@ -10,9 +10,10 @@ averaged credit is folded into alpha-precision and alpha-recall.
 Scoring is constraint-free and the reference is ground, so a lifted atom
 is equivalent to a reference atom exactly when its objects sit at the
 reference atom's positions: it has the bucket key of one of the reference
-atom's `_object_patterns`, the key that instantiation's search reads.  The
-missed items are filed under all those keys, and under their own for the
-ground end of a lifted ordering; each lifted extra is then looked up once.
+atom's `_object_patterns`, the keys that instantiation's search reads, or
+it is the reference atom, at the ground end of a lifted ordering.  As in
+that search, each lifted extra is filed once, under its ends' own keys,
+and each missed item probes every combination of its ends' keys.
 
 `compare` returns the scores in the one layout that `plgg evaluate --json`
 prints per task: `{"landmarks": facet, "orderings": facet}`, where each
@@ -111,10 +112,10 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
     """Score one facet: classical scores over the ground predictions, and
     the averaged partial credit of the lifted ones.
 
-    `ends` gives an item's atoms.  Each missed item is filed under every
-    combination of its ends' `_keys`, and each lifted extra is looked up
-    once by its ends' `_own_key`s; a missed item averages the credit of
-    the extras found, in their sorted order.
+    `ends` gives an item's atoms.  Each lifted extra is filed once under
+    its ends' `_own_key`s, and each missed item probes every combination
+    of its ends' `_keys`; it averages the credit of the extras found, in
+    their sorted order.
     A missed item with no equivalent lifted extra contributes 0, and an
     empty missed set yields 0 outright.
     """
@@ -127,17 +128,14 @@ def _score_facet(reference: set, grounded: set, lifted: set, ends: Callable) -> 
               if tuple(map(_pred, ends(extra))) in preds] if preds else []
     total = 0.0
     if extras:
-        found: dict = {item: [] for item in missed}
-        index: dict = {}
-        for item, matches in found.items():
-            for key in product(*map(_keys, ends(item))):
-                index.setdefault(key, []).append(matches)
+        filed: dict = {}
         for extra in extras:
-            for matches in index.get(tuple(map(_own_key, ends(extra))), ()):
-                matches.append(extra)
+            filed.setdefault(tuple(map(_own_key, ends(extra))), []).append(extra)
         for item in sorted(missed):
-            if found[item]:
-                total += mean([_credit(ends(extra)) for extra in sorted(found[item])])
+            found = [extra for key in product(*map(_keys, ends(item)))
+                     for extra in filed.get(key, ())]
+            if found:
+                total += mean([_credit(ends(extra)) for extra in sorted(found)])
     alpha = total / len(missed) if missed else 0.0
     folded = alpha_prf(prf, alpha)
     return {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1,

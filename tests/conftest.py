@@ -1,3 +1,4 @@
+import logging
 import re
 from collections import deque
 from dataclasses import dataclass, fields
@@ -90,6 +91,17 @@ def plog(train_lggs, domain):
 @pytest.fixture(scope="session")
 def corpus_names():
     return CORPUS
+
+
+@pytest.fixture()
+def plgg_logger():
+    """The `plgg` logger, with the level and handlers it had restored after
+    the test, since `main` configures it for the whole process."""
+    logger = logging.getLogger("plgg")
+    level, handlers = logger.level, list(logger.handlers)
+    yield logger
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
 
 
 # --- reference helpers ------------------------------------------------------

@@ -500,17 +500,6 @@ def test_unknown_subcommand_is_usage_error():
 
 
 @pytest.fixture()
-def plgg_logger():
-    """The `plgg` logger, with the level and handlers it had restored after
-    the test, since `main` configures it for the whole process."""
-    logger = logging.getLogger("plgg")
-    level, handlers = logger.level, list(logger.handlers)
-    yield logger
-    logger.setLevel(level)
-    logger.handlers[:] = handlers
-
-
-@pytest.fixture()
 def unlearned_goal(tmp_path):
     # no ordering learned from p01-p04 ends in ontable(?x0), so the goal
     # side warns about ontable(a)

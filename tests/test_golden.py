@@ -8,7 +8,8 @@ orderings are dropped.  On one
 held-out task per fixture domain, `plgg instantiate` must print, and write
 with `--dot`, the bytes of the p-LGG JSON and DOT files in `tests/golden/`,
 and `plgg learn --dot` must write the bytes of the blocksworld p-LOG DOT
-file there."""
+file there.  `plgg extract --log-level debug` on the courier fixtures must
+print the verdict counts in `tests/golden/courier-extract-verdicts.txt`."""
 
 import json
 import re
@@ -18,7 +19,7 @@ import pytest
 
 from plgg.cli import EXIT_OK, main
 
-from conftest import BENCH, COURIER, FIXTURE_PLOGS, GRIPPER, without_seconds
+from conftest import BENCH, COURIER, COURIER_CORPUS, FIXTURE_PLOGS, GRIPPER, without_seconds
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "references"
              / "corpus-evaluate.json")
@@ -121,3 +122,14 @@ def test_fixture_instantiate_matches_golden_output(name, suffix, plog_path, tmp_
     assert out.read_text() == printed
     dot = golden.with_name(golden.name + ".dot")
     assert out.with_suffix(".dot").read_text() == dot.read_text()
+
+
+def test_courier_extract_verdict_counts_match_golden_output(tmp_path, capsys, plgg_logger):
+    # each task's debug record counts the verdicts that each back-chaining
+    # rule and the label pass settled
+    problems = [str(COURIER / f"{name}.pddl") for name in COURIER_CORPUS]
+    assert main(["extract", str(COURIER / "domain.pddl"), *problems, "--out", str(tmp_path),
+                 "--log-level", "debug"]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines(keepends=True)
+    printed = "".join(line for line in err if ": verdicts by " in line)
+    assert printed == (GOLDEN / "courier-extract-verdicts.txt").read_text()

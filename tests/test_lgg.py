@@ -1,19 +1,23 @@
-"""Landmark extraction against the exhaustive delete-relaxation oracle,
-plus serialization of the graph files."""
+"""Landmark extraction against the exhaustive delete-relaxation oracle and
+under renamed objects, plus serialization of the graph files."""
 
 import json
+import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plgg import lgg as lgg_module
 from plgg.pddl import Atom, GroundAction, ground_task, parse_domain, parse_problem
+from plgg.plog import learn_plog, plog_to_json
 from plgg.lgg import (LggFormatError, UnsolvableTaskError, extract_lgg, first_adder_facts,
                       is_landmark_oracle, landmark_labels, lgg_from_json, lgg_to_json,
                       needed_facts, oracle_landmarks, relaxed_levels)
 
-from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, GRIPPER,
-                      GRIPPER_CORPUS, blocksworld_problems, courier_problems, reached,
+from conftest import (ALL_TASKS, BENCH, CORPUS, COURIER, COURIER_CORPUS, FIXTURE_PLOGS,
+                      GRIPPER, GRIPPER_CORPUS, blocksworld_problems, courier_problems, reached,
                       reference_extract_lgg, relaxed_exploration)
 
 
@@ -159,6 +163,20 @@ def test_labels_on_a_relaxed_unsolvable_task_hold_every_fact(domain):
     assert oracle_landmarks(task) == task.facts
 
 
+# without the hand no action applies, so the atoms that only actions would
+# reach are ground but are no task facts
+HANDLESS = ("(define (problem handless) (:domain blocksworld) (:objects a b - block) "
+            "(:init (ontable a) (clear a) (ontable b) (clear b)) (:goal (and (on a b))))")
+
+
+def test_oracle_set_keeps_only_task_facts_when_the_goal_is_unreached(domain):
+    # the unreached goal's label holds every fact id, the ids of ground
+    # atoms that are no task facts among them
+    task = ground_task(domain, parse_problem(HANDLESS, domain))
+    assert set(task.index.atoms) > task.facts
+    assert oracle_landmarks(task) == brute_force_landmarks(task) == task.facts
+
+
 def test_labels_keep_facts_added_alongside(make_task):
     # on p02 clearing b means unstacking a, which adds holding(a) together
     # with clear(b); no precondition chain of the goal holds holding(a), so
@@ -184,6 +202,22 @@ def extract_counted(task):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgg_module, "landmark_labels", labels)
         return lgg_to_json(extract_lgg(task)), len(passes)
+
+
+VERDICT_RECORD = re.compile(r"(.*): verdicts by needed facts (\d+), first adders (\d+), "
+                            r"label pass (\d+)")
+
+
+def verdict_counts(task, caplog):
+    """(needed facts, first adders, label pass): the verdicts of each kind
+    that the debug record of `extract_lgg(task)` counts."""
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="plgg"):
+        extract_lgg(task)
+    [record] = caplog.records
+    name, *counts = VERDICT_RECORD.fullmatch(record.getMessage()).groups()
+    assert name == task.name
+    return tuple(map(int, counts))
 
 
 def assert_extracts_as_the_reference(task, passes=None):
@@ -232,11 +266,12 @@ def tower_problem(blocks):
             f"(:goal (and {goal})))")
 
 
-def test_full_tower_needs_no_label_pass(domain):
+def test_full_tower_needs_no_label_pass(domain, caplog):
     # stack is the only achiever of each goal, and every candidate it
     # needs beyond holding its block is an init fact
     task = ground_task(domain, parse_problem(tower_problem(12), domain))
     assert_extracts_as_the_reference(task, passes=0)
+    assert verdict_counts(task, caplog) == (11, 0, 0)
 
 
 def buried_problem(height):
@@ -252,12 +287,13 @@ def buried_problem(height):
 
 
 @pytest.mark.parametrize("height", [10, 12])
-def test_buried_block_needs_no_label_pass(height, domain):
+def test_buried_block_needs_no_label_pass(height, domain, caplog):
     # clear(b2) ... clear(b{height - 1}) each need a verdict beyond
     # `needed_facts`, since putdown and stack add them too; unstacking
     # comes first, so the first-adder rule accepts every one of them
     task = ground_task(domain, parse_problem(buried_problem(height), domain))
     assert_extracts_as_the_reference(task, passes=0)
+    assert verdict_counts(task, caplog) == (2, height - 2, 0)
 
 
 def courier_ring(places, parcels, shortcuts):
@@ -273,7 +309,7 @@ def courier_ring(places, parcels, shortcuts):
             f"v1 - van {qs} - parcel) (:init {' '.join(init)}) (:goal (and {' '.join(goal)})))")
 
 
-def test_courier_ring_runs_the_label_pass(load):
+def test_courier_ring_runs_the_label_pass(load, caplog):
     # whether the van, or a parcel aboard it, passes through a place the
     # shortcuts lead round is left to a verdict that no rule settles, so
     # one label pass decides all of them
@@ -281,6 +317,33 @@ def test_courier_ring_runs_the_label_pass(load):
     ring = courier_ring(10, 8, [("x0", "x5"), ("x3", "x8"), ("x6", "x1"), ("x9", "x4")])
     task = ground_task(domain, parse_problem(ring, domain))
     assert_extracts_as_the_reference(task, passes=1)
+    assert verdict_counts(task, caplog) == (14, 0, 20)
+
+
+@pytest.mark.parametrize("directory,names,counts", [
+    (BENCH, CORPUS, [(1, 0, 0), (2, 1, 0), (2, 0, 0), (4, 0, 0), (1, 0, 0), (2, 0, 0), (2, 3, 0),
+                     (3, 0, 0), (2, 0, 0), (3, 0, 0), (2, 4, 0), (3, 0, 0), (1, 0, 0), (2, 0, 0)]),
+    (GRIPPER, GRIPPER_CORPUS, [(1, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)])],
+    ids=["blocksworld", "gripper"])
+def test_verdict_counts_on_the_fixtures(directory, names, counts, load, caplog):
+    # which kind settles each verdict hangs on the rules and on the order
+    # in which candidates are asked; courier's counts are the golden file
+    # `courier-extract-verdicts.txt`
+    assert [verdict_counts(load(directory, name)[2], caplog) for name in names] == counts
+
+
+@pytest.mark.parametrize("directory,names,edges", [
+    (BENCH, CORPUS, 160), (GRIPPER, GRIPPER_CORPUS, 23), (COURIER, COURIER_CORPUS, 62)],
+    ids=["blocksworld", "gripper", "courier"])
+def test_native_edges_are_label_sound_on_the_fixtures(directory, names, edges, load):
+    # every extracted ordering (s, d) is a relaxed natural ordering: s is
+    # in d's landmark label (Zhu & Givan 2003), read by fact id
+    sound = []
+    for name in names:
+        task = load(directory, name)[2]
+        label, ids = landmark_labels(task), task.index.ids
+        sound += [bool(label[ids[d]] >> ids[s] & 1) for s, d in extract_lgg(task).edges]
+    assert sound.count(True) == len(sound) == edges
 
 
 def assert_needed_facts_are_landmarks(task):
@@ -568,6 +631,78 @@ def test_levels_rise_along_every_edge_on_drawn_tasks(domain, text):
 @settings(max_examples=60, deadline=None)
 def test_levels_rise_along_every_edge_on_drawn_courier_tasks(load, text):
     assert_levels_rise_along_every_edge(courier_task(load, text))
+
+
+# --- renaming the objects -------------------------------------------------------
+
+
+def renaming(problem, seed):
+    """A seeded, type-preserving renaming of the problem's objects: each
+    type's names are shuffled among themselves and prefixed, so that the
+    new names sort in another order and ground apart from the old ones."""
+    rng, mapping = random.Random(seed), {}
+    for kind in sorted(set(problem.objects.values())):
+        names = sorted(o for o, t in problem.objects.items() if t == kind)
+        mapping.update(zip(names, (f"r-{o}" for o in rng.sample(names, len(names)))))
+    return mapping
+
+
+def renamed(problem, mapping):
+    """The problem with its objects renamed by `mapping`."""
+    return replace(problem, objects={mapping[o]: t for o, t in problem.objects.items()},
+                   init=frozenset(a.substitute(mapping) for a in problem.init),
+                   goal=frozenset(a.substitute(mapping) for a in problem.goal))
+
+
+def assert_commutes_with_renaming(domain, problem, seed):
+    """The renamed task's graph and oracle set are the task's, renamed, and
+    the p-LOG learned from its graph is the same bytes.  Only graphs and
+    sets are compared: the order in which candidates are asked, and so
+    each rule's count, may follow the names."""
+    mapping = renaming(problem, seed)
+    task, other = ground_task(domain, problem), ground_task(domain, renamed(problem, mapping))
+    lgg, other_lgg = extract_lgg(task), extract_lgg(other)
+    assert other_lgg.vertices == {v.substitute(mapping) for v in lgg.vertices}
+    assert other_lgg.edges == {(s.substitute(mapping), d.substitute(mapping))
+                               for s, d in lgg.edges}
+    assert oracle_landmarks(other) == {f.substitute(mapping) for f in oracle_landmarks(task)}
+    assert plog_to_json(learn_plog([other_lgg])) == plog_to_json(learn_plog([lgg]))
+
+
+@pytest.mark.parametrize("case", ALL_TASKS, ids=task_id)
+def test_extraction_commutes_with_renaming_on_every_task(case, load):
+    domain, problem, _ = load(*case)
+    for seed in range(4):
+        assert_commutes_with_renaming(domain, problem, seed)
+
+
+@given(blocksworld_problems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_extraction_commutes_with_renaming_on_drawn_tasks(domain, text, seed):
+    assert_commutes_with_renaming(domain, parse_problem(text, domain), seed)
+
+
+@given(courier_problems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_extraction_commutes_with_renaming_on_drawn_courier_tasks(load, text, seed):
+    domain = load(COURIER, COURIER_CORPUS[0])[0]
+    assert_commutes_with_renaming(domain, parse_problem(text, domain), seed)
+
+
+@pytest.mark.parametrize("directory", FIXTURE_PLOGS, ids=lambda d: d.name)
+def test_plog_commutes_with_renaming_on_the_fixtures(directory, load):
+    # the p-LOG that instantiates each fixture domain, learned from its
+    # training tasks as shipped and under four renamings of every task
+    learned = []
+    for seed in (None, 0, 1, 2, 3):
+        lggs = []
+        for name in FIXTURE_PLOGS[directory]:
+            domain, problem, task = load(directory, name)
+            if seed is not None:
+                task = ground_task(domain, renamed(problem, renaming(problem, seed)))
+            lggs.append(extract_lgg(task))
+        learned.append(plog_to_json(learn_plog(lggs, domain=domain.name)))
+    assert learned[1:] == learned[:1] * 4
 
 
 # --- serialization --------------------------------------------------------------
